@@ -21,7 +21,8 @@ void check_regs(std::initializer_list<RegRef> regs, qubit_t n) {
 }
 
 void Emulator::ensure_scratch() {
-  if (scratch_.size() != sv_->size()) scratch_.assign(sv_->size(), complex_t{});
+  // Left uninitialized: every user writes an element before reading it.
+  if (scratch_.size() != sv_->size()) scratch_ = uninit_aligned_vector<complex_t>(sv_->size());
 }
 
 void Emulator::apply_permutation(const std::function<index_t(index_t)>& f) {
@@ -151,7 +152,7 @@ void Emulator::qft_impl(RegRef r, fft::Sign sign) {
   const auto a = sv_->amplitudes();
   if (r.width == sv_->qubits()) {
     // Whole register: the paper's Eq. (4) is literally one FFT call,
-    // ping-ponged through our scratch (Stockham — no bit reversal).
+    // with our scratch as its work buffer.
     ensure_scratch();
     plan_->execute(a, {scratch_.data(), scratch_.size()}, fft::Norm::Unitary);
     return;
@@ -167,15 +168,18 @@ void Emulator::qft_impl(RegRef r, fft::Sign sign) {
   const double unit = 1.0 / std::sqrt(static_cast<double>(reg_size));
 #pragma omp parallel
   {
-    aligned_vector<complex_t> tmp(reg_size);
+    // The register slice and the FFT's scratch, per thread.
+    uninit_aligned_vector<complex_t> tmp(2 * reg_size);
+    const std::span<complex_t> slice{tmp.data(), reg_size};
+    const std::span<complex_t> work{tmp.data() + reg_size, reg_size};
 #pragma omp for schedule(static)
     for (index_t bidx = 0; bidx < batches; ++bidx) {
       const index_t hi = bidx / lo_count;
       const index_t lo = bidx % lo_count;
       const index_t base = (hi << (r.offset + r.width)) | lo;
-      for (index_t k = 0; k < reg_size; ++k) tmp[k] = a[base | (k << r.offset)];
-      plan_->execute({tmp.data(), tmp.size()}, fft::Norm::None);
-      for (index_t k = 0; k < reg_size; ++k) a[base | (k << r.offset)] = tmp[k] * unit;
+      for (index_t k = 0; k < reg_size; ++k) slice[k] = a[base | (k << r.offset)];
+      plan_->execute(slice, work, fft::Norm::None);
+      for (index_t k = 0; k < reg_size; ++k) a[base | (k << r.offset)] = slice[k] * unit;
     }
   }
 }

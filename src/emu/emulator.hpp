@@ -115,7 +115,7 @@ class Emulator {
   void qft_impl(RegRef r, fft::Sign sign);
 
   sim::StateVector* sv_;
-  aligned_vector<complex_t> scratch_;
+  uninit_aligned_vector<complex_t> scratch_;
   std::unique_ptr<fft::FftPlan> plan_;  // cached (width, sign)
 };
 

@@ -1,7 +1,6 @@
 #include "fft/dist_fft.hpp"
 
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 #include "common/bits.hpp"
@@ -110,6 +109,7 @@ DistFftStats dist_fft(cluster::Comm& comm, std::span<complex_t> local, qubit_t n
   aligned_vector<complex_t> recvbuf(chunk);
   const FftPlan plan_r(nr, sign);
   const FftPlan plan_c(nc, sign);
+  const Twiddles twiddle(n_total, sign);
   WallTimer timer;
 
   // Step 1: transpose R x C -> C x R. Rank now owns cols/p rows of len R.
@@ -129,29 +129,17 @@ DistFftStats dist_fft(cluster::Comm& comm, std::span<complex_t> local, qubit_t n
   }
   stats.local_fft_seconds += timer.seconds();
 
-  // Step 3: twiddle by w_N^(g2 * k1), g2 global. Incremental rotation
-  // (one multiply per element) with a fresh std::polar every 256 steps
-  // bounds the accumulated rounding to ~256 ulps while eliminating the
-  // per-element sincos that would otherwise dominate this phase.
+  // Step 3: twiddle by w_N^(g2 * k1), g2 global: the same factor as the
+  // node-local four-step transform, from the same two-level table.
   comm.barrier();
   timer.reset();
   {
     const index_t nrows = cols / static_cast<index_t>(p);
     const index_t g2_start = static_cast<index_t>(comm.rank()) * nrows;
-    const double base = static_cast<double>(static_cast<int>(sign)) * 2.0 *
-                        std::numbers::pi / static_cast<double>(size);
-    constexpr index_t kResync = 256;
 #pragma omp parallel for schedule(static) if (nrows * rows >= 4096)
     for (index_t g2 = 0; g2 < nrows; ++g2) {
-      const double row_phase = base * static_cast<double>(g2_start + g2);
-      const complex_t step = std::polar(1.0, row_phase);
       complex_t* row = work.data() + g2 * rows;
-      complex_t w{1.0, 0.0};
-      for (index_t k1 = 0; k1 < rows; ++k1) {
-        if (k1 % kResync == 0) w = std::polar(1.0, row_phase * static_cast<double>(k1));
-        row[k1] *= w;
-        w *= step;
-      }
+      for (index_t k1 = 0; k1 < rows; ++k1) row[k1] *= twiddle((g2_start + g2) * k1);
     }
   }
   stats.twiddle_seconds += timer.seconds();

@@ -33,7 +33,9 @@
 
 #include <array>
 #include <cassert>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -91,9 +93,11 @@ class BitExpander {
  public:
   BitExpander() = default;
 
-  /// `positions` must be strictly ascending qubit labels.
+  /// `positions` must be strictly ascending qubit labels; more than
+  /// index_t has bits throws std::length_error in every build.
   explicit BitExpander(std::span<const qubit_t> positions) : count_(positions.size()) {
-    assert(positions.size() <= pos_.size());
+    if (positions.size() > pos_.size())
+      throw std::length_error("BitExpander: more positions than index bits");
     for (std::size_t i = 0; i < positions.size(); ++i) pos_[i] = positions[i];
   }
 
@@ -106,7 +110,7 @@ class BitExpander {
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
 
  private:
-  std::array<qubit_t, 16> pos_{};
+  std::array<qubit_t, std::numeric_limits<index_t>::digits> pos_{};
   std::size_t count_ = 0;
 };
 

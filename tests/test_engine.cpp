@@ -545,6 +545,31 @@ TEST(DistBackend, RejectsNonPow2Ranks) {
   EXPECT_THROW((void)Engine().run(p, opts), std::invalid_argument);
 }
 
+// --- gates wider than 16 qubits --------------------------------------
+
+TEST(Engine, EighteenQubitGateOnEveryBackend) {
+  // Z on qubit 17 with 17 controls, after H on every qubit: one gate on
+  // more than 16 qubits. Exactly |1...1> flips sign.
+  const qubit_t n = 18;
+  Circuit c(n);
+  for (qubit_t q = 0; q < n; ++q) c.h(q);
+  circuit::Gate z = circuit::make_gate(circuit::GateKind::Z, n - 1);
+  for (qubit_t q = 0; q + 1 < n; ++q) z.controls.push_back(q);
+  c.append(z);
+  Program p(n);
+  p.gates(c);
+  const double amp = 1.0 / std::sqrt(static_cast<double>(dim(n)));
+  for (const std::string& backend : backend_names()) {
+    RunOptions opts;
+    opts.backend = backend;
+    const Result r = Engine().run(p, opts);
+    double err = 0;
+    for (index_t i = 0; i < dim(n); ++i)
+      err = std::max(err, std::abs(r.state[i] - complex_t{i + 1 == dim(n) ? -amp : amp}));
+    EXPECT_LT(err, 1e-12) << backend;
+  }
+}
+
 // --- measurement-stream determinism and non-collapse ------------------
 
 TEST(Engine, MeasurementStreamSeedDeterministicAcrossAllBackends) {

@@ -164,26 +164,35 @@ TEST(Fft, QftConventionEq4) {
 }
 
 TEST(Fft, SchedulesProduceIdenticalResults) {
-  // The fused two-stage sweep must match the textbook single-stage
-  // schedule exactly (same arithmetic, different memory order) for both
-  // odd and even stage counts.
-  for (const qubit_t n : {1u, 2u, 3u, 6u, 9u, 12u, 15u}) {
+  // The fused two-stage sweep and the default plan must match the
+  // textbook single-stage schedule (same transform, different memory
+  // order) for both odd and even stage counts, under every Norm. Up to
+  // 2^12 points the default plan runs its Stockham passes in cache;
+  // 13, 14 and 15 take the blocked four-step path. (Beyond 2^15 the
+  // unnormalized outputs grow past the point where the single-stage
+  // reference itself is within 1e-12 of the exact transform.)
+  for (const qubit_t n : {1u, 2u, 3u, 6u, 9u, 12u, 13u, 14u, 15u}) {
     const auto in = random_signal(n, 400 + n);
-    aligned_vector<complex_t> single = in, fused = in, stockham = in;
-    FftPlan(n, Sign::Positive, Schedule::SingleStage).execute(single);
-    FftPlan(n, Sign::Positive, Schedule::FusedPairs).execute(fused);
-    FftPlan(n, Sign::Positive, Schedule::Stockham).execute(stockham);
-    EXPECT_LT(max_diff(single, fused), 1e-12) << "n=" << n;
-    EXPECT_LT(max_diff(single, stockham), 1e-12) << "n=" << n;
-    aligned_vector<complex_t> expected(in.size());
-    dft_naive(in, expected, Sign::Positive);
-    EXPECT_LT(max_diff(fused, expected), 1e-9 * std::sqrt(static_cast<double>(in.size())))
-        << "n=" << n;
+    for (const Norm norm : {Norm::None, Norm::Unitary, Norm::Inverse}) {
+      aligned_vector<complex_t> single = in, fused = in, stockham = in;
+      FftPlan(n, Sign::Positive, Schedule::SingleStage).execute(single, norm);
+      FftPlan(n, Sign::Positive, Schedule::FusedPairs).execute(fused, norm);
+      FftPlan(n, Sign::Positive).execute(stockham, norm);
+      EXPECT_LT(max_diff(single, fused), 1e-12) << "n=" << n << " norm=" << int(norm);
+      EXPECT_LT(max_diff(single, stockham), 1e-12) << "n=" << n << " norm=" << int(norm);
+      if (norm != Norm::None) continue;  // the O(N^2) oracle: once per n
+      aligned_vector<complex_t> expected(in.size());
+      dft_naive(in, expected, Sign::Positive);
+      EXPECT_LT(max_diff(fused, expected), 1e-9 * std::sqrt(static_cast<double>(in.size())))
+          << "n=" << n;
+    }
   }
 }
 
 TEST(Fft, StockhamCallerScratchMatchesThreadLocalPath) {
-  for (const qubit_t n : {4u, 11u}) {
+  // 4 and 11 run in cache with the per-thread scratch; 16 takes the
+  // blocked path, whose scratch-less call allocates its own.
+  for (const qubit_t n : {4u, 11u, 16u}) {
     const auto in = random_signal(n, 77 + n);
     aligned_vector<complex_t> a = in, b = in;
     aligned_vector<complex_t> scratch(in.size());
