@@ -18,8 +18,7 @@
 //   --active:       gates act on qubits [0, active) of the wider register
 //   --fusion-sweep: cross the chunk sweep with fusion widths k = 2..6
 //                   (default: the single --fusion-width)
-//   --json:         write machine-readable per-backend timings (the CI
-//                   bench-smoke step uploads this as BENCH_pr3.json)
+//   --json:         write machine-readable per-backend timings
 //   --full:         26 qubits, 600 gates
 #include <algorithm>
 #include <cstdio>
@@ -30,9 +29,9 @@
 #include "circuit/builders.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "fuse/fused_simulator.hpp"
+#include "engine/backend.hpp"
+#include "fuse/fusion.hpp"
 #include "sched/cached_simulator.hpp"
-#include "sim/simulator.hpp"
 
 namespace {
 
@@ -111,8 +110,8 @@ int main(int argc, char** argv) {
 
   double t_hpc = 0;
   if (with_hpc) {
-    const sim::HpcSimulator hpc;
-    t_hpc = bench::timed([&] { hpc.run(sv, c); }, /*warmup=*/true);
+    const auto hpc = engine::make_backend("hpc");
+    t_hpc = bench::timed([&] { hpc->run_gates(sv, c); }, /*warmup=*/true);
     std::printf("hpc baseline (unfused): %s s/run (%zu passes)\n", sci(t_hpc).c_str(), gates);
     results.push_back({"hpc", 0, 0, gates, t_hpc});
   }
@@ -127,28 +126,27 @@ int main(int argc, char** argv) {
   std::size_t fused_passes_ref = 0;
   for (const qubit_t k : fusion_widths) {
     // Fused baseline at this width: one full DRAM pass per fused block.
-    fuse::FusedSimulator::Options fopts;
-    fopts.fusion.max_width = k;
-    const fuse::FusedSimulator fused(fopts);
-    const fuse::FusedCircuit fplan = fused.plan(c);
-    const double t_fused = bench::timed([&] { fused.execute(sv, fplan); }, /*warmup=*/true);
+    fuse::FusionOptions fusion;
+    fusion.max_width = k;
+    const sched::BlockedPlan fplan = sched::global_plan(fuse::fuse_circuit(c, fusion));
+    const double t_fused = bench::timed(
+        [&] { sched::execute_blocked<double>(sv.amplitudes(), fplan); }, /*warmup=*/true);
     std::printf("fused baseline (k=%u):  %s s/run (%zu passes)\n", k, sci(t_fused).c_str(),
-                fplan.items.size());
-    results.push_back({"fused", k, 0, fplan.items.size(), t_fused});
+                fplan.passes());
+    results.push_back({"fused", k, 0, fplan.passes(), t_fused});
     if (t_best_fused == 0 || t_fused < t_best_fused) {
       t_best_fused = t_fused;
-      fused_passes_ref = fplan.items.size();
+      fused_passes_ref = fplan.passes();
     }
 
     const qubit_t lo = static_cast<qubit_t>(std::max(10, static_cast<int>(k)));
     for (qubit_t chunk = lo; chunk <= std::min<qubit_t>(n, 18); chunk += 2) {
-      sched::CachedSimulator::Options copts;
-      copts.fusion.max_width = k;
-      copts.sched.max_block_width = k;  // honest axis: no in-cache re-narrowing
-      copts.sched.chunk_width = chunk;
-      const sched::CachedSimulator cached(copts);
-      const sched::BlockedPlan plan = cached.plan(c);
-      const double t = bench::timed([&] { cached.execute(sv, plan); }, /*warmup=*/true);
+      sched::ScheduleOptions blocking;
+      blocking.max_block_width = k;  // honest axis: no in-cache re-narrowing
+      blocking.chunk_width = chunk;
+      const sched::BlockedPlan plan = sched::plan(c, fusion, blocking);
+      const double t = bench::timed(
+          [&] { sched::execute_blocked<double>(sv.amplitudes(), plan); }, /*warmup=*/true);
       if (t_best_cached == 0 || t < t_best_cached) t_best_cached = t;
       table.add_row({std::to_string(k), std::to_string(chunk), std::to_string(plan.sweeps()),
                      std::to_string(plan.chunk_ops()), std::to_string(plan.passes()), sci(t),

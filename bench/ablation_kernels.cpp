@@ -5,8 +5,9 @@
 // kernels::force_isa) against both amplitude precisions (fp64 / fp32)
 // over the three dispatched kernel families — dense 2x2 (apply_folded),
 // dense 4x4 (apply_multi) and the run-scaled diagonal — plus one fused
-// QFT sweep end to end (execute_fused over a prebuilt plan). Each cell
-// reports best-of-reps seconds and the effective memory bandwidth.
+// QFT sweep end to end (execute_blocked over a prebuilt all-Global plan,
+// the "fused" backend's executor). Each cell reports best-of-reps
+// seconds and the effective memory bandwidth.
 //
 // Headline scalars (top-level JSON numerics, picked up by
 // tools/append_trajectory.py into BENCH_TRAJECTORY.md). Both are taken
@@ -33,7 +34,8 @@
 #include "bench_util.hpp"
 #include "circuit/builders.hpp"
 #include "common/rng.hpp"
-#include "fuse/fused_simulator.hpp"
+#include "fuse/fusion.hpp"
+#include "sched/cached_simulator.hpp"
 #include "sim/kernels.hpp"
 #include "sim/kernels_dispatch.hpp"
 #include "sim/state_vector.hpp"
@@ -70,7 +72,7 @@ double best_of(int reps, F&& f) {
 /// precisions — fp32 moving half the bytes at equal amplitude count
 /// shows up as time, not as an inflated GB/s.
 template <typename T>
-void run_cells(qubit_t n, int reps, const fuse::FusedCircuit& plan, const char* isa,
+void run_cells(qubit_t n, int reps, const sched::BlockedPlan& plan, const char* isa,
                std::vector<Cell>& out) {
   using C = basic_complex_t<T>;
   sim::BasicStateVector<T> sv(n);
@@ -105,7 +107,7 @@ void run_cells(qubit_t n, int reps, const fuse::FusedCircuit& plan, const char* 
               [&] { sim::kernels::apply_diagonal<T>(a, n, 5, C{T{1}}, d1, index_t{1} << 9); });
   out.push_back({"diag", isa, bits, s, pass_bytes / s / 1e9});
 
-  s = best_of(reps, [&] { fuse::execute_fused<T>(a, n, plan); });
+  s = best_of(reps, [&] { sched::execute_blocked<T>(a, plan); });
   out.push_back({"fused_qft", isa, bits, s, 0});
 }
 
@@ -132,7 +134,7 @@ int main(int argc, char** argv) {
   const std::string json_path = cli.get_string("json", "");
 
   const circuit::Circuit qft = circuit::qft(n);
-  const fuse::FusedCircuit plan = fuse::fuse_circuit(qft);
+  const sched::BlockedPlan plan = sched::global_plan(fuse::fuse_circuit(qft));
 
   const SimdIsa dispatched = sim::kernels::active_isa();
   std::vector<Cell> cells;

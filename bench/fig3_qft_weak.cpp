@@ -84,7 +84,8 @@ int main(int argc, char** argv) {
   bench::print_header("fig3_qft_weak",
                       "Fig. 3 — QFT weak scaling: simulation vs emulation (FFT)");
   std::printf("measured: %ld qubits per rank, ranks = 1..%ld (in-process message-\n"
-              "passing substrate; see DESIGN.md for the Stampede substitution)\n\n",
+              "passing substrate: rank threads on this host stand in for\n"
+              "Stampede's MPI nodes)\n\n",
               local_qubits, max_ranks);
 
   Table measured({"qubits", "ranks", "T_sim [s]", "T_emu(FFT) [s]", "speedup", "paper~"});

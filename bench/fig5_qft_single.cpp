@@ -1,28 +1,31 @@
-// Figure 5: single-node QFT across the three simulators (ours,
-// qHiPSTER-like, LIQUi|>-like stand-ins — see DESIGN.md).
+// Figure 5: single-node QFT across the three simulators: ours ("hpc")
+// and the "qhipster-like" / "liquid-like" stand-ins for qHiPSTER and
+// LIQUi|> (see README's backend table).
 //
 // Usage: fig5_qft_single [--min-qubits N] [--max-qubits N] [--full]
 //   defaults: n = 18..21; --full: 18..23
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hpp"
 #include "circuit/builders.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "sim/simulator.hpp"
+#include "engine/backend.hpp"
 
 namespace {
 
 using namespace qc;
 
-double time_qft(const sim::Simulator& simulator, qubit_t n) {
+double time_qft(const std::string& backend, qubit_t n) {
+  const auto simulator = engine::make_backend(backend);
   sim::StateVector sv(n);
   Rng rng(n);
   sv.randomize(rng);
   const circuit::Circuit c = circuit::qft(n);
-  simulator.run(sv, c);  // warm-up (page faults, code paths)
+  simulator->run_gates(sv, c);  // warm-up (page faults, code paths)
   // Repeat until >= 0.3 s so small sizes aren't fork/join noise.
-  return time_per_rep([&] { simulator.run(sv, c); }, 0.3, 50);
+  return time_per_rep([&] { simulator->run_gates(sv, c); }, 0.3, 50);
 }
 
 }  // namespace
@@ -36,16 +39,12 @@ int main(int argc, char** argv) {
   bench::print_header("fig5_qft_single",
                       "Fig. 5 — single-node QFT: ours vs qHiPSTER vs LIQUi|>");
 
-  const sim::HpcSimulator ours;
-  const sim::QhipsterLikeSimulator qhip;
-  const sim::LiquidLikeSimulator liquid;
-
   Table table({"qubits", "T_ours [s]", "T_qhip [s]", "T_liquid [s]", "vs qhip",
                "vs liquid", "paper(qhip/liquid)~"});
   for (qubit_t n = static_cast<qubit_t>(n_min); n <= static_cast<qubit_t>(n_max); ++n) {
-    const double t_ours = time_qft(ours, n);
-    const double t_qhip = time_qft(qhip, n);
-    const double t_liquid = time_qft(liquid, n);
+    const double t_ours = time_qft("hpc", n);
+    const double t_qhip = time_qft("qhipster-like", n);
+    const double t_liquid = time_qft("liquid-like", n);
     table.add_row({std::to_string(n), sci(t_ours), sci(t_qhip), sci(t_liquid),
                    fixed(t_qhip / t_ours, 2) + "x", fixed(t_liquid / t_ours, 1) + "x",
                    "1.2-2x / 10-14x"});

@@ -1,25 +1,28 @@
 // Figure 6: single-node entangling operation (H on qubit 0, then a CNOT
-// chain conditioned on it) across the three simulators.
+// chain conditioned on it) across the three simulators: ours ("hpc") and
+// the "qhipster-like" / "liquid-like" stand-ins.
 //
 // Usage: fig6_entangle [--min-qubits N] [--max-qubits N] [--full]
 //   defaults: n = 15..22; --full: 15..24
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hpp"
 #include "circuit/builders.hpp"
-#include "sim/simulator.hpp"
+#include "engine/backend.hpp"
 
 namespace {
 
 using namespace qc;
 
-double time_entangle(const sim::Simulator& simulator, qubit_t n) {
+double time_entangle(const std::string& backend, qubit_t n) {
+  const auto simulator = engine::make_backend(backend);
   sim::StateVector sv(n);
   const circuit::Circuit c = circuit::entangle(n);
-  simulator.run(sv, c);  // warm-up
+  simulator->run_gates(sv, c);  // warm-up
   // Repeat until >= 0.3 s: a single entangle pass is microseconds at
   // small n, far below OpenMP fork/join noise.
-  return time_per_rep([&] { simulator.run(sv, c); }, 0.3, 1000);
+  return time_per_rep([&] { simulator->run_gates(sv, c); }, 0.3, 1000);
 }
 
 }  // namespace
@@ -33,16 +36,12 @@ int main(int argc, char** argv) {
   bench::print_header("fig6_entangle",
                       "Fig. 6 — entangling operation: ours vs qHiPSTER vs LIQUi|>");
 
-  const sim::HpcSimulator ours;
-  const sim::QhipsterLikeSimulator qhip;
-  const sim::LiquidLikeSimulator liquid;
-
   Table table({"qubits", "T_ours [s]", "T_qhip [s]", "T_liquid [s]", "vs qhip",
                "vs liquid", "paper(qhip/liquid)~"});
   for (qubit_t n = static_cast<qubit_t>(n_min); n <= static_cast<qubit_t>(n_max); ++n) {
-    const double t_ours = time_entangle(ours, n);
-    const double t_qhip = time_entangle(qhip, n);
-    const double t_liquid = time_entangle(liquid, n);
+    const double t_ours = time_entangle("hpc", n);
+    const double t_qhip = time_entangle("qhipster-like", n);
+    const double t_liquid = time_entangle("liquid-like", n);
     table.add_row({std::to_string(n), sci(t_ours), sci(t_qhip), sci(t_liquid),
                    fixed(t_qhip / t_ours, 2) + "x", fixed(t_liquid / t_ours, 1) + "x",
                    "~2x / ~6x"});

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   std::printf("simulation: %zu gates on %u qubits ('%s')  %.4f s\n", full.size(),
               layout.total_qubits(), gate_result.backend.c_str(), t_gate);
 
-  const sim::HpcSimulator hpc;
+  const auto hpc = engine::make_backend("hpc");
   WallTimer timer;
 
   // --- emulation ---------------------------------------------------------
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     circuit::Circuit prep(t + w);
     for (qubit_t q = 0; q < t; ++q) prep.h(q);
     prep.x(t);  // x register = |1>
-    hpc.run(emu_sv, prep);
+    hpc->run_gates(emu_sv, prep);
   }
   emu::Emulator emulator(emu_sv);
   timer.reset();

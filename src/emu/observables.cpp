@@ -50,8 +50,8 @@ double expectation_pauli(const sim::StateVector& sv, const std::string& axes) {
         throw std::invalid_argument("expectation_pauli: bad axis character");
     }
   }
-  const sim::HpcSimulator hpc;
-  hpc.run(copy, rot);
+  for (const circuit::Gate& g : rot.gates())
+    sim::apply_gate_hpc<double>(copy.amplitudes(), copy.qubits(), g);
   return expectation_z_string(copy, zmask);
 }
 

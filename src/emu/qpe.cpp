@@ -14,6 +14,17 @@ namespace qc::emu {
 
 using linalg::Matrix;
 
+namespace {
+
+/// Runs `c` gate by gate through the "hpc" kernels (the circuit is sized
+/// to the state at every call site).
+void run_hpc(sim::StateVector& sv, const circuit::Circuit& c) {
+  for (const circuit::Gate& g : c.gates())
+    sim::apply_gate_hpc<double>(sv.amplitudes(), sv.qubits(), g);
+}
+
+}  // namespace
+
 Matrix build_unitary(const circuit::Circuit& c) {
   const qubit_t n = c.qubits();
   const index_t size = dim(n);
@@ -23,14 +34,13 @@ Matrix build_unitary(const circuit::Circuit& c) {
   // columns; the per-column kernels stay serial (nested OpenMP regions
   // do not spawn extra teams by default).
   Matrix ut(size, size);
-  const sim::HpcSimulator hpc;
 #pragma omp parallel
   {
     sim::StateVector col(n);
 #pragma omp for schedule(dynamic, 8)
     for (index_t j = 0; j < size; ++j) {
       col.set_basis(j);
-      hpc.run(col, c);
+      run_hpc(col, c);
       complex_t* row = &ut(j, 0);
       std::copy(col.amplitudes().begin(), col.amplitudes().end(), row);
     }
@@ -87,10 +97,9 @@ QpeResult qpe_simulate(const circuit::Circuit& u_circuit, const sim::StateVector
     std::fill(dst.begin(), dst.end(), complex_t{});
     std::copy(input.amplitudes().begin(), input.amplitudes().end(), dst.begin());
   }
-  const sim::HpcSimulator hpc;
   circuit::Circuit hadamards(total);
   for (unsigned j = 0; j < b; ++j) hadamards.h(n + j);
-  hpc.run(joint, hadamards);
+  run_hpc(joint, hadamards);
 
   // Controlled U^(2^j): the controlled circuit applied 2^j times —
   // exactly the paper's accounting of 2^b - 1 total applications.
@@ -98,7 +107,7 @@ QpeResult qpe_simulate(const circuit::Circuit& u_circuit, const sim::StateVector
   for (unsigned j = 0; j < b; ++j) {
     const circuit::Circuit controlled = widened.controlled(n + j);
     const index_t reps = index_t{1} << j;
-    for (index_t r = 0; r < reps; ++r) hpc.run(joint, controlled);
+    for (index_t r = 0; r < reps; ++r) run_hpc(joint, controlled);
   }
 
   // Inverse QFT on the ancilla block, then read the ancilla marginal.
@@ -106,7 +115,7 @@ QpeResult qpe_simulate(const circuit::Circuit& u_circuit, const sim::StateVector
   std::vector<qubit_t> map(b);
   for (unsigned j = 0; j < b; ++j) map[j] = n + j;
   iqft.compose_mapped(circuit::inverse_qft(static_cast<qubit_t>(b)), map);
-  hpc.run(joint, iqft);
+  run_hpc(joint, iqft);
 
   res.seconds_simulate = timer.seconds();
   res.distribution = joint.register_distribution(n, static_cast<qubit_t>(b));
@@ -220,7 +229,6 @@ IterativeQpeResult iterative_phase_estimation(const circuit::Circuit& u_circuit,
     std::fill(dst.begin(), dst.end(), complex_t{});
     std::copy(input.amplitudes().begin(), input.amplitudes().end(), dst.begin());
   }
-  const sim::HpcSimulator hpc;
   const circuit::Circuit controlled = u_circuit.widened(n + 1).controlled(anc);
 
   // Round r applies controlled-U^(2^{b-1-r}): the ancilla picks up the
@@ -238,21 +246,21 @@ IterativeQpeResult iterative_phase_estimation(const circuit::Circuit& u_circuit,
         correction -= 2.0 * std::numbers::pi /
                       static_cast<double>(index_t{1} << (r - k + 1));
     if (correction != 0.0) open.phase(anc, correction);
-    hpc.run(joint, open);
+    run_hpc(joint, open);
 
     const index_t reps = index_t{1} << j;
-    for (index_t rep = 0; rep < reps; ++rep) hpc.run(joint, controlled);
+    for (index_t rep = 0; rep < reps; ++rep) run_hpc(joint, controlled);
 
     circuit::Circuit close(n + 1);
     close.h(anc);
-    hpc.run(joint, close);
+    run_hpc(joint, close);
     const int bit = joint.measure_and_collapse(anc, rng);
     if (bit) {
       phase_bits = bits::set(phase_bits, r);
       // Reset the recycled ancilla to |0> for the next round.
       circuit::Circuit reset(n + 1);
       reset.x(anc);
-      hpc.run(joint, reset);
+      run_hpc(joint, reset);
     }
   }
   res.outcome = phase_bits;
@@ -269,8 +277,7 @@ models::QpeCosts measure_qpe_costs(const circuit::Circuit& u_circuit) {
     sim::StateVector sv(n);
     Rng rng(n);
     sv.randomize(rng);
-    const sim::HpcSimulator hpc;
-    costs.t_apply_u = time_per_rep([&] { hpc.run(sv, u_circuit); }, 0.2, 200);
+    costs.t_apply_u = time_per_rep([&] { run_hpc(sv, u_circuit); }, 0.2, 200);
   }
   Matrix u(1, 1);
   costs.t_construct = time_once([&] { u = build_unitary(u_circuit); });

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -14,12 +15,12 @@
 #include "cluster/fault.hpp"
 #include "emu/dist_emu.hpp"
 #include "emu/observables.hpp"
-#include "fuse/fused_simulator.hpp"
 #include "models/perf_model.hpp"
 #include "obs/trace.hpp"
 #include "sched/cached_simulator.hpp"
 #include "sched/dist_schedule.hpp"
 #include "sim/sampling.hpp"
+#include "sim/simulator.hpp"
 
 namespace qc::engine {
 
@@ -49,20 +50,6 @@ BackendCounters Backend::counters() const { return {}; }
 
 namespace {
 
-/// Wraps a plain sim::Simulator: gate segments only.
-class GateLevelBackend final : public Backend {
- public:
-  explicit GateLevelBackend(std::unique_ptr<sim::Simulator> s) : sim_(std::move(s)) {}
-
-  [[nodiscard]] std::string name() const override { return sim_->name(); }
-  void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
-    sim_->run(sv, c);
-  }
-
- private:
-  std::unique_ptr<sim::Simulator> sim_;
-};
-
 /// Widens an fp32 working state back into the fp64 host state (the
 /// second half of the convert-at-segment-boundary round trip).
 void widen_into(const sim::BasicStateVector<float>& src, sim::StateVector& dst) {
@@ -73,59 +60,99 @@ void widen_into(const sim::BasicStateVector<float>& src, sim::StateVector& dst) 
   for (index_t i = 0; i < count; ++i) d[i] = static_cast<complex_t>(s[i]);
 }
 
-/// Gate-level backend running segments at fp32: the fp64 host state is
-/// narrowed once per segment (BasicStateVector::cast), the segment runs
-/// through the float-instantiated kernels, and the result widens back —
-/// two extra state passes per segment, amortized over its gates, while
-/// every kernel sweep inside moves half the bytes. Measurement ops keep
-/// reading the fp64 host state through the default virtuals.
-class Fp32SegmentBackend final : public Backend {
- public:
-  using Runner =
-      std::function<void(std::span<basic_complex_t<float>>, qubit_t, const circuit::Circuit&)>;
+// Span-level segment executors, each callable at T = float and double.
 
-  Fp32SegmentBackend(std::string name, Runner runner)
-      : name_(std::move(name)), runner_(std::move(runner)) {}
+/// "hpc": the paper's simulator, one specialized kernel per gate.
+struct HpcExec {
+  template <typename T>
+  void operator()(std::span<basic_complex_t<T>> a, const circuit::Circuit& c) const {
+    for (const circuit::Gate& g : c.gates()) sim::apply_gate_hpc<T>(a, c.qubits(), g);
+  }
+};
+
+/// "qhipster-like" (parallel) / "liquid-like" (serial): every gate
+/// through the generic masked 2x2 kernel.
+struct GenericExec {
+  bool parallel = true;
+  template <typename T>
+  void operator()(std::span<basic_complex_t<T>> a, const circuit::Circuit& c) const {
+    for (const circuit::Gate& g : c.gates())
+      sim::apply_gate_generic<T>(a, c.qubits(), g, parallel);
+  }
+};
+
+/// "fused": one full-state pass per fused op — the blocked executor on
+/// an all-Global plan, at the uncapped fusion width.
+struct FusedExec {
+  fuse::FusionOptions fusion;
+  template <typename T>
+  void operator()(std::span<basic_complex_t<T>> a, const circuit::Circuit& c) const {
+    sched::execute_blocked<T>(a, sched::global_plan(fuse::fuse_circuit(c, fusion)));
+  }
+};
+
+/// "cached" and the gate segments of "auto": fusion capped at the
+/// in-cache block width, then cache-blocked sweeps.
+struct BlockedExec {
+  fuse::FusionOptions fusion;
+  sched::ScheduleOptions blocking;
+  template <typename T>
+  void operator()(std::span<basic_complex_t<T>> a, const circuit::Circuit& c) const {
+    sched::execute_blocked<T>(a, sched::plan(c, fusion, blocking));
+  }
+};
+
+/// The one precision adapter: a single-node gate-level backend over a
+/// span-level executor. run_gates checks the segment width once, runs
+/// fp64 in place on the host state, and at fp32 narrows the host state
+/// once per segment (BasicStateVector::cast), runs the float
+/// instantiation and widens back — two extra state passes per segment,
+/// amortized over its gates, while every kernel sweep inside moves half
+/// the bytes. Measurement ops keep reading the fp64 host state through
+/// the default virtuals.
+template <typename Exec>
+class GateBackend : public Backend {
+ public:
+  GateBackend(std::string name, Precision precision, Exec exec)
+      : name_(std::move(name)), precision_(precision), exec_(std::move(exec)) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
 
   void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
+    if (c.qubits() != sv.qubits())
+      throw std::invalid_argument("backend '" + name_ + "': " + std::to_string(c.qubits()) +
+                                  "-qubit segment on a " + std::to_string(sv.qubits()) +
+                                  "-qubit state");
     if (c.empty()) return;
+    if (precision_ == Precision::kF64) {
+      exec_(sv.amplitudes(), c);
+      return;
+    }
     sim::BasicStateVector<float> work = sv.cast<float>();
-    runner_(work.amplitudes(), work.qubits(), c);
+    exec_(work.amplitudes(), c);
     widen_into(work, sv);
   }
 
  private:
   std::string name_;
-  Runner runner_;
+  Precision precision_;
+  Exec exec_;
 };
 
+template <typename Exec>
+std::unique_ptr<Backend> gate_backend(std::string name, const RunOptions& opts, Exec exec) {
+  return std::make_unique<GateBackend<Exec>>(std::move(name), opts.precision, std::move(exec));
+}
+
 /// The paper's dispatch rule as a backend: high-level ops through the
-/// emu::Emulator shortcuts, gate segments through the cache-blocked
-/// (fused + sweep-scheduled) simulator.
-class AutoBackend final : public Backend {
+/// emu::Emulator shortcuts (fp64, on the host state), gate segments
+/// through the "cached" executor's precision adapter.
+class AutoBackend final : public GateBackend<BlockedExec> {
  public:
   explicit AutoBackend(const RunOptions& opts)
-      : cached_(sched::CachedSimulator::Options{opts.fusion, opts.sched}),
-        precision_(opts.precision) {}
+      : GateBackend("auto", opts.precision, BlockedExec{opts.fusion, opts.sched}) {}
 
-  [[nodiscard]] std::string name() const override { return "auto"; }
   [[nodiscard]] bool emulates() const override { return true; }
-
-  void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
-    if (precision_ == Precision::kF32) {
-      // Convert-at-segment-boundary: the emulator's high-level shortcuts
-      // (FFTs, permutations) stay fp64 on the host state; only the gate
-      // segments between them run through the float kernels.
-      if (c.empty()) return;
-      sim::BasicStateVector<float> work = sv.cast<float>();
-      sched::execute_blocked<float>(work.amplitudes(), cached_.plan(c));
-      widen_into(work, sv);
-      return;
-    }
-    cached_.run(sv, c);
-  }
 
   void run_highlevel(sim::StateVector& sv, const Op& op) override {
     emu::Emulator& em = emulator_for(sv);
@@ -155,8 +182,6 @@ class AutoBackend final : public Backend {
     return *emulator_;
   }
 
-  sched::CachedSimulator cached_;
-  Precision precision_;
   std::unique_ptr<emu::Emulator> emulator_;
   sim::StateVector* bound_ = nullptr;
 };
@@ -696,139 +721,59 @@ class DistBackendT final : public Backend {
   bool ckpt_valid_ = false;
 };
 
-struct BackendEntry {
-  BackendFactory make;
-  SimulatorFactory make_sim;  // null for emulation-only backends
-};
-
-/// Per-gate fp32 runner over the float-instantiated kernel entry
-/// points (the scalar/AVX2/AVX-512 choice still goes through the
-/// runtime dispatch tables inside).
-Fp32SegmentBackend::Runner fp32_per_gate_runner(bool hpc_style, bool parallel) {
-  return [hpc_style, parallel](std::span<basic_complex_t<float>> a, qubit_t n,
-                               const circuit::Circuit& c) {
-    for (const circuit::Gate& g : c.gates()) {
-      if (hpc_style)
-        sim::apply_gate_hpc<float>(a, n, g);
-      else
-        sim::apply_gate_generic<float>(a, n, g, parallel);
-    }
+std::map<std::string, BackendFactory>& registry() {
+  static std::map<std::string, BackendFactory> reg{
+      {"hpc", [](const RunOptions& o) { return gate_backend("hpc", o, HpcExec{}); }},
+      {"qhipster-like",
+       [](const RunOptions& o) { return gate_backend("qhipster-like", o, GenericExec{true}); }},
+      {"liquid-like",
+       [](const RunOptions& o) { return gate_backend("liquid-like", o, GenericExec{false}); }},
+      {"fused", [](const RunOptions& o) { return gate_backend("fused", o, FusedExec{o.fusion}); }},
+      {"cached",
+       [](const RunOptions& o) {
+         return gate_backend("cached", o, BlockedExec{o.fusion, o.sched});
+       }},
+      {"auto",
+       [](const RunOptions& o) -> std::unique_ptr<Backend> {
+         return std::make_unique<AutoBackend>(o);
+       }},
+      {"dist",
+       [](const RunOptions& o) -> std::unique_ptr<Backend> {
+         if (o.precision == Precision::kF32) return std::make_unique<DistBackendT<float>>(o);
+         return std::make_unique<DistBackendT<double>>(o);
+       }},
   };
-}
-
-std::map<std::string, BackendEntry>& registry() {
-  static std::map<std::string, BackendEntry> reg = [] {
-    std::map<std::string, BackendEntry> r;
-    // Gate-level entries dispatch on RunOptions::precision: fp64 wraps
-    // the plain sim::Simulator; fp32 wraps the same algorithm's float
-    // instantiation behind the convert-at-segment-boundary adapter.
-    const auto gate_level = [](const char* name, SimulatorFactory sf,
-                               Fp32SegmentBackend::Runner f32) {
-      return BackendEntry{
-          [name, sf, f32](const RunOptions& opts) -> std::unique_ptr<Backend> {
-            if (opts.precision == Precision::kF32)
-              return std::make_unique<Fp32SegmentBackend>(name, f32);
-            return std::make_unique<GateLevelBackend>(sf());
-          },
-          sf};
-    };
-    r["hpc"] = gate_level(
-        "hpc", [] { return std::make_unique<sim::HpcSimulator>(); },
-        fp32_per_gate_runner(/*hpc_style=*/true, /*parallel=*/true));
-    r["qhipster-like"] = gate_level(
-        "qhipster-like", [] { return std::make_unique<sim::QhipsterLikeSimulator>(); },
-        fp32_per_gate_runner(/*hpc_style=*/false, /*parallel=*/true));
-    r["liquid-like"] = gate_level(
-        "liquid-like", [] { return std::make_unique<sim::LiquidLikeSimulator>(); },
-        fp32_per_gate_runner(/*hpc_style=*/false, /*parallel=*/false));
-    r["fused"] = BackendEntry{
-        [](const RunOptions& opts) -> std::unique_ptr<Backend> {
-          if (opts.precision == Precision::kF32)
-            return std::make_unique<Fp32SegmentBackend>(
-                "fused", [fusion = opts.fusion](std::span<basic_complex_t<float>> a,
-                                                qubit_t n, const circuit::Circuit& c) {
-                  fuse::execute_fused<float>(a, n, fuse::fuse_circuit(c, fusion));
-                });
-          return std::make_unique<GateLevelBackend>(std::make_unique<fuse::FusedSimulator>(
-              fuse::FusedSimulator::Options{opts.fusion}));
-        },
-        [] { return std::make_unique<fuse::FusedSimulator>(); }};
-    r["cached"] = BackendEntry{
-        [](const RunOptions& opts) -> std::unique_ptr<Backend> {
-          if (opts.precision == Precision::kF32) {
-            auto cached = std::make_shared<sched::CachedSimulator>(
-                sched::CachedSimulator::Options{opts.fusion, opts.sched});
-            return std::make_unique<Fp32SegmentBackend>(
-                "cached", [cached](std::span<basic_complex_t<float>> a, qubit_t,
-                                   const circuit::Circuit& c) {
-                  sched::execute_blocked<float>(a, cached->plan(c));
-                });
-          }
-          return std::make_unique<GateLevelBackend>(std::make_unique<sched::CachedSimulator>(
-              sched::CachedSimulator::Options{opts.fusion, opts.sched}));
-        },
-        [] { return std::make_unique<sched::CachedSimulator>(); }};
-    r["auto"] = BackendEntry{
-        [](const RunOptions& opts) -> std::unique_ptr<Backend> {
-          return std::make_unique<AutoBackend>(opts);
-        },
-        nullptr};
-    r["dist"] = BackendEntry{
-        [](const RunOptions& opts) -> std::unique_ptr<Backend> {
-          if (opts.precision == Precision::kF32)
-            return std::make_unique<DistBackendT<float>>(opts);
-          return std::make_unique<DistBackendT<double>>(opts);
-        },
-        nullptr};
-    return r;
-  }();
   return reg;
-}
-
-[[noreturn]] void throw_unknown(const std::string& what, const std::string& name) {
-  std::string names;
-  for (const std::string& n : backend_names()) {
-    if (!names.empty()) names += ", ";
-    names += n;
-  }
-  throw std::invalid_argument(what + ": unknown backend '" + name + "' (valid: " + names +
-                              ")");
 }
 
 }  // namespace
 
-void register_backend(const std::string& name, BackendFactory factory,
-                      SimulatorFactory sim_factory) {
+void register_backend(const std::string& name, BackendFactory factory) {
   if (name.empty() || !factory)
     throw std::invalid_argument("register_backend: empty name or null factory");
-  auto [it, inserted] =
-      registry().emplace(name, BackendEntry{std::move(factory), std::move(sim_factory)});
-  if (!inserted)
+  if (!registry().emplace(name, std::move(factory)).second)
     throw std::invalid_argument("register_backend: '" + name + "' already registered");
 }
 
 std::vector<std::string> backend_names() {
   std::vector<std::string> names;
   names.reserve(registry().size());
-  for (const auto& [name, entry] : registry()) names.push_back(name);
+  for (const auto& entry : registry()) names.push_back(entry.first);
   return names;  // std::map iterates sorted
 }
 
 std::unique_ptr<Backend> make_backend(const std::string& name, const RunOptions& opts) {
   const auto it = registry().find(name);
-  if (it == registry().end()) throw_unknown("make_backend", name);
-  return it->second.make(opts);
-}
-
-std::unique_ptr<sim::Simulator> make_gate_simulator(const std::string& name) {
-  const auto it = registry().find(name);
-  if (it == registry().end()) throw_unknown("make_simulator", name);
-  if (!it->second.make_sim)
-    throw std::invalid_argument("make_simulator: backend '" + name +
-                                "' is not a plain sim::Simulator (it emulates "
-                                "high-level ops or runs distributed); run it via "
-                                "engine::Engine");
-  return it->second.make_sim();
+  if (it == registry().end()) {
+    std::string names;
+    for (const std::string& n : backend_names()) {
+      if (!names.empty()) names += ", ";
+      names += n;
+    }
+    throw std::invalid_argument("make_backend: unknown backend '" + name + "' (valid: " +
+                                names + ")");
+  }
+  return it->second(opts);
 }
 
 }  // namespace qc::engine

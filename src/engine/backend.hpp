@@ -11,12 +11,16 @@
 //    segments — Engine::run lowers high-level ops first;
 //  * emulating backends ("auto") report emulates() == true and execute
 //    high-level ops at their mathematical description (emu::Emulator),
-//    dispatching gate segments to the fused simulator — the paper's §3
-//    contract expressed as one dispatch rule.
+//    dispatching gate segments to the cache-blocked executor — the
+//    paper's §3 contract expressed as one dispatch rule.
 //
-// register_backend() absorbs what used to be ad-hoc branches inside
-// sim::make_simulator; that factory is now a thin shim over
-// make_gate_simulator() kept for source compatibility.
+// Every single-node backend is one precision adapter over a span-level
+// executor (per-gate sim::apply_gate_hpc / apply_gate_generic, or
+// sched::execute_blocked on an all-Global or a blocked plan): it checks
+// the segment width, runs fp64 in place and fp32 on a narrowed copy.
+// "dist" keeps its own fp32-resident chunks. The registry maps each
+// name to a BackendFactory; tests, benches and examples pick a backend
+// through make_backend().
 #pragma once
 
 #include <cstdint>
@@ -29,7 +33,6 @@
 #include "fuse/fusion.hpp"
 #include "sched/schedule.hpp"
 #include "sim/dist_sv.hpp"
-#include "sim/simulator.hpp"
 
 namespace qc::engine {
 
@@ -147,7 +150,8 @@ class Backend {
   /// Engine::run must lower() the program to gates first.
   [[nodiscard]] virtual bool emulates() const { return false; }
 
-  /// Executes a gate segment.
+  /// Executes a gate segment. Every built-in backend throws
+  /// std::invalid_argument when `c` and `sv` differ in width.
   virtual void run_gates(sim::StateVector& sv, const circuit::Circuit& c) = 0;
 
   /// Executes a high-level unitary op. Default throws std::logic_error —
@@ -178,14 +182,10 @@ class Backend {
 };
 
 using BackendFactory = std::function<std::unique_ptr<Backend>(const RunOptions&)>;
-using SimulatorFactory = std::function<std::unique_ptr<sim::Simulator>()>;
 
-/// Registers a backend under `name`. A non-null `sim_factory` marks the
-/// backend as wrapping a plain gate-level sim::Simulator, reachable
-/// through sim::make_simulator(name). Throws std::invalid_argument on a
-/// duplicate name.
-void register_backend(const std::string& name, BackendFactory factory,
-                      SimulatorFactory sim_factory = nullptr);
+/// Registers a backend under `name`. Throws std::invalid_argument on an
+/// empty name, a null factory or a duplicate name.
+void register_backend(const std::string& name, BackendFactory factory);
 
 /// Sorted names of every registered backend (builtins plus user
 /// registrations).
@@ -195,11 +195,5 @@ void register_backend(const std::string& name, BackendFactory factory,
 /// std::invalid_argument listing backend_names().
 [[nodiscard]] std::unique_ptr<Backend> make_backend(const std::string& name,
                                                     const RunOptions& opts = {});
-
-/// The gate-level sim::Simulator a registered backend wraps — the
-/// delegate behind sim::make_simulator. Throws std::invalid_argument for
-/// unknown names (listing the registry) and for emulation-only backends
-/// like "auto".
-[[nodiscard]] std::unique_ptr<sim::Simulator> make_gate_simulator(const std::string& name);
 
 }  // namespace qc::engine

@@ -87,7 +87,8 @@ void merge(Builder& b, const Gate& g, index_t gmask) {
 // bench/ablation_fusion on a single-core AVX2 box (dense uncontrolled
 // 2x2 sweep == 3.0). Controls divide the touched fraction by 2^c.
 
-/// Predicted cost of one source gate through HpcSimulator's fast paths.
+/// Predicted cost of one source gate through the "hpc" fast paths
+/// (sim::apply_gate_hpc).
 double gate_cost(const Gate& g) {
   const auto ctrl = static_cast<double>(index_t{1} << g.controls.size());
   switch (g.kind) {

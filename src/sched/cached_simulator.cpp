@@ -9,6 +9,7 @@
 #include "obs/trace.hpp"
 #include "sched/verify_plan.hpp"
 #include "sim/kernels.hpp"
+#include "sim/simulator.hpp"
 
 namespace qc::sched {
 
@@ -17,7 +18,7 @@ namespace {
 namespace kernels = sim::kernels;
 
 /// Serial single-gate dispatch on one cache-resident chunk — the same
-/// fast-path selection as HpcSimulator::apply_gate, minus the OpenMP
+/// fast-path selection as sim::apply_gate_hpc, minus the OpenMP
 /// (the caller parallelizes across chunks).
 template <typename T>
 void apply_gate_serial(std::span<basic_complex_t<T>> chunk, qubit_t width,
@@ -115,17 +116,11 @@ void run_sweep(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t chunk_width,
 
 }  // namespace
 
-void CachedSimulator::apply_gate(sim::StateVector& sv, const circuit::Gate& g) const {
-  hpc_.apply_gate(sv, g);
-}
-
-BlockedPlan CachedSimulator::plan(const circuit::Circuit& c) const {
-  // Narrow the fusion width to the scheduler's in-cache optimum: the
-  // full-pass saving that justifies wide blocks does not apply inside a
-  // chunk-resident sweep (see ScheduleOptions::max_block_width).
-  fuse::FusionOptions fusion = opts_.fusion;
-  fusion.max_width = std::min(fusion.max_width, opts_.sched.max_block_width);
-  return schedule(fuse::fuse_circuit(c, fusion), opts_.sched);
+BlockedPlan plan(const circuit::Circuit& c, const fuse::FusionOptions& fusion,
+                 const ScheduleOptions& opts) {
+  fuse::FusionOptions capped = fusion;
+  capped.max_width = std::min(capped.max_width, opts.max_block_width);
+  return schedule(fuse::fuse_circuit(c, capped), opts);
 }
 
 template <typename T>
@@ -187,15 +182,5 @@ void execute_blocked(std::span<basic_complex_t<T>> a, const BlockedPlan& plan) {
 
 template void execute_blocked<float>(std::span<basic_complex_t<float>>, const BlockedPlan&);
 template void execute_blocked<double>(std::span<basic_complex_t<double>>, const BlockedPlan&);
-
-void CachedSimulator::execute(sim::StateVector& sv, const BlockedPlan& plan) const {
-  if (plan.n != sv.qubits()) throw std::invalid_argument("execute: qubit count mismatch");
-  execute_blocked<double>(sv.amplitudes(), plan);
-}
-
-void CachedSimulator::run(sim::StateVector& sv, const circuit::Circuit& c) const {
-  if (c.qubits() != sv.qubits()) throw std::invalid_argument("run: qubit count mismatch");
-  execute(sv, plan(c));
-}
 
 }  // namespace qc::sched

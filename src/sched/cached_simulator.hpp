@@ -1,65 +1,50 @@
-// CachedSimulator — the cache-blocked execution backend ("cached").
+// The cache-blocked executor behind the "cached" backend and the gate
+// segments of "auto" (engine/backend.cpp wraps it in the precision
+// adapter).
 //
-// run() lowers the circuit through fuse::fuse_circuit (same pass as the
-// "fused" backend), then through sched::schedule, and executes the
-// blocked plan:
+// plan() lowers a circuit through fuse::fuse_circuit (the "fused"
+// backend's pass, at a narrower width cap), then through
+// sched::schedule. execute_blocked() runs any BlockedPlan:
 //
 //  * Sweep items walk the state vector chunk by chunk (2^L amplitudes,
 //    L = plan.chunk_width) and apply every op of the sweep to a chunk
 //    while it is cache resident — one `omp parallel` region over chunks
 //    per sweep, serial chunk-local kernels inside. This replaces the
-//    fused backend's one-full-DRAM-pass-per-block with one pass per
+//    one-full-DRAM-pass-per-block of an unblocked plan with one pass per
 //    sweep (paper §4: the simulation is bandwidth bound, so fewer state
 //    traversals is the whole game).
 //  * Remap items relocate high qubits into the low block in one
 //    transposition pass (kernels::apply_qubit_swaps).
 //  * Global items (ops wider than a chunk, or not worth remapping) run
-//    through the same full-vector kernels the fused backend uses.
+//    as ordinary full-vector kernels. A plan of Globals only
+//    (sched::global_plan) is the "fused" backend.
 //
-// Per-gate apply_gate() is identical to HpcSimulator — blocking is a
-// cross-op optimization. plan() + execute() let iterative callers pay
-// fusion + scheduling once.
+// Iterative callers pay fusion + scheduling once: plan() then
+// execute_blocked() as often as needed.
 #pragma once
 
+#include <span>
+
+#include "circuit/circuit.hpp"
 #include "fuse/fusion.hpp"
 #include "sched/schedule.hpp"
-#include "sim/simulator.hpp"
 
 namespace qc::sched {
 
+/// The "cached" pipeline's plan for `c`: fusion at
+/// min(fusion.max_width, opts.max_block_width) — the full-pass saving
+/// that justifies wide blocks does not apply inside a chunk-resident
+/// sweep — then schedule().
+[[nodiscard]] BlockedPlan plan(const circuit::Circuit& c, const fuse::FusionOptions& fusion = {},
+                               const ScheduleOptions& opts = {});
+
 /// Executes a blocked plan on a raw amplitude array of 2^plan.n
-/// amplitudes. This is the executor CachedSimulator::execute wraps and
-/// the rank-local entry point of the distributed executor (each rank
+/// amplitudes. This is the single-node executor of every fused backend
+/// and the rank-local entry point of the distributed executor (each rank
 /// runs its chunk's plan on dist_sv's local window). The plan itself
 /// stays double precision; executing at T = float narrows each op's
 /// payload once, outside the chunk loop. Instantiated for float/double.
 template <typename T>
 void execute_blocked(std::span<basic_complex_t<T>> a, const BlockedPlan& plan);
-
-class CachedSimulator final : public sim::Simulator {
- public:
-  struct Options {
-    fuse::FusionOptions fusion;
-    ScheduleOptions sched;
-  };
-
-  CachedSimulator() = default;
-  explicit CachedSimulator(Options opts) : opts_(opts) {}
-
-  [[nodiscard]] std::string name() const override { return "cached"; }
-
-  void apply_gate(sim::StateVector& sv, const circuit::Gate& g) const override;
-  void run(sim::StateVector& sv, const circuit::Circuit& c) const override;
-
-  /// The fusion + blocking pipeline this backend would run on `c`.
-  [[nodiscard]] BlockedPlan plan(const circuit::Circuit& c) const;
-
-  /// Executes a prebuilt plan (must match sv's qubit count).
-  void execute(sim::StateVector& sv, const BlockedPlan& plan) const;
-
- private:
-  sim::HpcSimulator hpc_;
-  Options opts_;
-};
 
 }  // namespace qc::sched

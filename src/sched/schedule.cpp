@@ -187,6 +187,21 @@ qubit_t choose_chunk_width(qubit_t n, const ScheduleOptions& opts) {
   return std::min<qubit_t>(chunk, n);
 }
 
+BlockedPlan global_plan(const FusedCircuit& fc) {
+  BlockedPlan plan;
+  plan.n = fc.n;
+  plan.chunk_width = choose_chunk_width(fc.n, {});
+  plan.source_ops = fc.items.size();
+  std::vector<qubit_t> identity(fc.n);
+  std::iota(identity.begin(), identity.end(), qubit_t{0});
+  plan.items.resize(fc.items.size());
+  for (std::size_t i = 0; i < fc.items.size(); ++i) {
+    plan.items[i].kind = PlanItem::Kind::Global;
+    plan.items[i].global = remap_item(fc.items[i], identity, i);
+  }
+  return plan;
+}
+
 BlockedPlan schedule(const FusedCircuit& fc, const ScheduleOptions& opts) {
   obs::Span plan_span("sched.plan");
   BlockedPlan plan;

@@ -2,22 +2,22 @@
 // applied one level below the cluster.
 //
 // The §3.2 bandwidth model says gate-level simulation is memory bound:
-// FusedSimulator still pays one full 2^n DRAM pass per fused block, so
-// at 20+ qubits every block streams the whole state through the memory
-// bus. qHiPSTER (and our dist_sv) fixes the *network* analogue of this
-// by splitting qubits into local/global and remapping so most gates
-// touch only rank-local memory; this module applies the identical trick
-// to the cache: qubits below the chunk width L are "local" (all their
+// the "fused" backend (global_plan below) still pays one full 2^n DRAM
+// pass per fused block, so at 20+ qubits every block streams the whole
+// state through the memory bus. qHiPSTER (and our dist_sv) fixes the
+// *network* analogue of this by splitting qubits into local/global and
+// remapping so most gates touch only rank-local memory; this module
+// applies the identical trick to the cache: qubits below the chunk width L are "local" (all their
 // amplitude pairs live inside one 2^L-amplitude, cache-resident chunk),
 // qubits at or above L are "global".
 //
 // schedule() partitions a FusedCircuit into *sweeps* — maximal in-order
 // runs of ops whose (remapped) support lies entirely below L. The
-// executor (CachedSimulator) then walks the state vector chunk by
-// chunk, applying EVERY op of the sweep to a chunk while it is cache
-// resident: one DRAM pass per sweep instead of one per op, with
-// parallelism moved from "inside one op" to "across chunks" (one omp
-// region per sweep instead of per op).
+// executor (execute_blocked, sched/cached_simulator.hpp) then walks the
+// state vector chunk by chunk, applying EVERY op of the sweep to a chunk
+// while it is cache resident: one DRAM pass per sweep instead of one per
+// op, with parallelism moved from "inside one op" to "across chunks"
+// (one omp region per sweep instead of per op).
 //
 // When a run's qubits are not all local, the scheduler may insert an
 // explicit qubit-remap item — disjoint bit transpositions applied in
@@ -103,8 +103,8 @@ struct ScheduleOptions {
   /// justified by saving full memory passes; inside a cache-resident
   /// sweep every op already shares one pass, so blocks past ~3 qubits
   /// only add 2^k mat-vec work per amplitude (measured by
-  /// bench_ablation_blocking --fusion-sweep). CachedSimulator::plan
-  /// re-fuses at min(fusion max_width, this cap).
+  /// bench_ablation_blocking --fusion-sweep). sched::plan re-fuses at
+  /// min(fusion max_width, this cap).
   qubit_t max_block_width = 3;
   /// Allow qubit-remap items (off: high-qubit ops stay global passes).
   bool remap = true;
@@ -128,5 +128,11 @@ struct ScheduleOptions {
 /// to logical qubit order).
 [[nodiscard]] BlockedPlan schedule(const fuse::FusedCircuit& fc,
                                    const ScheduleOptions& opts = {});
+
+/// The unblocked plan of a fused circuit: one Global item per fused op,
+/// in order, so executing it pays one full state pass per op (the
+/// "fused" backend). chunk_width is choose_chunk_width(fc.n, {}); no
+/// op runs chunk by chunk.
+[[nodiscard]] BlockedPlan global_plan(const fuse::FusedCircuit& fc);
 
 }  // namespace qc::sched

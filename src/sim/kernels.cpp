@@ -560,47 +560,6 @@ void apply_qubit_swaps(std::span<basic_complex_t<T>> a, qubit_t n,
   }
 }
 
-template <typename T>
-void apply_fused_diagonal(std::span<basic_complex_t<T>> a,
-                          std::span<const DiagonalTermT<T>> terms) {
-  using C = basic_complex_t<T>;
-  const index_t size = a.size();
-  // Factor-table fast path: when the union support fits a fused-width
-  // block, each amplitude's factor depends only on those k bits —
-  // precompute all 2^k products once and let apply_multi_diagonal do a
-  // branch-free table-lookup sweep.
-  index_t support = 0;
-  for (const DiagonalTermT<T>& t : terms) support |= t.cmask | (index_t{1} << t.target);
-  const int k = bits::popcount(support);
-  if (k >= 1 && k <= static_cast<int>(kMaxFusedWidth)) {
-    const std::vector<qubit_t> pos = sorted_bit_positions(support);
-    const index_t block = index_t{1} << k;
-    std::vector<C> d(block);
-    for (index_t b = 0; b < block; ++b) {
-      index_t idx = 0;
-      for (int l = 0; l < k; ++l)
-        if (bits::test(b, static_cast<qubit_t>(l))) idx = bits::set(idx, pos[l]);
-      C factor{T{1}};
-      for (const DiagonalTermT<T>& t : terms) {
-        if ((idx & t.cmask) != t.cmask) continue;
-        factor *= bits::test(idx, t.target) ? t.d1 : t.d0;
-      }
-      d[b] = factor;
-    }
-    apply_multi_diagonal<T>(a, bits::log2_floor(size), pos, d);
-    return;
-  }
-#pragma omp parallel for schedule(static) if (worth_parallelizing(size))
-  for (index_t i = 0; i < size; ++i) {
-    C factor{T{1}};
-    for (const DiagonalTermT<T>& t : terms) {
-      if ((i & t.cmask) != t.cmask) continue;
-      factor *= bits::test(i, t.target) ? t.d1 : t.d0;
-    }
-    a[i] *= factor;
-  }
-}
-
 // ---------------------------------------------------------------------
 // Explicit instantiations: the kernel surface exists exactly for the
 // two amplitude precisions the engine exposes (Precision::kF64/kF32).
@@ -623,8 +582,6 @@ void apply_fused_diagonal(std::span<basic_complex_t<T>> a,
   template void apply_x_serial<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, index_t);  \
   template void apply_swap_serial<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,         \
                                      qubit_t, index_t);                                       \
-  template void apply_fused_diagonal<T>(std::span<basic_complex_t<T>>,                        \
-                                        std::span<const DiagonalTermT<T>>);                   \
   template void apply_multi<T>(std::span<basic_complex_t<T>>, qubit_t,                        \
                                std::span<const qubit_t>, std::span<const basic_complex_t<T>>); \
   template void apply_multi_serial<T>(std::span<basic_complex_t<T>>, qubit_t,                 \

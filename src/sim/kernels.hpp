@@ -1,13 +1,12 @@
 // Gate-application kernels on raw amplitude arrays.
 //
-// Three tiers, matching the three simulators the paper benchmarks
-// against each other (§4.5):
+// Three tiers:
 //
 //  * generic_masked — the unspecialized kernel: traverses every
 //    (target=0, target=1) amplitude pair, checks the control mask per
 //    pair, and performs the full 2x2 complex multiply even for diagonal
-//    or permutation gates. LiquidLike uses it single-threaded,
-//    QhipsterLike uses it with OpenMP.
+//    or permutation gates. "liquid-like" uses it single-threaded,
+//    "qhipster-like" with OpenMP (the paper's §4.5 baselines).
 //
 //  * folded / diagonal / x fast paths — "our simulator": enumerate only
 //    the amplitudes a gate actually changes. A controlled phase shift
@@ -15,8 +14,8 @@
 //    exactly this), a NOT is a pure swap with zero flops, and controls
 //    fold into the index enumeration instead of a per-pair branch.
 //
-//  * fused diagonal runs — consecutive diagonal gates commute and can be
-//    applied in a single memory sweep; exposed for the ablation bench.
+//  * k-qubit dense / diagonal blocks — the executors of fuse/'s fused
+//    blocks: one memory sweep for a whole run of gates.
 //
 // Every kernel is templated on the real amplitude scalar T in
 // {float, double}: fp64 is the reference, fp32 halves the bytes each
@@ -173,33 +172,6 @@ void apply_x_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, 
 template <typename T>
 void apply_swap_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t qa, qubit_t qb,
                        index_t cmask);
-
-// ---------------------------------------------------------------------
-// Fusion tier.
-// ---------------------------------------------------------------------
-
-/// One gate of a fused diagonal run.
-template <typename T>
-struct DiagonalTermT {
-  qubit_t target = 0;
-  index_t cmask = 0;
-  basic_complex_t<T> d0{T{1}}, d1{T{1}};
-};
-
-/// Double-precision alias — what the fusion planner emits.
-using DiagonalTerm = DiagonalTermT<double>;
-
-/// Applies a run of diagonal gates in a single sweep: each amplitude is
-/// multiplied by the product of its per-gate factors. One memory pass
-/// instead of terms.size() passes — the memory-bound win measured by the
-/// ablation bench. When the union of the terms' support (targets plus
-/// controls) spans at most kMaxFusedWidth qubits, the per-amplitude
-/// factor depends only on those bits: the 2^k factor table is built once
-/// and the sweep dispatches to apply_multi_diagonal, replacing the
-/// O(size x terms) branchy inner loop with one table lookup.
-template <typename T>
-void apply_fused_diagonal(std::span<basic_complex_t<T>> a,
-                          std::span<const DiagonalTermT<T>> terms);
 
 // ---------------------------------------------------------------------
 // k-qubit dense tier (gate fusion).

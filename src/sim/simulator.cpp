@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "engine/backend.hpp"
-
 namespace qc::sim {
 
 using circuit::Gate;
@@ -25,11 +23,6 @@ std::pair<complex_t, complex_t> diagonal_entries(const Gate& g) {
   if (!g.diagonal()) throw std::invalid_argument("diagonal_entries: gate is not diagonal");
   const linalg::Matrix m = gate_block_matrix(g);
   return {m(0, 0), m(1, 1)};
-}
-
-void Simulator::run(StateVector& sv, const circuit::Circuit& c) const {
-  if (c.qubits() != sv.qubits()) throw std::invalid_argument("run: qubit count mismatch");
-  for (const Gate& g : c.gates()) apply_gate(sv, g);
 }
 
 template <typename T>
@@ -56,14 +49,6 @@ template void apply_gate_generic<float>(std::span<basic_complex_t<float>>, qubit
 template void apply_gate_generic<double>(std::span<basic_complex_t<double>>, qubit_t,
                                          const Gate&, bool);
 
-void LiquidLikeSimulator::apply_gate(StateVector& sv, const Gate& g) const {
-  apply_gate_generic<double>(sv.amplitudes(), sv.qubits(), g, /*parallel=*/false);
-}
-
-void QhipsterLikeSimulator::apply_gate(StateVector& sv, const Gate& g) const {
-  apply_gate_generic<double>(sv.amplitudes(), sv.qubits(), g, /*parallel=*/true);
-}
-
 template <typename T>
 void apply_gate_hpc(std::span<basic_complex_t<T>> a, qubit_t n, const Gate& g) {
   using C = basic_complex_t<T>;
@@ -87,49 +72,5 @@ void apply_gate_hpc(std::span<basic_complex_t<T>> a, qubit_t n, const Gate& g) {
 
 template void apply_gate_hpc<float>(std::span<basic_complex_t<float>>, qubit_t, const Gate&);
 template void apply_gate_hpc<double>(std::span<basic_complex_t<double>>, qubit_t, const Gate&);
-
-void HpcSimulator::apply_gate(StateVector& sv, const Gate& g) const {
-  apply_gate_hpc<double>(sv.amplitudes(), sv.qubits(), g);
-}
-
-void HpcSimulator::run(StateVector& sv, const circuit::Circuit& c) const {
-  if (c.qubits() != sv.qubits()) throw std::invalid_argument("run: qubit count mismatch");
-  const auto& gates = c.gates();
-  if (!opts_.fuse_diagonal_runs) {
-    for (const Gate& g : gates) apply_gate(sv, g);
-    return;
-  }
-  // Peephole: collect maximal runs of diagonal gates (they all commute)
-  // and apply each run in one sweep.
-  std::vector<kernels::DiagonalTerm> run_terms;
-  std::size_t i = 0;
-  while (i < gates.size()) {
-    if (!gates[i].diagonal()) {
-      apply_gate(sv, gates[i]);
-      ++i;
-      continue;
-    }
-    run_terms.clear();
-    while (i < gates.size() && gates[i].diagonal() &&
-           run_terms.size() < opts_.max_fused_terms) {
-      const auto [d0, d1] = diagonal_entries(gates[i]);
-      run_terms.push_back({gates[i].targets[0], control_mask(gates[i]), d0, d1});
-      ++i;
-    }
-    if (run_terms.size() == 1) {
-      kernels::apply_diagonal<double>(sv.amplitudes(), sv.qubits(), run_terms[0].target,
-                                      run_terms[0].d0, run_terms[0].d1, run_terms[0].cmask);
-    } else {
-      kernels::apply_fused_diagonal<double>(sv.amplitudes(), run_terms);
-    }
-  }
-}
-
-std::unique_ptr<Simulator> make_simulator(const std::string& name) {
-  // Thin source-compatibility shim: the engine's backend registry is the
-  // single authority on names, and its unknown-name error enumerates
-  // engine::backend_names().
-  return engine::make_gate_simulator(name);
-}
 
 }  // namespace qc::sim

@@ -1,27 +1,30 @@
-// The three gate-level simulators benchmarked in the paper's §4.5.
+// The per-gate runners behind the three gate-level simulators benchmarked
+// in the paper's §4.5 (registered as engine backends, see README's
+// backend table):
 //
-//  * HpcSimulator — "our simulator": control-folded enumeration, diagonal
-//    and NOT fast paths, native SWAP kernel, optional fusion of diagonal
-//    runs. This is the baseline the emulator's speedups are measured
-//    against (so those speedups are not artifacts of a slow simulator —
-//    the point of the paper's Figs. 4-6).
+//  * apply_gate_hpc — "our simulator" ("hpc"): control-folded
+//    enumeration, diagonal and NOT fast paths, native SWAP kernel. This
+//    is the baseline the emulator's speedups are measured against (so
+//    those speedups are not artifacts of a slow simulator — the point of
+//    the paper's Figs. 4-6).
 //
-//  * QhipsterLikeSimulator — stands in for qHiPSTER: a well-parallelized
-//    but unspecialized simulator. Every gate runs through the generic
-//    masked 2x2 pair kernel (full read+write of the state vector even
-//    for diagonal gates); SWAP is lowered to three CNOTs.
+//  * apply_gate_generic, parallel — stands in for qHiPSTER
+//    ("qhipster-like"): a well-parallelized but unspecialized simulator.
+//    Every gate runs through the generic masked 2x2 pair kernel (full
+//    read+write of the state vector even for diagonal gates); SWAP is
+//    lowered to three CNOTs.
 //
-//  * LiquidLikeSimulator — stands in for LIQUi|>: the same generic
-//    kernel, single-threaded. (LIQUi|> is closed-source .NET; this
-//    models "correct but unspecialized, non-parallel" — see DESIGN.md
-//    for the substitution rationale.)
+//  * apply_gate_generic, serial — stands in for LIQUi|> ("liquid-like"):
+//    the same generic kernel, single-threaded. LIQUi|> is closed-source
+//    .NET, so this models "correct but unspecialized, non-parallel"
+//    rather than reproducing it.
 //
 // All three produce identical states to 1e-12 on identical circuits;
 // the test suite enforces it.
 #pragma once
 
-#include <memory>
-#include <string>
+#include <span>
+#include <utility>
 
 #include "circuit/circuit.hpp"
 #include "sim/kernels.hpp"
@@ -38,80 +41,20 @@ namespace qc::sim {
 /// Diagonal entries (d0, d1) of a diagonal gate's target block.
 [[nodiscard]] std::pair<complex_t, complex_t> diagonal_entries(const circuit::Gate& g);
 
-/// HpcSimulator's specialized single-gate dispatch on a raw amplitude
-/// array (2^n amplitudes) — the span-level entry point executors that do
-/// not own a StateVector (blocked plans on a rank's local chunk) share
-/// with HpcSimulator::apply_gate. Templated on the amplitude scalar; the
-/// (double-precision) gate block is narrowed once per gate, not per
-/// amplitude.
+/// The "hpc" specialized single-gate dispatch on a raw amplitude array
+/// (2^n amplitudes) — also how a blocked plan's Global gate items run,
+/// on the full vector or a rank's local chunk. Templated on the amplitude scalar;
+/// the (double-precision) gate block is narrowed once per gate, not per
+/// amplitude. No width check: `g` must act within n qubits.
 template <typename T>
 void apply_gate_hpc(std::span<basic_complex_t<T>> a, qubit_t n, const circuit::Gate& g);
 
 /// The unspecialized per-gate dispatch (the qhipster-/liquid-like tier)
 /// on a raw amplitude array: every gate through the generic masked 2x2
-/// kernel, SWAP lowered to three CNOTs. `parallel` selects OpenMP.
+/// kernel, SWAP lowered to three CNOTs. `parallel` selects OpenMP. No
+/// width check: `g` must act within n qubits.
 template <typename T>
 void apply_gate_generic(std::span<basic_complex_t<T>> a, qubit_t n, const circuit::Gate& g,
                         bool parallel);
-
-class Simulator {
- public:
-  virtual ~Simulator() = default;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Applies one gate to the state.
-  virtual void apply_gate(StateVector& sv, const circuit::Gate& g) const = 0;
-
-  /// Applies a whole circuit (overridable for cross-gate optimization).
-  virtual void run(StateVector& sv, const circuit::Circuit& c) const;
-};
-
-class LiquidLikeSimulator final : public Simulator {
- public:
-  [[nodiscard]] std::string name() const override { return "liquid-like"; }
-  void apply_gate(StateVector& sv, const circuit::Gate& g) const override;
-};
-
-class QhipsterLikeSimulator final : public Simulator {
- public:
-  [[nodiscard]] std::string name() const override { return "qhipster-like"; }
-  void apply_gate(StateVector& sv, const circuit::Gate& g) const override;
-};
-
-class HpcSimulator final : public Simulator {
- public:
-  struct Options {
-    /// Fuse maximal runs of consecutive diagonal gates into one sweep.
-    /// Off by default: the paper's simulator applies gates one by one;
-    /// fusion is quantified separately by the ablation bench.
-    bool fuse_diagonal_runs = false;
-    /// Cap on gates per fused sweep. Fusion trades memory passes for
-    /// per-amplitude work; beyond ~8 terms the sweep turns compute
-    /// bound and loses (measured by bench/ablation_kernels).
-    std::size_t max_fused_terms = 8;
-  };
-
-  HpcSimulator() = default;
-  explicit HpcSimulator(Options opts) : opts_(opts) {}
-
-  [[nodiscard]] std::string name() const override { return "hpc"; }
-  void apply_gate(StateVector& sv, const circuit::Gate& g) const override;
-  void run(StateVector& sv, const circuit::Circuit& c) const override;
-
- private:
-  Options opts_;
-};
-
-/// Factory by name ("hpc", "qhipster-like", "liquid-like", "fused",
-/// "cached") for benches and tools. "fused" is fuse::FusedSimulator —
-/// the gate-fusion backend layered on top of HpcSimulator's fast paths;
-/// "cached" is sched::CachedSimulator — fusion plus cache-blocked sweep
-/// execution. A thin shim over
-/// engine::make_gate_simulator (the backend registry is the authority on
-/// names; unknown names throw std::invalid_argument enumerating the
-/// valid ones). Emulation-only backends like "auto" are not plain
-/// Simulators — run those through engine::Engine.
-std::unique_ptr<Simulator> make_simulator(const std::string& name);
 
 }  // namespace qc::sim

@@ -8,9 +8,9 @@
 #include <numeric>
 
 #include "circuit/builders.hpp"
+#include "engine/backend.hpp"
 #include "models/perf_model.hpp"
 #include "sched/dist_schedule.hpp"
-#include "sim/simulator.hpp"
 
 namespace qc::sched {
 namespace {
@@ -22,13 +22,13 @@ using sim::StateVector;
 
 /// Runs `c` through dist_schedule + run_dist_plan on `ranks` ranks
 /// (random init, fixed seed) and compares against the serial
-/// HpcSimulator; returns the max amplitude difference.
+/// "hpc" backend; returns the max amplitude difference.
 double plan_vs_serial(const Circuit& c, qubit_t n, int ranks, std::uint64_t seed,
                       const DistScheduleOptions& opts = {},
                       CommPolicy policy = CommPolicy::Specialized) {
   StateVector serial(n);
   serial.randomize_deterministic(seed);
-  sim::HpcSimulator().run(serial, c);
+  engine::make_backend("hpc")->run_gates(serial, c);
 
   const auto nl = static_cast<qubit_t>(n - bits::log2_floor(static_cast<index_t>(ranks)));
   const DistPlan plan = dist_schedule(c, nl, opts);
@@ -166,7 +166,7 @@ TEST(DistSchedule, PermCarryAcrossSegmentsMatchesSerial) {
 
   StateVector serial(n);
   serial.randomize_deterministic(777);
-  sim::HpcSimulator().run(serial, whole);
+  engine::make_backend("hpc")->run_gates(serial, whole);
 
   std::vector<qubit_t> perm(n);
   std::iota(perm.begin(), perm.end(), qubit_t{0});

@@ -11,8 +11,8 @@
 
 #include "circuit/builders.hpp"
 #include "cluster/fault.hpp"
+#include "engine/backend.hpp"
 #include "sim/dist_sv.hpp"
-#include "sim/simulator.hpp"
 
 namespace qc::sim {
 namespace {
@@ -26,12 +26,12 @@ struct Case {
 };
 
 /// Runs `c` on a distributed state (random init, fixed seed) and on the
-/// serial HpcSimulator; returns the max amplitude difference.
+/// serial "hpc" backend; returns the max amplitude difference.
 double dist_vs_serial(const Circuit& c, qubit_t n, int ranks, CommPolicy policy,
                       std::uint64_t seed) {
   StateVector serial(n);
   serial.randomize_deterministic(seed);
-  HpcSimulator().run(serial, c);
+  engine::make_backend("hpc")->run_gates(serial, c);
 
   double diff = -1;
   cluster::Cluster cluster(ranks, 1);

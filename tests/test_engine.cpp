@@ -119,30 +119,16 @@ TEST(Registry, UnknownBackendErrorEnumeratesNames) {
   }
 }
 
-TEST(Registry, MakeSimulatorDelegatesAndEnumerates) {
-  EXPECT_EQ(sim::make_simulator("hpc")->name(), "hpc");
-  EXPECT_EQ(sim::make_simulator("fused")->name(), "fused");
-  try {
-    (void)sim::make_simulator("nope");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    for (const char* name : {"auto", "fused", "hpc", "liquid-like", "qhipster-like"})
-      EXPECT_NE(msg.find(name), std::string::npos) << "error should list " << name;
-  }
-  // "auto" is registered but emulation-only, and "dist" needs its rank
-  // options: neither is a plain Simulator.
-  EXPECT_THROW((void)sim::make_simulator("auto"), std::invalid_argument);
-  EXPECT_THROW((void)sim::make_simulator("dist"), std::invalid_argument);
-}
-
 TEST(Registry, RoundTripCustomBackend) {
   class EchoBackend final : public Backend {
    public:
     [[nodiscard]] std::string name() const override { return "test-echo"; }
     void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
-      sim::HpcSimulator().run(sv, c);
+      hpc_->run_gates(sv, c);
     }
+
+   private:
+    std::unique_ptr<Backend> hpc_ = make_backend("hpc");
   };
   register_backend("test-echo", [](const RunOptions&) -> std::unique_ptr<Backend> {
     return std::make_unique<EchoBackend>();
@@ -153,8 +139,6 @@ TEST(Registry, RoundTripCustomBackend) {
       register_backend("test-echo",
                        [](const RunOptions&) -> std::unique_ptr<Backend> { return nullptr; }),
       std::invalid_argument);
-  // Not a gate-level sim::Simulator (no sim_factory registered).
-  EXPECT_THROW((void)sim::make_simulator("test-echo"), std::invalid_argument);
 
   Program p(3);
   p.gates(prep_circuit(3));
@@ -165,7 +149,23 @@ TEST(Registry, RoundTripCustomBackend) {
   EXPECT_NEAR(r.state.norm_sq(), 1.0, 1e-12);
 }
 
-TEST(Registry, GateLevelBackendRejectsHighLevelOps) {
+TEST(Registry, EveryBackendRejectsAWiderSegmentAtBothPrecisions) {
+  // An 8-qubit segment on a 4-qubit state: every backend must refuse it
+  // before touching an amplitude, at fp64 and at fp32.
+  Circuit wide(8);
+  wide.h(7);
+  for (const std::string& name : backend_names()) {
+    for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+      RunOptions opts;
+      opts.precision = precision;
+      sim::StateVector sv(4);
+      EXPECT_THROW(make_backend(name, opts)->run_gates(sv, wide), std::invalid_argument)
+          << name << " at fp" << precision_bits(precision);
+    }
+  }
+}
+
+TEST(Registry, GateOnlyBackendRejectsHighLevelOps) {
   Program p(4);
   p.qft();
   const std::unique_ptr<Backend> hpc = make_backend("hpc");

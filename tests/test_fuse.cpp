@@ -1,7 +1,7 @@
 // Tests for the gate-fusion subsystem: the subset-embedding helpers, the
 // k-qubit apply kernels against dense oracles, the fusion pass against
-// the gate-product matrix, and the FusedSimulator backend against
-// HpcSimulator on the paper's workloads (QFT, Grover, random circuits).
+// the gate-product matrix, and the "fused" backend against "hpc" on the
+// paper's workloads (QFT, Grover, random circuits).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,9 +9,10 @@
 #include <numbers>
 
 #include "circuit/builders.hpp"
-#include "fuse/fused_simulator.hpp"
+#include "engine/backend.hpp"
+#include "fuse/fusion.hpp"
+#include "sched/cached_simulator.hpp"
 #include "sim/kernels.hpp"
-#include "sim/simulator.hpp"
 
 namespace qc::fuse {
 namespace {
@@ -57,14 +58,20 @@ Circuit grover_circuit(qubit_t n, index_t marked, int iterations) {
   return c;
 }
 
-/// max_abs_diff between the fused backend and HpcSimulator on `c`.
+/// Runs `c` on `sv` through the registered backend `name`.
+void run_on(const std::string& name, sim::StateVector& sv, const Circuit& c,
+            const FusionOptions& fusion = {}) {
+  engine::RunOptions opts;
+  opts.fusion = fusion;
+  engine::make_backend(name, opts)->run_gates(sv, c);
+}
+
+/// max_abs_diff between the "fused" and "hpc" backends on `c`.
 double backend_divergence(const Circuit& c, const FusionOptions& fusion, std::uint64_t seed) {
   sim::StateVector a = random_state(c.qubits(), seed);
   sim::StateVector b = copy_state(a);
-  sim::HpcSimulator().run(a, c);
-  FusedSimulator::Options opts;
-  opts.fusion = fusion;
-  FusedSimulator(opts).run(b, c);
+  run_on("hpc", a, c);
+  run_on("fused", b, c, fusion);
   return a.max_abs_diff(b);
 }
 
@@ -258,7 +265,7 @@ TEST(FusionPass, EmptyCircuit) {
   const FusedCircuit plan = fuse_circuit(c);
   EXPECT_TRUE(plan.items.empty());
   sim::StateVector sv(4);
-  FusedSimulator().run(sv, c);
+  run_on("fused", sv, c);
   EXPECT_EQ(sv[0], complex_t{1.0});
 }
 
@@ -312,8 +319,8 @@ TEST(FusedBackend, MatchesHpcOnGrover10) {
   const Circuit c = grover_circuit(n, /*marked=*/421, iterations);
   // Start from |0...0> (the algorithm's actual input), not a random state.
   sim::StateVector a(n), b(n);
-  sim::HpcSimulator().run(a, c);
-  FusedSimulator().run(b, c);
+  run_on("hpc", a, c);
+  run_on("fused", b, c);
   EXPECT_LT(a.max_abs_diff(b), 1e-12);
   // And the search must actually succeed.
   const auto dist = b.register_distribution(0, n);
@@ -360,29 +367,21 @@ TEST(ApplyMulti, GenericWidePathMatchesDenseOracle) {
 }
 
 TEST(FusedBackend, FactoryAndPlanReuse) {
-  const auto simulator = sim::make_simulator("fused");
-  EXPECT_EQ(simulator->name(), "fused");
+  const auto backend = engine::make_backend("fused");
+  EXPECT_EQ(backend->name(), "fused");
   const Circuit c = circuit::qft(9);
   sim::StateVector a = random_state(9, 71);
   sim::StateVector b = copy_state(a);
-  simulator->run(a, c);
-  // plan() + execute() twice must equal run() twice.
-  FusedSimulator fused;
-  const FusedCircuit plan = fused.plan(c);
-  EXPECT_GT(plan.fused_gates(), 0u);
-  fused.execute(b, plan);
-  simulator->run(a, c);
-  fused.execute(b, plan);
+  backend->run_gates(a, c);
+  // One prebuilt all-Global plan executed twice must equal two runs.
+  const FusedCircuit fused = fuse_circuit(c);
+  EXPECT_GT(fused.fused_gates(), 0u);
+  const sched::BlockedPlan plan = sched::global_plan(fused);
+  EXPECT_EQ(plan.globals(), fused.items.size());
+  sched::execute_blocked<double>(b.amplitudes(), plan);
+  backend->run_gates(a, c);
+  sched::execute_blocked<double>(b.amplitudes(), plan);
   EXPECT_LT(a.max_abs_diff(b), 1e-12);
-}
-
-TEST(FusedBackend, ApplyGateDelegatesToFastPaths) {
-  const Gate g = circuit::make_controlled(GateKind::H, 0, 2);
-  sim::StateVector a = random_state(5, 81);
-  sim::StateVector b = copy_state(a);
-  sim::HpcSimulator().apply_gate(a, g);
-  FusedSimulator().apply_gate(b, g);
-  EXPECT_EQ(a.max_abs_diff(b), 0.0);
 }
 
 }  // namespace

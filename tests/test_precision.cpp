@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "circuit/builders.hpp"
@@ -57,15 +58,17 @@ double precision_drift(const Program& p, const std::string& backend) {
 
 TEST(Precision, DeepQftStaysWithinErrorBound) {
   // ~3 full QFT passes at 10 qubits: hundreds of dense + diagonal gates
-  // through the fused/cached pipeline. The fp32 drift bound is the
-  // RunOptions::precision contract.
-  for (const char* backend : {"auto", "cached", "fused"})
-    EXPECT_LE(precision_drift(qft_program(10), backend), 1e-6) << backend;
+  // on every registered backend (the gate-level ones run the lowered
+  // cascade). The fp32 drift bound is the RunOptions::precision
+  // contract.
+  const Program p = qft_program(10);
+  for (const std::string& backend : backend_names())
+    EXPECT_LE(precision_drift(p, backend), 1e-6) << backend;
 }
 
 TEST(Precision, DeepRandomDenseStaysWithinErrorBound) {
   const Program p = random_dense_program(8, 24, 11);
-  for (const char* backend : {"cached", "hpc", "qhipster-like", "liquid-like"})
+  for (const std::string& backend : backend_names())
     EXPECT_LE(precision_drift(p, backend), 1e-6) << backend;
 }
 

@@ -2,7 +2,7 @@
 // scheduler's partitioning/coverage invariants, the qubit-remap
 // machinery (swap kernel, unitary re-permutation, restore-to-identity),
 // the serial chunk-local kernels, and randomized agreement between the
-// "cached" backend and HpcSimulator across qubit counts, chunk widths,
+// "cached" and "hpc" backends across qubit counts, chunk widths,
 // and remap-triggering workloads.
 #include <gtest/gtest.h>
 
@@ -37,13 +37,14 @@ sim::StateVector copy_state(const sim::StateVector& in) {
   return out;
 }
 
-/// max_abs_diff between the cached backend and HpcSimulator on `c`.
-double backend_divergence(const Circuit& c, const CachedSimulator::Options& opts,
+/// max_abs_diff between the "cached" backend (under `opts`) and "hpc" on
+/// `c`.
+double backend_divergence(const Circuit& c, const engine::RunOptions& opts,
                           std::uint64_t seed) {
   sim::StateVector a = random_state(c.qubits(), seed);
   sim::StateVector b = copy_state(a);
-  sim::HpcSimulator().run(a, c);
-  CachedSimulator(opts).run(b, c);
+  engine::make_backend("hpc")->run_gates(a, c);
+  engine::make_backend("cached", opts)->run_gates(b, c);
   return a.max_abs_diff(b);
 }
 
@@ -190,12 +191,8 @@ TEST(QubitSwapKernel, MatchesSwapGates) {
   sim::StateVector b = copy_state(a);
   const std::vector<std::array<qubit_t, 2>> pairs{{0, 7}, {2, 9}, {3, 5}};
   sim::kernels::apply_qubit_swaps(a.amplitudes(), n, pairs);
-  const sim::HpcSimulator hpc;
-  for (const auto& p : pairs) {
-    Circuit c(n);
-    c.swap(p[0], p[1]);
-    hpc.run(b, c);
-  }
+  for (const auto& p : pairs)
+    sim::apply_gate_hpc<double>(b.amplitudes(), n, circuit::make_swap(p[0], p[1]));
   EXPECT_LT(a.max_abs_diff(b), 1e-14);
 }
 
@@ -216,9 +213,8 @@ TEST(SerialKernels, MatchParallelOnRandomGates) {
   const Circuit c = circuit::random_circuit(n, 60, rng);
   sim::StateVector a = random_state(n, 22);
   sim::StateVector b = copy_state(a);
-  const sim::HpcSimulator hpc;
   for (const Gate& g : c.gates()) {
-    hpc.apply_gate(a, g);
+    sim::apply_gate_hpc<double>(a.amplitudes(), n, g);
     // Serial chunk-local dispatch with the whole state as one chunk.
     const auto span = b.amplitudes();
     const index_t cmask = sim::control_mask(g);
@@ -250,37 +246,6 @@ TEST(SerialKernels, MultiSerialMatchesParallel) {
     sim::kernels::apply_multi_serial(b.amplitudes(), n, targets, us);
     EXPECT_LT(a.max_abs_diff(b), 1e-13) << "k=" << k;
   }
-}
-
-TEST(FusedDiagonalFastPath, MatchesPerGateApplication) {
-  const qubit_t n = 10;
-  // Union support {0, 2, 5, 7} spans 4 qubits: takes the factor-table
-  // path. Compare against per-term apply_diagonal.
-  std::vector<sim::kernels::DiagonalTerm> terms{
-      {0, 0, complex_t{1.0}, complex_t{0.0, 1.0}},
-      {2, bits::set(index_t{0}, 5), complex_t{1.0}, std::polar(1.0, 0.7)},
-      {7, bits::set(index_t{0}, 0), std::polar(1.0, -0.4), std::polar(1.0, 0.9)},
-  };
-  sim::StateVector a = random_state(n, 55);
-  sim::StateVector b = copy_state(a);
-  sim::kernels::apply_fused_diagonal<double>(a.amplitudes(), terms);
-  for (const auto& t : terms)
-    sim::kernels::apply_diagonal(b.amplitudes(), n, t.target, t.d0, t.d1, t.cmask);
-  EXPECT_LT(a.max_abs_diff(b), 1e-13);
-}
-
-TEST(FusedDiagonalFastPath, WideSupportStillCorrect) {
-  const qubit_t n = 12;
-  // 10-qubit union support exceeds kMaxFusedWidth: generic loop path.
-  std::vector<sim::kernels::DiagonalTerm> terms;
-  for (qubit_t q = 0; q < 10; ++q)
-    terms.push_back({q, 0, complex_t{1.0}, std::polar(1.0, 0.1 * (q + 1))});
-  sim::StateVector a = random_state(n, 56);
-  sim::StateVector b = copy_state(a);
-  sim::kernels::apply_fused_diagonal<double>(a.amplitudes(), terms);
-  for (const auto& t : terms)
-    sim::kernels::apply_diagonal(b.amplitudes(), n, t.target, t.d0, t.d1, t.cmask);
-  EXPECT_LT(a.max_abs_diff(b), 1e-13);
 }
 
 // --- fused-plan diagonal hoist (satellite: no alloc in execute) --------
@@ -326,7 +291,7 @@ TEST(CachedBackend, AgreesWithHpcAcrossSizesAndChunkWidths) {
     Rng rng(100 + n);
     const Circuit c = circuit::random_circuit(n, 20 * n, rng);
     for (qubit_t chunk : {qubit_t{5}, qubit_t{8}, static_cast<qubit_t>(n + 4)}) {
-      CachedSimulator::Options opts;
+      engine::RunOptions opts;
       opts.sched.chunk_width = chunk;
       EXPECT_LT(backend_divergence(c, opts, 200 + n), 1e-12)
           << "n=" << n << " chunk=" << chunk;
@@ -339,7 +304,7 @@ TEST(CachedBackend, AgreesAtChunkEqualToOpWidth) {
   // chunk (the degenerate one-op-per-chunk schedule).
   Rng rng(9);
   const Circuit c = circuit::random_dense_circuit(12, 150, rng);
-  CachedSimulator::Options opts;
+  engine::RunOptions opts;
   opts.fusion.max_width = 5;
   opts.sched.max_block_width = 5;
   opts.sched.chunk_width = 5;
@@ -348,16 +313,16 @@ TEST(CachedBackend, AgreesAtChunkEqualToOpWidth) {
 
 TEST(CachedBackend, AgreesOnHighQubitQftWithRemaps) {
   const Circuit c = high_qubit_qft(13, 6);
-  CachedSimulator::Options opts;
+  engine::RunOptions opts;
   opts.sched.chunk_width = 6;
-  const BlockedPlan plan = CachedSimulator(opts).plan(c);
+  const BlockedPlan plan = sched::plan(c, opts.fusion, opts.sched);
   ASSERT_GE(plan.remaps(), 2u) << plan.to_string();
   EXPECT_LT(backend_divergence(c, opts, 77), 1e-12);
 }
 
 TEST(CachedBackend, AgreesOnFullQftBothOrders) {
   for (qubit_t n : {qubit_t{10}, qubit_t{13}}) {
-    CachedSimulator::Options opts;
+    engine::RunOptions opts;
     opts.sched.chunk_width = 7;
     EXPECT_LT(backend_divergence(circuit::qft(n), opts, n), 1e-12);
     EXPECT_LT(backend_divergence(circuit::inverse_qft(n), opts, n + 1), 1e-12);
@@ -369,7 +334,7 @@ TEST(CachedBackend, AgreesOnDiagonalOnlyCircuit) {
   for (qubit_t q = 0; q < 11; ++q) c.t(q);
   for (qubit_t q = 0; q + 1 < 11; ++q) c.cr(q, q + 1, 0.2 * (q + 1));
   for (qubit_t q = 0; q < 11; ++q) c.rz(q, 0.15 * (q + 3));
-  CachedSimulator::Options opts;
+  engine::RunOptions opts;
   opts.sched.chunk_width = 6;
   EXPECT_LT(backend_divergence(c, opts, 42), 1e-12);
 }
@@ -377,7 +342,7 @@ TEST(CachedBackend, AgreesOnDiagonalOnlyCircuit) {
 TEST(CachedBackend, AgreesWithFusionDisabled) {
   Rng rng(19);
   const Circuit c = circuit::random_circuit(10, 80, rng);
-  CachedSimulator::Options opts;
+  engine::RunOptions opts;
   opts.fusion.enabled = false;  // every op is a passthrough gate
   opts.sched.chunk_width = 6;
   EXPECT_LT(backend_divergence(c, opts, 20), 1e-12);
@@ -386,7 +351,7 @@ TEST(CachedBackend, AgreesWithFusionDisabled) {
 TEST(CachedBackend, RegisteredInEngineRegistry) {
   const auto names = engine::backend_names();
   EXPECT_NE(std::find(names.begin(), names.end(), "cached"), names.end());
-  EXPECT_EQ(sim::make_simulator("cached")->name(), "cached");
+  EXPECT_EQ(engine::make_backend("cached")->name(), "cached");
 }
 
 // --- state vector first-touch init (satellite sanity) ------------------

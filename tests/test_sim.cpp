@@ -1,13 +1,16 @@
-// Tests for the state vector and the three simulators: every kernel is
-// checked against the dense Kronecker operator oracle, the simulators
-// are checked against each other, and state-level operations
-// (measurement, collapse, distributions) against direct computation.
+// Tests for the state vector and the three per-gate runners ("hpc",
+// "qhipster-like", "liquid-like"): every kernel is checked against the
+// dense Kronecker operator oracle, the runners are checked against each
+// other, and state-level operations (measurement, collapse,
+// distributions) against direct computation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "circuit/builders.hpp"
+#include "engine/backend.hpp"
 #include "sim/simulator.hpp"
 #include "sim/state_vector.hpp"
 
@@ -23,6 +26,19 @@ StateVector random_state(qubit_t n, std::uint64_t seed) {
   Rng rng(seed);
   sv.randomize(rng);
   return sv;
+}
+
+/// Applies `g` through the per-gate runner behind backend `name`.
+void apply_runner(const std::string& name, StateVector& sv, const Gate& g) {
+  if (name == "hpc") {
+    apply_gate_hpc<double>(sv.amplitudes(), sv.qubits(), g);
+  } else {
+    apply_gate_generic<double>(sv.amplitudes(), sv.qubits(), g, name == "qhipster-like");
+  }
+}
+
+void run_runner(const std::string& name, StateVector& sv, const Circuit& c) {
+  for (const Gate& g : c.gates()) apply_runner(name, sv, g);
 }
 
 /// Oracle: applies the dense 2^n x 2^n operator of g by matvec.
@@ -139,7 +155,7 @@ TEST_P(KernelVsOracle, AllThreeSimulatorsMatchDenseOperator) {
   for (const char* name : {"hpc", "qhipster-like", "liquid-like"}) {
     StateVector sv(n);
     std::copy(in.amplitudes().begin(), in.amplitudes().end(), sv.amplitudes().begin());
-    make_simulator(name)->apply_gate(sv, g);
+    apply_runner(name, sv, g);
     EXPECT_LT(sv.max_abs_diff(expected), 1e-13)
         << GetParam().name << " via " << name;
   }
@@ -179,7 +195,7 @@ TEST(Kernels, ControlledSwapMatchesOracle) {
   for (const char* name : {"hpc", "qhipster-like", "liquid-like"}) {
     StateVector sv(5);
     std::copy(in.amplitudes().begin(), in.amplitudes().end(), sv.amplitudes().begin());
-    make_simulator(name)->apply_gate(sv, g);
+    apply_runner(name, sv, g);
     EXPECT_LT(sv.max_abs_diff(expected), 1e-13) << name;
   }
 }
@@ -191,7 +207,7 @@ TEST(Kernels, MultiControlledGateMatchesOracle) {
   const StateVector expected = apply_dense(in, g);
   StateVector sv(5);
   std::copy(in.amplitudes().begin(), in.amplitudes().end(), sv.amplitudes().begin());
-  HpcSimulator().apply_gate(sv, g);
+  apply_runner("hpc", sv, g);
   EXPECT_LT(sv.max_abs_diff(expected), 1e-13);
 }
 
@@ -207,9 +223,9 @@ TEST_P(SimulatorEquivalence, RandomCircuitsAgreeAcrossSimulators) {
   StateVector b(n), d(n);
   std::copy(a.amplitudes().begin(), a.amplitudes().end(), b.amplitudes().begin());
   std::copy(a.amplitudes().begin(), a.amplitudes().end(), d.amplitudes().begin());
-  HpcSimulator().run(a, c);
-  QhipsterLikeSimulator().run(b, c);
-  LiquidLikeSimulator().run(d, c);
+  run_runner("hpc", a, c);
+  run_runner("qhipster-like", b, c);
+  run_runner("liquid-like", d, c);
   EXPECT_LT(a.max_abs_diff(b), 1e-12);
   EXPECT_LT(a.max_abs_diff(d), 1e-12);
   EXPECT_NEAR(a.norm_sq(), 1.0, 1e-11);  // unitarity preserved
@@ -231,30 +247,16 @@ TEST_P(CircuitVsDense, SimulatorMatchesDenseUnitaryProduct) {
   u.matvec(in.amplitudes(), expected.amplitudes());
   StateVector sv(n);
   std::copy(in.amplitudes().begin(), in.amplitudes().end(), sv.amplitudes().begin());
-  HpcSimulator().run(sv, c);
+  run_runner("hpc", sv, c);
   EXPECT_LT(sv.max_abs_diff(expected), 1e-11);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CircuitVsDense, ::testing::Range<std::uint64_t>(1, 7));
 
-TEST(Simulators, FusionProducesSameState) {
-  Rng rng(77);
-  const qubit_t n = 8;
-  const Circuit c = circuit::qft(n);  // diagonal-heavy circuit
-  StateVector plain = random_state(n, 78);
-  StateVector fused(n);
-  std::copy(plain.amplitudes().begin(), plain.amplitudes().end(), fused.amplitudes().begin());
-  HpcSimulator().run(plain, c);
-  HpcSimulator::Options opts;
-  opts.fuse_diagonal_runs = true;
-  HpcSimulator(opts).run(fused, c);
-  EXPECT_LT(plain.max_abs_diff(fused), 1e-12);
-}
-
 TEST(Simulators, EntangleProducesGhz) {
   const qubit_t n = 6;
   StateVector sv(n);
-  HpcSimulator().run(sv, circuit::entangle(n));
+  run_runner("hpc", sv, circuit::entangle(n));
   const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
   EXPECT_NEAR(std::abs(sv[0]), inv_sqrt2, 1e-13);
   EXPECT_NEAR(std::abs(sv[dim(n) - 1]), inv_sqrt2, 1e-13);
@@ -265,21 +267,17 @@ TEST(Simulators, BellStateViaHAndCnot) {
   StateVector sv(2);
   Circuit c(2);
   c.h(0).cnot(0, 1);
-  HpcSimulator().run(sv, c);
+  run_runner("hpc", sv, c);
   EXPECT_NEAR(std::abs(sv[0]), 1.0 / std::sqrt(2.0), 1e-14);
   EXPECT_NEAR(std::abs(sv[3]), 1.0 / std::sqrt(2.0), 1e-14);
   EXPECT_EQ(sv[1], complex_t{});
   EXPECT_EQ(sv[2], complex_t{});
 }
 
-TEST(Simulators, MakeSimulatorRejectsUnknown) {
-  EXPECT_THROW(make_simulator("nonexistent"), std::invalid_argument);
-}
-
 TEST(Simulators, RunRejectsMismatchedQubits) {
   StateVector sv(3);
   const Circuit c = circuit::entangle(4);
-  EXPECT_THROW(HpcSimulator().run(sv, c), std::invalid_argument);
+  EXPECT_THROW(engine::make_backend("hpc")->run_gates(sv, c), std::invalid_argument);
 }
 
 TEST(FillRandomSlabs, PartitionIndependent) {
