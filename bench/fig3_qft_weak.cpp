@@ -5,8 +5,8 @@
 // performance models Eq. 5 / Eq. 6 at paper scale (modeled series).
 //
 // Usage: fig3_qft_weak [--local-qubits L] [--max-ranks P] [--full]
-//   defaults: L = 18 qubits/rank, P up to 8
-//   --full:   L = 21, P up to 16
+//   defaults: L = 20 qubits/rank, P up to 8
+//   --full:   L = 22, P up to 16
 #include <cstdio>
 
 #include "bench_util.hpp"

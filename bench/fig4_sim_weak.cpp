@@ -4,27 +4,22 @@
 // qubits without any communication, while the unspecialized simulator
 // performs the pairwise chunk exchange for every global-target gate —
 // so our advantage grows with the number of distributed qubits. The
-// third column runs the PR 4 distributed plan (rank-local fused +
+// third column runs the distributed plan (rank-local fused +
 // cache-blocked sweeps with amortized global<->local exchange passes)
-// on the same workload.
-//
-// The fourth comparison is engine-level: a multi-op program (the QFT
-// cut into gate segments with measurements and expectation values
-// interleaved) run on the "dist" backend with its persistent cluster
-// session (one scatter, one gather per run, permutation carried across
-// segments) against the per-op scatter/gather baseline
-// (RunOptions.dist_resident = false, the pre-session behaviour) — the
-// resident-session win, measured rather than asserted.
+// on the same workload. The three final states must agree: the bench
+// exits 1 when they do not.
 //
 // Usage: fig4_sim_weak [--local-qubits L] [--max-ranks P] [--json FILE]
 //                      [--metrics [FILE]] [--full]
+//   defaults: L = 20 qubits/rank, P up to 8; --full: L = 22, P up to 16
 //   --json: write machine-readable per-point timings + communication
-//           volumes (the CI bench-smoke step uploads this as
-//           BENCH_pr5.json alongside PR 3's blocking ablation)
-//   --metrics: re-run the largest engine point with tracing on, print
-//           the span summary + model-drift report (predicted vs
-//           measured sweep/exchange time), and — given a FILE — write
-//           the flat metrics JSON there
+//           volumes
+//   --metrics: run a multi-op engine program (the QFT in four gate
+//           segments with interleaved ExpectationZ and a final
+//           Measure) on the "dist" backend at the largest point with
+//           tracing on, print the span summary + model-drift report
+//           (predicted vs measured sweep/exchange time), and — given a
+//           FILE — write the flat metrics JSON there
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -50,11 +45,12 @@ struct Row {
   std::uint64_t bytes_ours;
   std::uint64_t bytes_qhip;
   std::uint64_t bytes_plan;
+  bool agree;  ///< The three final states match.
 };
 
 Row run_point(qubit_t local_qubits, int ranks) {
   const qubit_t n = local_qubits + bits::log2_floor(static_cast<index_t>(ranks));
-  Row row{n, ranks, 0, 0, 0, 0, 0, 0};
+  Row row{n, ranks, 0, 0, 0, 0, 0, 0, false};
   cluster::Cluster cluster(ranks);
   const circuit::Circuit qft_circuit = circuit::qft(n);
   const sched::DistPlan plan = sched::dist_schedule(qft_circuit, local_qubits, {});
@@ -86,9 +82,10 @@ Row run_point(qubit_t local_qubits, int ranks) {
     const double diff = ours.max_abs_diff(qhip);
     const double diff_plan = ours.max_abs_diff(planned);
     if (comm.rank() == 0) {
-      if (diff > 1e-10) std::fprintf(stderr, "WARNING: policies disagree (%g)\n", diff);
+      if (diff > 1e-10) std::fprintf(stderr, "ERROR: policies disagree (%g)\n", diff);
       if (diff_plan > 1e-10)
-        std::fprintf(stderr, "WARNING: dist plan disagrees (%g)\n", diff_plan);
+        std::fprintf(stderr, "ERROR: dist plan disagrees (%g)\n", diff_plan);
+      row.agree = diff <= 1e-10 && diff_plan <= 1e-10;
       row.t_ours = t_ours;
       row.t_qhip = t_qhip;
       row.t_plan = t_plan;
@@ -104,20 +101,9 @@ Row run_point(qubit_t local_qubits, int ranks) {
 /// 256 nodes.
 double paper_speedup(int ranks) { return ranks == 1 ? 1.0 : (ranks >= 8 ? 1.5 : 1.2); }
 
-// --- resident session vs per-op scatter/gather (engine level) ----------
-
-struct EngineRow {
-  qubit_t n;
-  int ranks;
-  double t_resident;
-  double t_perop;
-  std::uint64_t host_resident;  ///< Host<->rank staging bytes, resident run.
-  std::uint64_t host_perop;     ///< Same, per-op baseline.
-};
-
 /// The QFT cut into four gate segments with an ExpectationZ between
-/// each and a final measurement: every op boundary is a point where the
-/// pre-session backend re-scattered and re-gathered the full state.
+/// each and a final measurement: the multi-op program the --metrics
+/// trace runs through Engine::run.
 engine::Program engine_program(qubit_t n) {
   const circuit::Circuit qc = circuit::qft(n);
   const auto& gates = qc.gates();
@@ -134,29 +120,7 @@ engine::Program engine_program(qubit_t n) {
   return p;
 }
 
-EngineRow run_engine_point(qubit_t local_qubits, int ranks) {
-  const qubit_t n = local_qubits + bits::log2_floor(static_cast<index_t>(ranks));
-  const engine::Program p = engine_program(n);
-  engine::RunOptions opts;
-  opts.backend = "dist";
-  opts.dist_ranks = ranks;
-  opts.collapse_measurements = false;  // keep the workload purely unitary
-  (void)engine::Engine().run(p, opts);  // warm-up
-  const engine::Result resident = engine::Engine().run(p, opts);
-  opts.dist_resident = false;
-  const engine::Result perop = engine::Engine().run(p, opts);
-  if (resident.state.max_abs_diff(perop.state) > 1e-10)
-    std::fprintf(stderr, "WARNING: resident and per-op runs disagree\n");
-  return EngineRow{n,
-                   ranks,
-                   resident.total_seconds,
-                   perop.total_seconds,
-                   resident.host_bytes,
-                   perop.host_bytes};
-}
-
-void write_json(const std::string& path, qubit_t local_qubits, const std::vector<Row>& rows,
-                const std::vector<EngineRow>& engine_rows) {
+void write_json(const std::string& path, qubit_t local_qubits, const std::vector<Row>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
@@ -177,20 +141,6 @@ void write_json(const std::string& path, qubit_t local_qubits, const std::vector
                  static_cast<unsigned long long>(r.bytes_qhip),
                  static_cast<unsigned long long>(r.bytes_plan),
                  i + 1 < rows.size() ? "," : "");
-  }
-  // The resident-session column: the same weak-scaling points run as a
-  // multi-op engine program, resident session vs per-op scatter/gather.
-  std::fprintf(f, "  ],\n  \"engine_results\": [\n");
-  for (std::size_t i = 0; i < engine_rows.size(); ++i) {
-    const EngineRow& r = engine_rows[i];
-    std::fprintf(f,
-                 "    {\"qubits\": %u, \"ranks\": %d, \"t_resident\": %.6e,"
-                 " \"t_perop_scatter\": %.6e, \"host_bytes_resident\": %llu,"
-                 " \"host_bytes_perop\": %llu}%s\n",
-                 r.n, r.ranks, r.t_resident, r.t_perop,
-                 static_cast<unsigned long long>(r.host_resident),
-                 static_cast<unsigned long long>(r.host_perop),
-                 i + 1 < engine_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -230,26 +180,9 @@ int main(int argc, char** argv) {
               "on a single node to ~2x at 256 nodes (Fig. 4). Single-node rows\n"
               "differ only by local kernel specialization.\n");
 
-  std::vector<EngineRow> engine_rows;
-  Table etable({"qubits", "ranks", "T_resident [s]", "T_perop [s]", "speedup",
-                "MB_host_res", "MB_host_perop"});
-  for (int p = 1; p <= max_ranks; p *= 2) {
-    const EngineRow r = run_engine_point(static_cast<qubit_t>(local_qubits), p);
-    engine_rows.push_back(r);
-    etable.add_row({std::to_string(r.n), std::to_string(r.ranks), sci(r.t_resident),
-                    sci(r.t_perop), fixed(r.t_perop / r.t_resident, 2) + "x",
-                    fixed(static_cast<double>(r.host_resident) / 1e6, 1),
-                    fixed(static_cast<double>(r.host_perop) / 1e6, 1)});
-  }
-  etable.print(
-      "resident cluster session vs per-op scatter/gather — multi-op engine\n"
-      "program (QFT in 4 gate segments + interleaved ExpectationZ + Measure);\n"
-      "the resident run stages the host state exactly twice, the per-op\n"
-      "baseline twice per mutating op plus once per read-only op");
-
   if (cli.has("metrics")) {
-    // One traced run of the largest engine point: the per-rank lane
-    // breakdown plus the model-validation report (sweep memory time vs
+    // One traced engine_program run at the largest point: the per-rank
+    // lane breakdown plus the model-validation report (sweep memory time vs
     // models::t_state_pass_seconds, Eq. 6 chunk-exchange time vs
     // models::t_chunk_exchange_seconds).
     const qubit_t n =
@@ -281,7 +214,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!json_path.empty())
-    write_json(json_path, static_cast<qubit_t>(local_qubits), rows, engine_rows);
+  if (!json_path.empty()) write_json(json_path, static_cast<qubit_t>(local_qubits), rows);
+  for (const Row& r : rows)
+    if (!r.agree) return 1;
   return 0;
 }

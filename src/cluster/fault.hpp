@@ -2,8 +2,8 @@
 // fault injection.
 //
 // The paper's headline runs are multi-node jobs where a hung rank or a
-// failed allocation costs hours; before the in-process mailboxes grow a
-// real transport (ROADMAP item 1), the failure *contract* has to exist
+// failed allocation costs hours; before the in-process mailboxes ever
+// grow a real multi-node transport, the failure *contract* has to exist
 // and be testable. This header defines both halves:
 //
 //  * the error taxonomy every cluster-facing layer throws and catches —

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <span>
@@ -197,12 +198,14 @@ class AutoBackend final : public GateBackend<BlockedExec> {
 /// permutation forward (dist_schedule's perm_io) instead of restoring
 /// logical order between segments, and the measurement surface reads
 /// straight through the live permutation. While resident_ the bound
-/// host state (host_) is stale and is refreshed by at most one gather,
-/// at end_run — so a multi-op program pays two host stagings total instead
-/// of two per op (models::t_host_staging_seconds prices the
-/// difference; counters() reports the actual bytes into the engine
-/// trace). Measurement ops still consume the engine's uniform draw, so
-/// recorded streams match the serial backends seed for seed.
+/// host state (host_) is stale; one gather refreshes it at end_run, so
+/// a run stages the host state twice in total (counters() reports the
+/// bytes into the engine trace). Measurement ops still consume the
+/// engine's uniform draw, so recorded streams match the serial backends
+/// seed for seed.
+///
+/// Every job goes through run_job, the one retry primitive, under one
+/// of two recovery classes (Recovery).
 ///
 /// Templated on the resident amplitude scalar T: under fp32 the ranks
 /// hold float chunks (the host state narrows at scatter, widens at
@@ -217,7 +220,6 @@ class DistBackendT final : public Backend {
   explicit DistBackendT(const RunOptions& opts)
       : ranks_(opts.dist_ranks),
         policy_(opts.dist_policy),
-        resident_mode_(opts.dist_resident),
         timeout_s_(opts.dist_timeout_s),
         ckpt_interval_(opts.dist_checkpoint_interval),
         max_retries_(opts.dist_max_retries) {
@@ -242,36 +244,19 @@ class DistBackendT final : public Backend {
     // Checkpoint *before* planning, so the segment about to run joins
     // the replay log of the checkpoint it would restore to.
     maybe_checkpoint();
+    // Planned once: a replayed retry restarts from the same permutation.
     const auto nl = static_cast<qubit_t>(resident_n_ - session_global_qubits());
-    for (int attempt = 0;; ++attempt) {
-      const std::vector<qubit_t> perm_before = perm_;
-      try {
-        sched::DistPlan plan = sched::dist_schedule(c, nl, dopts_, &perm_);
-        session_->submit([this, plan](cluster::Comm& comm) {
-          sched::run_dist_plan(*slots_[static_cast<std::size_t>(comm.rank())], plan,
-                               policy_);
-        });
-        session_->sync();
-        snapshot_net();
-        if (checkpoints_enabled()) {
-          replay_pred_s_ += sched::predicted_seconds(plan, {});
-          ++segments_since_ckpt_;
-          replay_log_.push_back({std::move(plan), perm_});
-        }
-        break;
-      } catch (...) {
-        perm_ = perm_before;
-        // Retry only with a complete replay log: without checkpointing
-        // there is no way back to the segment's start state, so the
-        // typed error propagates (the engine may degrade).
-        if (!checkpoints_enabled() || !cluster::retryable_fault(std::current_exception()) ||
-            attempt >= max_retries_)
-          throw;
-        note_retry(attempt);
-        restore_and_replay();
-      }
+    std::vector<qubit_t> perm_after = perm_;
+    sched::DistPlan plan = sched::dist_schedule(c, nl, dopts_, &perm_after);
+    run_job(Recovery::kReplay, [this, &plan](cluster::Comm& comm) {
+      sched::run_dist_plan(slot(comm), plan, policy_);
+    });
+    perm_ = std::move(perm_after);
+    if (checkpoints_enabled()) {
+      replay_pred_s_ += sched::predicted_seconds(plan, {});
+      ++segments_since_ckpt_;
+      replay_log_.push_back({std::move(plan), perm_});
     }
-    if (!resident_mode_) flush_to_host();
   }
 
   index_t measure_register(sim::StateVector& sv, RegRef r, double u,
@@ -286,45 +271,21 @@ class DistBackendT final : public Backend {
     std::vector<qubit_t> phys(r.width);
     for (qubit_t j = 0; j < r.width; ++j) phys[j] = perm_[r.offset + j];
     index_t outcome = 0;
-    for (int attempt = 0;; ++attempt) {
-      try {
-        session_->submit([this, phys, u, collapse, &outcome](cluster::Comm& comm) {
-          auto& dsv = *slots_[static_cast<std::size_t>(comm.rank())];
-          const std::vector<double> dist =
-              dsv.register_distribution(std::span<const qubit_t>(phys));
-          const index_t o = sim::SampleCdf::from_weights(dist).sample(u);
-          if (comm.rank() == 0) outcome = o;
-          if (!collapse) return;  // read-only: resident state untouched
-          for (std::size_t j = 0; j < phys.size(); ++j)
-            dsv.collapse(phys[j], bits::test(o, static_cast<qubit_t>(j)) ? 1 : 0);
-        });
-        session_->sync();
-        snapshot_net();
-        break;
-      } catch (...) {
-        // A collapsing retry needs the pre-collapse checkpoint back; a
-        // read-only measure can always re-run against intact chunks.
-        if (!cluster::retryable_fault(std::current_exception()) || attempt >= max_retries_ ||
-            (collapse && !checkpoints_enabled()))
-          throw;
-        note_retry(attempt);
-        if (collapse) restore_and_replay();
-      }
-    }
+    run_job(collapse ? Recovery::kReplay : Recovery::kInPlace,
+            [this, &phys, u, collapse, &outcome](cluster::Comm& comm) {
+              auto& dsv = slot(comm);
+              const std::vector<double> dist =
+                  dsv.register_distribution(std::span<const qubit_t>(phys));
+              const index_t o = sim::SampleCdf::from_weights(dist).sample(u);
+              if (comm.rank() == 0) outcome = o;
+              if (!collapse) return;  // read-only: resident state untouched
+              for (std::size_t j = 0; j < phys.size(); ++j)
+                dsv.collapse(phys[j], bits::test(o, static_cast<qubit_t>(j)) ? 1 : 0);
+            });
     // The collapsed state is a new point of no return the plan log
     // cannot reach; re-checkpoint it so later segment retries restore
     // *post*-measurement state.
     if (collapse && checkpoints_enabled()) take_checkpoint();
-    // Per-op baseline fidelity: the pre-session code gathered only when
-    // the op mutated the state — a read-only measure pays its scatter
-    // and drops the chunks.
-    if (!resident_mode_) {
-      if (collapse) {
-        flush_to_host();
-      } else {
-        discard_resident();
-      }
-    }
     return outcome;
   }
 
@@ -336,25 +297,10 @@ class DistBackendT final : public Backend {
     for (qubit_t q = 0; mask >> q; ++q)
       if (bits::test(mask, q)) pmask = bits::set(pmask, perm_[q]);
     double value = 0;
-    for (int attempt = 0;; ++attempt) {
-      try {
-        session_->submit([this, pmask, &value](cluster::Comm& comm) {
-          auto& dsv = *slots_[static_cast<std::size_t>(comm.rank())];
-          const double v = emu::expectation_z_string(dsv, pmask);
-          if (comm.rank() == 0) value = v;
-        });
-        session_->sync();
-        snapshot_net();
-        break;
-      } catch (...) {
-        // Read-only reduction: the chunks are intact after a failed
-        // attempt, so retry in place without any restore.
-        if (!cluster::retryable_fault(std::current_exception()) || attempt >= max_retries_)
-          throw;
-        note_retry(attempt);
-      }
-    }
-    if (!resident_mode_) discard_resident();  // read-only: no gather
+    run_job(Recovery::kInPlace, [this, pmask, &value](cluster::Comm& comm) {
+      const double v = emu::expectation_z_string(slot(comm), pmask);
+      if (comm.rank() == 0) value = v;
+    });
     return value;
   }
 
@@ -371,6 +317,56 @@ class DistBackendT final : public Backend {
   }
 
  private:
+  /// How a job that failed with a retryable fault is made safe to re-run.
+  enum class Recovery {
+    /// The job leaves the chunks as it found them, or rebuilds them from
+    /// an intact source: re-run it as is. The expectation, the
+    /// read-only measure, the checkpoint copy, the scatter, the restore
+    /// and the gather's copy-out.
+    kInPlace,
+    /// The job mutates the chunks: restore the checkpoint and replay the
+    /// segment log first. The gate segment, the collapsing measure and
+    /// the gather's restore rounds. With checkpoints off there is no way
+    /// back, so the fault propagates (the engine may degrade).
+    kReplay,
+  };
+
+  /// The one retry primitive: submits `job` to every rank, syncs and
+  /// snapshots the net counters. On a retryable fault it backs off,
+  /// recovers as `recovery` says and re-runs the job, up to
+  /// max_retries_ times; any other error, or a fault past the budget,
+  /// propagates as thrown.
+  void run_job(Recovery recovery, const std::function<void(cluster::Comm&)>& job) {
+    for (int attempt = 0;; ++attempt) {
+      try {
+        session_->submit(job);
+        session_->sync();
+        snapshot_net();
+        return;
+      } catch (...) {
+        if (!cluster::retryable_fault(std::current_exception()) || attempt >= max_retries_ ||
+            (recovery == Recovery::kReplay && !checkpoints_enabled()))
+          throw;
+        note_retry(attempt);
+        if (recovery == Recovery::kReplay) restore_and_replay();
+      }
+    }
+  }
+
+  [[nodiscard]] sim::BasicDistStateVector<T>& slot(const cluster::Comm& comm) {
+    return *slots_[static_cast<std::size_t>(comm.rank())];
+  }
+
+  /// Narrows this rank's slice of the host state into its chunk (the
+  /// scatter, and a restore taken before the first checkpoint).
+  static void load_host_chunk(sim::BasicDistStateVector<T>& dsv, int rank,
+                              std::span<const complex_t> amps) {
+    const auto chunk = static_cast<std::ptrdiff_t>(dim(dsv.local_qubits()));
+    const auto first = amps.begin() + static_cast<std::ptrdiff_t>(rank) * chunk;
+    std::transform(first, first + chunk, dsv.local().begin(),
+                   [](const complex_t& z) { return static_cast<value_type>(z); });
+  }
+
   /// Every rank must keep at least one *local* qubit (the distributed
   /// planner schedules within the local block), so the rank count clamps
   /// to 2^(n-1) for narrow registers (lowered programs can be tiny).
@@ -401,39 +397,23 @@ class DistBackendT final : public Backend {
       session_ = std::make_unique<cluster::ClusterSession>(eff);
     if (timeout_s_ > 0) session_->set_timeout(timeout_s_);
     const qubit_t n = sv.qubits();
-    const auto amps = sv.amplitudes();
+    const std::span<const complex_t> amps = sv.amplitudes();
     obs::Span scatter_span("dist.scatter");
     scatter_span.arg("host_bytes",
                      static_cast<double>(models::staging_bytes(n, sizeof(value_type))));
-    scatter_span.arg("pred_s", models::t_host_staging_seconds(n, 1, {}, sizeof(value_type)));
-    // The scatter retries without a checkpoint: the host state it reads
-    // from is untouched by a failed attempt, so each retry just rebuilds
-    // the slots from scratch.
-    for (int attempt = 0;; ++attempt) {
-      release_slots();
-      slots_.resize(static_cast<std::size_t>(eff));
-      slot_bytes_seen_.assign(static_cast<std::size_t>(eff), 0);
-      try {
-        session_->submit([this, n, amps](cluster::Comm& comm) {
-          cluster::fault_point("dist.scatter", comm.rank());
-          auto dsv = std::make_unique<sim::BasicDistStateVector<T>>(comm, n);
-          const index_t chunk = dim(dsv->local_qubits());
-          const auto base =
-              static_cast<std::ptrdiff_t>(comm.rank()) * static_cast<std::ptrdiff_t>(chunk);
-          std::transform(amps.begin() + base,
-                         amps.begin() + base + static_cast<std::ptrdiff_t>(chunk),
-                         dsv->local().begin(),
-                         [](const complex_t& z) { return static_cast<value_type>(z); });
-          slots_[static_cast<std::size_t>(comm.rank())] = std::move(dsv);
-        });
-        session_->sync();
-        break;
-      } catch (...) {
-        if (!cluster::retryable_fault(std::current_exception()) || attempt >= max_retries_)
-          throw;
-        note_retry(attempt);
-      }
-    }
+    scatter_span.arg("pred_s", models::t_host_staging_seconds(n, {}, sizeof(value_type)));
+    release_slots();
+    slots_.resize(static_cast<std::size_t>(eff));
+    slot_bytes_seen_.assign(static_cast<std::size_t>(eff), 0);
+    // Each attempt rebuilds every chunk from the host state, which a
+    // failed attempt leaves untouched.
+    run_job(Recovery::kInPlace, [this, n, amps](cluster::Comm& comm) {
+      cluster::fault_point("dist.scatter", comm.rank());
+      auto& s = slots_[static_cast<std::size_t>(comm.rank())];
+      s.reset();  // a retry frees the failed attempt's chunk first
+      s = std::make_unique<sim::BasicDistStateVector<T>>(comm, n);
+      load_host_chunk(*s, comm.rank(), amps);
+    });
     scatter_span.end();
     host_ = &sv;
     resident_ = true;
@@ -451,59 +431,36 @@ class DistBackendT final : public Backend {
     segments_since_ckpt_ = 0;
   }
 
-  /// The at-most-one gather: restores physical qubit order (the only
-  /// restore of the whole run — segments deferred theirs via perm_io),
-  /// copies the chunks back into the bound host state, and drops the
-  /// resident slots. The session stays open for reuse.
+  /// The one gather: restores physical qubit order (the only restore of
+  /// the whole run — segments deferred theirs via perm_io), copies the
+  /// chunks back into the bound host state, and drops the resident
+  /// slots. The session stays open for reuse. The restore rounds and
+  /// the copy-out are separate jobs: the host state stays the pristine
+  /// scatter source until every chunk is back in logical order, so a
+  /// failed round can still restore from it.
   void flush_to_host() {
     if (!resident_) return;
-    const auto amps = host_->amplitudes();
+    const std::span<complex_t> amps = host_->amplitudes();
     obs::Span gather_span("dist.gather");
     gather_span.arg("host_bytes", static_cast<double>(models::staging_bytes(
                                       resident_n_, sizeof(value_type))));
     gather_span.arg("pred_s",
-                    models::t_host_staging_seconds(resident_n_, 1, {}, sizeof(value_type)));
-    for (int attempt = 0;; ++attempt) {
-      // Recompute the restore rounds per attempt: a restore_and_replay
-      // below resets perm_ to the checkpoint's permutation.
-      const auto rounds = sched::restore_rounds(perm_);
-      try {
-        session_->submit([this, rounds, amps](cluster::Comm& comm) {
-          cluster::fault_point("dist.gather", comm.rank());
-          auto& dsv = *slots_[static_cast<std::size_t>(comm.rank())];
-          for (const auto& swaps : rounds) dsv.apply_qubit_swaps(swaps);
-          const index_t chunk = dim(dsv.local_qubits());
-          const auto base =
-              static_cast<std::ptrdiff_t>(comm.rank()) * static_cast<std::ptrdiff_t>(chunk);
-          std::transform(dsv.local().begin(), dsv.local().end(), amps.begin() + base,
-                         [](const value_type& z) { return static_cast<complex_t>(z); });
-        });
-        session_->sync();
-        break;
-      } catch (...) {
-        // The restore rounds mutate the chunks mid-gather, so a failed
-        // attempt needs the checkpoint back before retrying.
-        if (!checkpoints_enabled() || !cluster::retryable_fault(std::current_exception()) ||
-            attempt >= max_retries_)
-          throw;
-        note_retry(attempt);
-        restore_and_replay();
-      }
-    }
+                    models::t_host_staging_seconds(resident_n_, {}, sizeof(value_type)));
+    const auto rounds = sched::restore_rounds(perm_);
+    run_job(Recovery::kReplay, [this, &rounds](cluster::Comm& comm) {
+      cluster::fault_point("dist.gather", comm.rank());
+      for (const auto& swaps : rounds) slot(comm).apply_qubit_swaps(swaps);
+    });
+    run_job(Recovery::kInPlace, [this, amps](cluster::Comm& comm) {
+      const auto& local = slot(comm).local();
+      const auto base = static_cast<std::ptrdiff_t>(comm.rank()) *
+                        static_cast<std::ptrdiff_t>(local.size());
+      std::transform(local.begin(), local.end(), amps.begin() + base,
+                     [](const value_type& z) { return static_cast<complex_t>(z); });
+    });
     gather_span.end();
     release_slots();
     host_bytes_ += models::staging_bytes(resident_n_, sizeof(value_type));
-    resident_ = false;
-    host_ = nullptr;
-  }
-
-  /// Drops the resident chunks *without* gathering — legal only when
-  /// the resident state still equals the bound host state (read-only
-  /// ops in the per-op baseline, where residency was created this op
-  /// and nothing mutated or permuted it).
-  void discard_resident() {
-    if (!resident_) return;
-    release_slots();
     resident_ = false;
     host_ = nullptr;
   }
@@ -567,22 +524,10 @@ class DistBackendT final : public Backend {
                           models::staging_bytes(resident_n_, sizeof(value_type))));
     ckpt_valid_ = false;
     ckpt_chunks_.resize(slots_.size());
-    for (int attempt = 0;; ++attempt) {
-      try {
-        session_->submit([this](cluster::Comm& comm) {
-          const auto r = static_cast<std::size_t>(comm.rank());
-          const auto& local = slots_[r]->local();
-          ckpt_chunks_[r].assign(local.begin(), local.end());
-        });
-        session_->sync();
-        snapshot_net();
-        break;
-      } catch (...) {
-        if (!cluster::retryable_fault(std::current_exception()) || attempt >= max_retries_)
-          throw;
-        note_retry(attempt);
-      }
-    }
+    run_job(Recovery::kInPlace, [this](cluster::Comm& comm) {
+      const auto& local = slot(comm).local();
+      ckpt_chunks_[static_cast<std::size_t>(comm.rank())].assign(local.begin(), local.end());
+    });
     ckpt_perm_ = perm_;
     ckpt_valid_ = true;
     replay_log_.clear();
@@ -594,81 +539,42 @@ class DistBackendT final : public Backend {
                          models::staging_bytes(resident_n_, sizeof(value_type))));
   }
 
-  /// Restores the last checkpoint (or the original scattered host state
-  /// when no checkpoint was taken yet) and replays the logged segments,
-  /// leaving chunks and perm_ exactly as before the failed op. The
-  /// restore itself can hit injected faults; it retries under the same
-  /// budget and rethrows typed errors to the caller when exhausted.
+  /// Restores the last checkpoint (or the host state the residency was
+  /// scattered from, when no checkpoint was taken yet — it only goes
+  /// stale at the gather's copy-out) and replays the logged segments, in
+  /// one job that rebuilds the chunks from that intact source — so a
+  /// fault inside it retries in place. Leaves chunks and perm_ exactly
+  /// as before the failed op.
   void restore_and_replay() {
-    for (int attempt = 0;; ++attempt) {
-      try {
-        restore_once();
-        return;
-      } catch (...) {
-        if (!cluster::retryable_fault(std::current_exception()) || attempt >= max_retries_)
-          throw;
-        note_retry(attempt);
-      }
-    }
-  }
-
-  void restore_once() {
     obs::Span span("dist.restore");
     span.arg("segments", static_cast<double>(replay_log_.size()));
     obs::counter_add("checkpoint.restores", 1);
-    const bool from_ckpt = ckpt_valid_;
-    const qubit_t n = resident_n_;
-    const auto amps = host_->amplitudes();
-    session_->submit([this, from_ckpt, n, amps](cluster::Comm& comm) {
-      const auto r = static_cast<std::size_t>(comm.rank());
-      // An aborted alloc-fail can leave a slot null; recreate it (the
-      // constructor re-passes the dist.alloc fault site).
-      if (slots_[r] == nullptr)
-        slots_[r] = std::make_unique<sim::BasicDistStateVector<T>>(comm, n);
-      auto& dsv = *slots_[r];
-      if (from_ckpt) {
-        std::copy(ckpt_chunks_[r].begin(), ckpt_chunks_[r].end(), dsv.local().begin());
+    const std::span<const complex_t> amps = host_->amplitudes();
+    run_job(Recovery::kInPlace, [this, amps](cluster::Comm& comm) {
+      auto& dsv = slot(comm);
+      if (ckpt_valid_) {
+        const auto& saved = ckpt_chunks_[static_cast<std::size_t>(comm.rank())];
+        std::copy(saved.begin(), saved.end(), dsv.local().begin());
       } else {
-        // No checkpoint yet: the bound host state still holds the
-        // amplitudes the residency was scattered from (it only goes
-        // stale at flush_to_host, which happens after the run's ops).
-        const index_t chunk = dim(dsv.local_qubits());
-        const auto base =
-            static_cast<std::ptrdiff_t>(comm.rank()) * static_cast<std::ptrdiff_t>(chunk);
-        std::transform(amps.begin() + base,
-                       amps.begin() + base + static_cast<std::ptrdiff_t>(chunk),
-                       dsv.local().begin(),
-                       [](const complex_t& z) { return static_cast<value_type>(z); });
+        load_host_chunk(dsv, comm.rank(), amps);
       }
+      for (const SegmentLog& s : replay_log_) sched::run_dist_plan(dsv, s.plan, policy_);
     });
-    session_->sync();
-    // A recreated slot's communication counter restarted from zero;
-    // resync the snapshot baseline so the next delta cannot underflow.
-    for (std::size_t r = 0; r < slots_.size(); ++r)
-      slot_bytes_seen_[r] = slots_[r] != nullptr ? slots_[r]->bytes_communicated() : 0;
-    if (from_ckpt) {
+    if (!replay_log_.empty()) {
+      perm_ = replay_log_.back().perm_after;
+    } else if (ckpt_valid_) {
       perm_ = ckpt_perm_;
     } else {
-      perm_.assign(static_cast<std::size_t>(n), 0);
       std::iota(perm_.begin(), perm_.end(), qubit_t{0});
     }
-    // Replay the logged segments on top of the restored state.
-    for (std::size_t s = 0; s < replay_log_.size(); ++s) {
-      session_->submit([this, s](cluster::Comm& comm) {
-        sched::run_dist_plan(*slots_[static_cast<std::size_t>(comm.rank())],
-                             replay_log_[s].plan, policy_);
-      });
-      session_->sync();
-      perm_ = replay_log_[s].perm_after;
-    }
-    snapshot_net();
   }
 
   /// Folds the *delta* of every rank's communication counter since the
   /// previous snapshot into net_bytes_. Called after each sync, so the
   /// engine's per-op counter reads see bytes attributed to the op that
   /// actually moved them (not lumped into whichever op released the
-  /// slots).
+  /// slots) — including the bytes a failed attempt moved before it
+  /// aborted, which the next successful sync folds in.
   void snapshot_net() {
     for (std::size_t r = 0; r < slots_.size(); ++r)
       if (slots_[r] != nullptr) {
@@ -689,7 +595,6 @@ class DistBackendT final : public Backend {
   int ranks_;
   sim::CommPolicy policy_;
   sched::DistScheduleOptions dopts_;
-  bool resident_mode_;
 
   std::unique_ptr<cluster::ClusterSession> session_;
   std::vector<std::unique_ptr<sim::BasicDistStateVector<T>>> slots_;  ///< One per rank.

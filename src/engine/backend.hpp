@@ -77,15 +77,6 @@ struct RunOptions {
   /// Allow the "dist" backend's cost-gated global<->local qubit
   /// exchange passes (off: every global-qubit gate runs per-gate).
   bool dist_remap = true;
-  /// Keep the "dist" backend's distributed state resident across the
-  /// whole run: one scatter at first use, ops executed against the
-  /// live per-rank chunks (gate segments chain their qubit permutation
-  /// forward instead of restoring logical order between segments), one
-  /// gather at run end. Off: the pre-session behaviour — every
-  /// engine-routed op pays its own scatter, and every mutating op its
-  /// own gather (kept as the measurable baseline; see
-  /// models::t_host_staging_seconds).
-  bool dist_resident = true;
   /// Collect a structured trace of the run (obs::Tracer): hierarchical
   /// spans across every layer — engine op, fusion, sweep scheduling,
   /// chunk sweeps, dist exchanges, per-rank cluster jobs — returned in
@@ -103,8 +94,10 @@ struct RunOptions {
   /// QC_CLUSTER_TIMEOUT_S arms them process-wide).
   double dist_timeout_s = 0;
   /// Segment-granular checkpoint policy for the dist backend:
-  ///   -1   off — a retryable fault cannot replay (the run degrades or
-  ///        fails instead);
+  ///   -1   off — a fault in a job that mutates the chunks (a gate
+  ///        segment, a collapsing measure, the gather's restore rounds)
+  ///        cannot replay, so the run degrades or fails instead; jobs
+  ///        that leave the chunks intact still retry;
   ///    0   auto (default) — checkpoint when the predicted replay cost
   ///        of the uncheckpointed segment log exceeds a few checkpoints
   ///        (models::checkpoint_due), armed only while a fault source
@@ -112,10 +105,10 @@ struct RunOptions {
   ///        fault-free runs pay nothing;
   ///    N>0 checkpoint every N gate segments, unconditionally.
   int dist_checkpoint_interval = 0;
-  /// Retry budget per op for retryable cluster faults (timeout,
-  /// injected fault, allocation failure): each retry restores the last
-  /// checkpoint, replays the segment log and re-runs the op. 0: faults
-  /// propagate immediately.
+  /// Retry budget per cluster job for retryable faults (timeout,
+  /// injected fault, allocation failure): each retry re-runs the job,
+  /// first restoring the last checkpoint and replaying the segment log
+  /// when the job mutates the chunks. 0: faults propagate immediately.
   int dist_max_retries = 2;
   /// Deterministic fault-injection schedule installed for the whole run
   /// (cluster::FaultInjector::parse grammar, e.g.
@@ -133,8 +126,8 @@ struct RunOptions {
 /// trace. `host_bytes` is data staged between the engine's host state
 /// and backend-resident storage (the dist backend's scatter/gather);
 /// `net_bytes` is data moved between ranks. Engine::run records per-op
-/// deltas, so a resident run shows one scatter on the first op and one
-/// gather at finalize instead of two stagings on every op.
+/// deltas, so a dist run shows one scatter on the first op and one
+/// gather at finalize.
 struct BackendCounters {
   std::uint64_t host_bytes = 0;
   std::uint64_t net_bytes = 0;

@@ -28,11 +28,9 @@
 namespace qc::engine {
 
 /// One per-op timing sample of a run. The byte columns are deltas of
-/// the backend's monotone counters around this op: a resident dist run
-/// shows host_bytes only on the op that scattered (and on the trailing
-/// "[finalize]" row that gathered), while the per-op baseline shows two
-/// stagings on every row — the measurable difference a persistent
-/// cluster session makes.
+/// the backend's monotone counters around this op: a dist run shows
+/// host_bytes only on the op that scattered (and on the trailing
+/// "[finalize]" row that gathered).
 struct OpTrace {
   std::string op;       ///< Op::label() of the executed node.
   double seconds = 0;   ///< Wall-clock time of this node.

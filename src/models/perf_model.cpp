@@ -120,16 +120,13 @@ std::uint64_t staging_bytes(qubit_t n, std::size_t amp_bytes) {
   return static_cast<std::uint64_t>(amp_bytes) << n;
 }
 
-double t_host_staging_seconds(qubit_t n, std::size_t transfers, const MachineParams& m,
-                              std::size_t amp_bytes) {
+double t_host_staging_seconds(qubit_t n, const MachineParams& m, std::size_t amp_bytes) {
   const double traffic = 2.0 * static_cast<double>(staging_bytes(n, amp_bytes));  // read + write
-  return static_cast<double>(transfers) * traffic / (m.b_mem_gbs * 1e9);
+  return traffic / (m.b_mem_gbs * 1e9);
 }
 
-bool resident_session_profitable(std::size_t engine_ops) { return engine_ops > 1; }
-
 double t_checkpoint_seconds(qubit_t n, const MachineParams& m, std::size_t amp_bytes) {
-  return t_host_staging_seconds(n, 1, m, amp_bytes);
+  return t_host_staging_seconds(n, m, amp_bytes);
 }
 
 bool checkpoint_due(double replay_seconds, qubit_t n, const MachineParams& m,

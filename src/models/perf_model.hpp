@@ -151,28 +151,22 @@ bool global_remap_profitable(std::size_t exchanges_avoided,
 //
 // Before the distributed state can live on the ranks at all, the engine
 // must stage the host state vector into the per-rank chunks (scatter)
-// and eventually back (gather). One staging copies every amplitude once
-// — 16 bytes each — through host memory. A backend that re-opens the
-// cluster per engine-routed op pays TWO stagings per op; a resident
-// session pays two per Engine::run. These helpers price that
-// difference, and DistBackend reports the actual bytes moved in the
-// per-op engine trace so the win is measurable, not anecdotal.
+// and, at the end of the run, back (gather). One staging copies every
+// amplitude once — 16 bytes each at fp64 — through host memory. The
+// dist backend's resident session pays two stagings per Engine::run and
+// reports the bytes it moved in the per-op engine trace; the scatter
+// and gather spans carry this term as their prediction.
 
 /// Bytes one host<->ranks staging of a 2^n state moves (amp_bytes per
 /// amplitude: each stored complex copied exactly once; 16 at fp64, 8
 /// at fp32).
 std::uint64_t staging_bytes(qubit_t n, std::size_t amp_bytes = sizeof(complex_t));
 
-/// Seconds for `transfers` stagings of a 2^n state. The copies are
-/// host-local, so they are charged to memory bandwidth (read + write:
-/// 2 * amp_bytes of traffic per amplitude per staging), not the network.
-double t_host_staging_seconds(qubit_t n, std::size_t transfers, const MachineParams& m,
+/// Seconds for one staging of a 2^n state. The copy is host-local, so it
+/// is charged to memory bandwidth (read + write: 2 * amp_bytes of
+/// traffic per amplitude), not the network.
+double t_host_staging_seconds(qubit_t n, const MachineParams& m,
                               std::size_t amp_bytes = sizeof(complex_t));
-
-/// Resident-session decision rule: a resident distributed state pays 2
-/// stagings per Engine::run instead of 2 per engine-routed op —
-/// profitable as soon as the run has more than one op.
-bool resident_session_profitable(std::size_t engine_ops);
 
 // --- checkpoint policy (failure domain, engine/backend) ----------------
 //

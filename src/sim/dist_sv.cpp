@@ -99,18 +99,19 @@ void BasicDistStateVector<T>::exchange_and_combine(qubit_t rank_bit, const kerne
   // bytes it moved plus the model's predicted time, so the model-drift
   // report can compare Eq. 6 against this machine rank by rank. Both the
   // wire bytes and the prediction scale with sizeof(value_type): an fp32
-  // chunk is half the fp64 traffic.
+  // chunk is half the fp64 traffic. The bytes count only once the
+  // exchange completed, here and in the span alike.
   obs::Span span("dist.exchange");
-  if (obs::enabled()) {
-    span.arg("bytes", static_cast<double>(local_.size() * sizeof(value_type)));
+  if (obs::enabled())
     span.arg("pred_s", models::t_chunk_exchange_seconds(nl_, {}, sizeof(value_type)));
-  }
   cluster::fault_point("dist.exchange", comm_->rank());
   const int partner = comm_->rank() ^ static_cast<int>(bits::bit(rank_bit));
   const int my_bit = (comm_->rank() >> rank_bit) & 1;
   comm_->template sendrecv<value_type>(partner, {local_.data(), local_.size()},
                                        {scratch_.data(), scratch_.size()});
-  bytes_comm_ += local_.size() * sizeof(value_type);
+  const std::size_t bytes = local_.size() * sizeof(value_type);
+  bytes_comm_ += bytes;
+  if (obs::enabled()) span.arg("bytes", static_cast<double>(bytes));
 
   const auto pos = kernels::sorted_bit_positions(local_cmask, {});
   const kernels::BitExpander expand{pos};
@@ -227,7 +228,6 @@ void BasicDistStateVector<T>::apply_qubit_swaps(
   // permutation stays within the chunk.
   obs::Span span("dist.exchange_pass");
   cluster::fault_point("dist.exchange_pass", comm_->rank());
-  const std::uint64_t bytes_before = bytes_comm_;
   // Split the disjoint transposition set into the class each level can
   // handle: local-local pairs permute the chunk in place, everything
   // touching a global qubit joins one collective chunk permutation.
@@ -304,11 +304,12 @@ void BasicDistStateVector<T>::apply_qubit_swaps(
   // cannot deadlock. Sub-block `key` goes to the rank whose exchanged
   // global bits equal key; the block arriving from that same rank is the
   // one keyed by OUR old global bits and scatters into slot `key`.
+  std::uint64_t moved = 0;
   for (index_t key = 0; key < blocks; ++key) {
     const int dst = partner(key);
     if (dst == rank) continue;
     comm_->template send<value_type>(dst, {scratch_.data() + key * sub, sub});
-    bytes_comm_ += sub * sizeof(value_type);
+    moved += sub * sizeof(value_type);
   }
   for (index_t key = 0; key < blocks; ++key) {
     const int src = partner(key);
@@ -323,8 +324,11 @@ void BasicDistStateVector<T>::apply_qubit_swaps(
 #pragma omp parallel for schedule(static) if (worth_parallelizing(sub))
     for (index_t j = 0; j < sub; ++j) local_[expand(j) | base] = in[j];
   }
+  // Counted only once the pass completed, here and in the span alike: a
+  // pass that aborts part-way claims none of its bytes.
+  bytes_comm_ += moved;
   if (obs::enabled()) {
-    span.arg("bytes", static_cast<double>(bytes_comm_ - bytes_before));
+    span.arg("bytes", static_cast<double>(moved));
     span.arg("pred_s", models::t_chunk_exchange_seconds(nl_, {}, sizeof(value_type)));
   }
 }

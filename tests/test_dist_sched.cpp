@@ -231,20 +231,15 @@ TEST(DistSchedule, RejectsBadLocalWidth) {
   EXPECT_THROW((void)dist_schedule(c, 5, {}), std::invalid_argument);
 }
 
-TEST(PerfModel, HostStagingTermAndResidentGate) {
+TEST(PerfModel, HostStagingTerm) {
   const models::MachineParams m = models::MachineParams::stampede();
   // One staging copies 16 bytes/amplitude; doubling n doubles both the
-  // bytes and the time, and k transfers cost k times one.
+  // bytes and the time.
   EXPECT_EQ(models::staging_bytes(20), std::uint64_t{16} << 20);
   EXPECT_EQ(models::staging_bytes(21), 2 * models::staging_bytes(20));
-  const double t1 = models::t_host_staging_seconds(20, 1, m);
+  const double t1 = models::t_host_staging_seconds(20, m);
   EXPECT_GT(t1, 0);
-  EXPECT_NEAR(models::t_host_staging_seconds(20, 4, m), 4 * t1, 1e-15);
-  EXPECT_NEAR(models::t_host_staging_seconds(21, 1, m), 2 * t1, 1e-15);
-  // A resident session (2 stagings per run vs 2 per op) pays off for
-  // any multi-op program.
-  EXPECT_FALSE(models::resident_session_profitable(1));
-  EXPECT_TRUE(models::resident_session_profitable(2));
+  EXPECT_NEAR(models::t_host_staging_seconds(21, m), 2 * t1, 1e-15);
 }
 
 TEST(PerfModel, Eq6ExchangeTermAndRemapGate) {

@@ -477,32 +477,12 @@ TEST(DistBackend, ResidentMeasurementStreamBitIdenticalToCached) {
   EXPECT_EQ(r.measurements, ref.measurements);
 }
 
-TEST(DistBackend, PerOpBaselineStillAgrees) {
-  // dist_resident=false reproduces the pre-session per-op
-  // scatter/gather behaviour; it must stay correct (it is the bench
-  // baseline the resident session is measured against).
-  const qubit_t n = 8;
-  const Program p = mixed_program(n);
-  RunOptions hpc_opts;
-  hpc_opts.backend = "hpc";
-  hpc_opts.seed = 5;
-  const Result ref = Engine().run(p, hpc_opts);
-  RunOptions opts;
-  opts.backend = "dist";
-  opts.seed = 5;
-  opts.dist_ranks = 4;
-  opts.dist_resident = false;
-  const Result r = Engine().run(p, opts);
-  EXPECT_LT(r.state.max_abs_diff(ref.state), 1e-12);
-  EXPECT_EQ(r.measurements, ref.measurements);
-}
-
 TEST(DistBackend, ResidentRunStagesHostStateExactlyTwice) {
   // The acceptance criterion: a multi-op 20-qubit program on the dist
   // backend performs exactly ONE scatter (on the first op that needs
   // the distributed state) and at most ONE gather (the trailing
   // "[finalize]" row), asserted through the engine trace's byte
-  // counters. The per-op baseline pays both on every op.
+  // counters.
   const qubit_t n = 20;
   Program p(n);
   Circuit seg1(n), seg2(n), seg3(n);
@@ -525,15 +505,6 @@ TEST(DistBackend, ResidentRunStagesHostStateExactlyTwice) {
   EXPECT_EQ(r.trace.back().op, "[finalize]");
   EXPECT_EQ(r.trace.back().host_bytes, staging);
   EXPECT_EQ(r.host_bytes, 2 * staging);
-
-  RunOptions baseline = opts;
-  baseline.dist_resident = false;
-  const Result b = Engine().run(p, baseline);
-  // The pre-session cost: every mutating op (3 gate segments + the
-  // collapsing measure) pays a scatter AND a gather; the read-only
-  // ExpectationZ pays only its scatter.
-  EXPECT_EQ(b.host_bytes, staging * (2 * 4 + 1));
-  EXPECT_LT(b.state.max_abs_diff(r.state), 1e-12);
 }
 
 TEST(DistBackend, RejectsNonPow2Ranks) {

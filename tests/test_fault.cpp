@@ -7,13 +7,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/fault.hpp"
 #include "engine/engine.hpp"
 #include "models/perf_model.hpp"
+#include "obs/report.hpp"
 
 namespace qc {
 namespace {
@@ -226,22 +229,41 @@ engine::Program failure_program(qubit_t n) {
   return p;
 }
 
+/// Options for a traced 4-rank "dist" run of the failure program under
+/// `fault_spec`. The timeout arms auto checkpoints (interval 0).
+engine::RunOptions faulty_dist_opts(const std::string& fault_spec, bool collapse,
+                                    int checkpoint_interval) {
+  engine::RunOptions opts;
+  opts.backend = "dist";
+  opts.seed = 11;
+  opts.collapse_measurements = collapse;
+  opts.dist_ranks = 4;
+  opts.dist_timeout_s = 2.0;
+  opts.dist_checkpoint_interval = checkpoint_interval;
+  opts.fault_spec = fault_spec;
+  opts.trace = true;
+  return opts;
+}
+
 /// Runs the failure program on "dist" with the given fault spec and
-/// expects bit-identical agreement with the fault-free "hpc" run.
-void expect_recovers_identically(const std::string& fault_spec, bool expect_degraded) {
+/// expects bit-identical agreement with the fault-free "hpc" run. A run
+/// not expected to degrade has the ladder off, so an unrecovered fault
+/// surfaces as its typed error.
+void expect_recovers_identically(const std::string& fault_spec, bool expect_degraded,
+                                 bool collapse = true, int checkpoint_interval = 0) {
   const engine::Program p = failure_program(10);
   engine::RunOptions ref_opts;
   ref_opts.backend = "hpc";
   ref_opts.seed = 11;
+  ref_opts.collapse_measurements = collapse;
   const engine::Engine eng;
   const engine::Result ref = eng.run(p, ref_opts);
 
-  engine::RunOptions opts = ref_opts;
-  opts.backend = "dist";
-  opts.dist_ranks = 4;
-  opts.dist_timeout_s = 2.0;
-  opts.fault_spec = fault_spec;
+  engine::RunOptions opts = faulty_dist_opts(fault_spec, collapse, checkpoint_interval);
+  opts.degrade = expect_degraded;
   const engine::Result r = eng.run(p, opts);
+  ASSERT_NE(r.trace_data, nullptr);
+  EXPECT_GE(r.trace_data->counters.count("fault.injected"), 1u) << fault_spec << ": never fired";
   EXPECT_EQ(r.degraded, expect_degraded) << fault_spec;
   EXPECT_LT(r.state.max_abs_diff(ref.state), 1e-12) << fault_spec;
   EXPECT_EQ(r.measurements, ref.measurements) << fault_spec;
@@ -264,6 +286,75 @@ TEST(FaultRecovery, AllocFailureRetriesScatter) {
 
 TEST(FaultRecovery, GatherAbortReplaysAndFlushes) {
   expect_recovers_identically("abort@dist.gather#0", /*expect_degraded=*/false);
+}
+
+TEST(FaultRecovery, FaultAtEveryClusterJobRecoversBitIdentically) {
+  // abort@cluster.job#k fails the k-th job of the run. With auto
+  // checkpoints the failure program runs twelve: the scatter (0), three
+  // gate segments (1, 2, 6), the pre- and post-collapse checkpoints (3,
+  // 5, 8, 10), two collapsing measures (4, 9), the expectation (7) and
+  // the gather (11).
+  for (int k = 0; k < 12; ++k)
+    expect_recovers_identically("abort@cluster.job#" + std::to_string(k),
+                                /*expect_degraded=*/false);
+  // The segment's retry restores the state, and the restore faults too.
+  expect_recovers_identically("abort@cluster.job#1;abort@cluster.job#2",
+                              /*expect_degraded=*/false);
+  // Read-only measures: the scatter (0), segments (1, 2, 5), measures
+  // (3, 7), an auto checkpoint (4), the expectation (6), the gather (8).
+  for (int k = 0; k < 9; ++k)
+    expect_recovers_identically("abort@cluster.job#" + std::to_string(k),
+                                /*expect_degraded=*/false, /*collapse=*/false);
+}
+
+TEST(FaultRecovery, WithoutCheckpointsOnlyInPlaceJobsRecover) {
+  // Checkpoints off: the scatter (0), segments (1, 2, 4), measures (3,
+  // 6), the expectation (5), the gather (7). Jobs that leave the chunks
+  // intact (or rebuild them from the host state) still retry; a job
+  // that mutates them has no state to return to and throws.
+  const engine::Program p = failure_program(10);
+  for (const bool collapse : {true, false})
+    for (int k = 0; k < 8; ++k) {
+      const std::string spec = "abort@cluster.job#" + std::to_string(k);
+      const bool in_place = k == 0 || k == 5 || (!collapse && (k == 3 || k == 6));
+      if (in_place) {
+        expect_recovers_identically(spec, /*expect_degraded=*/false, collapse,
+                                    /*checkpoint_interval=*/-1);
+      } else {
+        engine::RunOptions opts = faulty_dist_opts(spec, collapse, -1);
+        opts.degrade = false;
+        EXPECT_THROW(engine::Engine{}.run(p, opts), cluster::ClusterError)
+            << spec << " collapse=" << collapse;
+      }
+    }
+}
+
+TEST(FaultRecovery, GatherFaultBeforeTheFirstCheckpointRestoresFromHost) {
+  // A gates-only run takes no checkpoint, so a fault in the gather's
+  // restore rounds (job 2, after the scatter and the segment) restores
+  // from the host state. The gather must not have written it yet: the
+  // copy-out is a job of its own (3) that retries in place. Rank-pinned
+  // rules let the other ranks finish the faulted job.
+  const qubit_t n = 10;
+  engine::Program p(n);
+  for (qubit_t q = 0; q < n; ++q) {
+    p.h(q);
+    p.rz(q, 0.1 * static_cast<double>(q + 1));
+  }
+  engine::RunOptions ref_opts;
+  ref_opts.backend = "hpc";
+  const engine::Engine eng;
+  const engine::Result ref = eng.run(p, ref_opts);
+  for (const char* spec : {"abort@cluster.job#2/0", "abort@cluster.job#2/3",
+                           "abort@dist.gather#0/1", "abort@cluster.job#3/2"}) {
+    engine::RunOptions opts = faulty_dist_opts(spec, /*collapse=*/true, 0);
+    opts.degrade = false;
+    const engine::Result r = eng.run(p, opts);
+    ASSERT_NE(r.trace_data, nullptr);
+    EXPECT_EQ(r.trace_data->counters.count("checkpoint.count"), 0u) << spec;
+    EXPECT_EQ(r.trace_data->counters.at("fault.retries"), 1.0) << spec;
+    EXPECT_LT(r.state.max_abs_diff(ref.state), 1e-12) << spec;
+  }
 }
 
 TEST(FaultRecovery, CascadeExhaustsRetriesAndDegradesBitIdentically) {
@@ -332,6 +423,11 @@ TEST(FaultRecovery, FaultCountersAppearInTheTrace) {
   }
   EXPECT_EQ(static_cast<double>(ckpt_spans), c.at("checkpoint.count"));
   EXPECT_EQ(static_cast<double>(restore_spans), c.at("checkpoint.restores"));
+  // The bytes an aborted attempt moved before failing count once, on
+  // both sides: in Result.net_bytes and in the model report's rows.
+  std::uint64_t row_bytes = 0;
+  for (const obs::ModelRow& row : obs::model_report(*r.trace_data)) row_bytes += row.bytes;
+  EXPECT_EQ(row_bytes, r.net_bytes);
 }
 
 TEST(FaultRecovery, ForcedCheckpointIntervalMatchesFaultFreeRun) {

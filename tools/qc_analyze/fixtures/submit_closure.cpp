@@ -52,6 +52,15 @@ void closure_calls_unsafe_helper(ClusterSession& session) {
   });
 }
 
+// The dist backend's retry primitive submits the closure it is handed.
+void closure_through_run_job(std::mutex& m, std::vector<int>& acc) {
+  run_job(Recovery::kInPlace, [&](Comm& comm) {
+    m.lock();  // expect: submit-closure
+    acc.push_back(comm.rank());
+    m.unlock();  // expect: submit-closure
+  });
+}
+
 // --- negatives --------------------------------------------------------
 
 // RAII lock: releases itself when the job throws.

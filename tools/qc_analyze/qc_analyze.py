@@ -49,9 +49,10 @@ multi-node deadlocks once the transport is pluggable:
                          traceable context.
 
   submit-closure         AST-accurate version of the lint.py rule:
-                         closures handed to submit()/run() execute on
-                         rank threads where a throw unwinds through
-                         abort/recovery — bare .lock()/.unlock(),
+                         closures handed to submit()/run() (or to the
+                         dist backend's run_job(), which submits them)
+                         execute on rank threads where a throw unwinds
+                         through abort/recovery — bare .lock()/.unlock(),
                          malloc/free and naked new are rejected, in the
                          closure itself, in lambdas nested inside it,
                          and in same-file helper functions it calls.
@@ -556,7 +557,7 @@ class Analyzer:
         for unit in self.units:
             for scope in unit.scopes:
                 for _, call in self._site_calls(scope):
-                    if call.name not in ("submit", "run"):
+                    if call.name not in ("submit", "run", "run_job"):
                         continue
                     for arg in call.args:
                         for lam in self._lambdas_in(arg, unit):
