@@ -75,7 +75,7 @@ Row run_point(qubit_t local_qubits, int ranks) {
     planned.randomize(n);
     comm.barrier();
     t.reset();
-    sched::run_dist_plan(planned, plan, sim::CommPolicy::Specialized);
+    sched::run_dist_plan(planned, plan);
     const double t_plan = comm.allreduce_max(t.seconds());
 
     // Sanity: identical states.

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <functional>
 #include <map>
-#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -219,7 +218,6 @@ class DistBackendT final : public Backend {
 
   explicit DistBackendT(const RunOptions& opts)
       : ranks_(opts.dist_ranks),
-        policy_(opts.dist_policy),
         timeout_s_(opts.dist_timeout_s),
         ckpt_interval_(opts.dist_checkpoint_interval),
         max_retries_(opts.dist_max_retries) {
@@ -227,8 +225,6 @@ class DistBackendT final : public Backend {
       throw std::invalid_argument("dist backend: rank count must be a power of two >= 1");
     dopts_.fusion = opts.fusion;
     dopts_.sched = opts.sched;
-    dopts_.remap = opts.dist_remap;
-    dopts_.policy = opts.dist_policy;
   }
 
   /// Drops resident chunks without gathering (the engine's end_run is
@@ -249,7 +245,7 @@ class DistBackendT final : public Backend {
     std::vector<qubit_t> perm_after = perm_;
     sched::DistPlan plan = sched::dist_schedule(c, nl, dopts_, &perm_after);
     run_job(Recovery::kReplay, [this, &plan](cluster::Comm& comm) {
-      sched::run_dist_plan(slot(comm), plan, policy_);
+      sched::run_dist_plan(slot(comm), plan);
     });
     perm_ = std::move(perm_after);
     if (checkpoints_enabled()) {
@@ -418,8 +414,7 @@ class DistBackendT final : public Backend {
     host_ = &sv;
     resident_ = true;
     resident_n_ = n;
-    perm_.resize(n);
-    std::iota(perm_.begin(), perm_.end(), qubit_t{0});
+    perm_ = sched::identity_perm(n);
     host_bytes_ += models::staging_bytes(n, sizeof(value_type));
     // Fresh residency: any previous checkpoint/replay state described a
     // different (or stale) resident state.
@@ -558,14 +553,14 @@ class DistBackendT final : public Backend {
       } else {
         load_host_chunk(dsv, comm.rank(), amps);
       }
-      for (const SegmentLog& s : replay_log_) sched::run_dist_plan(dsv, s.plan, policy_);
+      for (const SegmentLog& s : replay_log_) sched::run_dist_plan(dsv, s.plan);
     });
     if (!replay_log_.empty()) {
       perm_ = replay_log_.back().perm_after;
     } else if (ckpt_valid_) {
       perm_ = ckpt_perm_;
     } else {
-      std::iota(perm_.begin(), perm_.end(), qubit_t{0});
+      perm_ = sched::identity_perm(resident_n_);
     }
   }
 
@@ -593,7 +588,6 @@ class DistBackendT final : public Backend {
   }
 
   int ranks_;
-  sim::CommPolicy policy_;
   sched::DistScheduleOptions dopts_;
 
   std::unique_ptr<cluster::ClusterSession> session_;

@@ -32,7 +32,7 @@
 #include "engine/program.hpp"
 #include "fuse/fusion.hpp"
 #include "sched/schedule.hpp"
-#include "sim/dist_sv.hpp"
+#include "sim/state_vector.hpp"
 
 namespace qc::engine {
 
@@ -69,14 +69,6 @@ struct RunOptions {
   /// cluster spawns this many rank threads (clamped so every rank holds
   /// at least one amplitude of the run's register).
   int dist_ranks = 2;
-  /// Communication policy for the "dist" backend's per-gate fallbacks
-  /// (Specialized skips exchanges for diagonal global targets and
-  /// unsatisfied global controls; Exchange is the qHiPSTER-like
-  /// every-global-gate exchange).
-  sim::CommPolicy dist_policy = sim::CommPolicy::Specialized;
-  /// Allow the "dist" backend's cost-gated global<->local qubit
-  /// exchange passes (off: every global-qubit gate runs per-gate).
-  bool dist_remap = true;
   /// Collect a structured trace of the run (obs::Tracer): hierarchical
   /// spans across every layer — engine op, fusion, sweep scheduling,
   /// chunk sweeps, dist exchanges, per-rank cluster jobs — returned in

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -14,6 +15,22 @@
 namespace qc::engine {
 
 namespace {
+
+/// Tolerance of the norm invariant after `fp32_steps` fp32 gates plus
+/// fp32 segments: fp64's, which scales with the rounding sites of the
+/// norm reduction itself, plus 2^-22 per fp32 step — fp32 rounding
+/// drift builds up across segments, since nothing renormalizes between
+/// them. Unused when checks are compiled out.
+[[maybe_unused]] double norm_tolerance(qubit_t n, std::size_t fp32_steps) {
+  return 1e-12 * static_cast<double>(dim(n)) + 1e-9 +
+         std::ldexp(static_cast<double>(fp32_steps), -22);
+}
+
+[[maybe_unused]] std::string norm_message(const char* what, double norm_sq) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", norm_sq);
+  return std::string(what) + ": |psi|^2 = " + buf;
+}
 
 /// One end-to-end attempt of the program on one backend. Throws
 /// whatever the backend throws; the degradation ladder in Engine::run
@@ -50,6 +67,7 @@ Result run_attempt(const Program& p, const RunOptions& opts,
   res.trace.reserve(prog->size());
   WallTimer total;
   BackendCounters before = backend->counters();
+  [[maybe_unused]] std::size_t fp32_steps = 0;
   for (const Op& op : prog->ops()) {
     const std::string label = op.label();
     WallTimer t;
@@ -68,15 +86,13 @@ Result run_attempt(const Program& p, const RunOptions& opts,
         break;
       case OpKind::GateSegment:
         backend->run_gates(sv, op.gates);
+        if (opts.precision == Precision::kF32) fp32_steps += op.gates.size() + 1;
         // Gate segments are unitary: the 2-norm must survive each one.
         // Backends holding the state resident elsewhere leave sv's
         // (normalized) host copy untouched mid-run; their real check
-        // runs after end_run below. Tolerance scales with the number of
-        // rounding sites in the norm reduction itself.
-        QC_CHECK_MSG(std::abs(sv.norm_sq() - 1.0) <
-                         1e-12 * static_cast<double>(dim(prog->qubits())) + 1e-9,
-                     "gate segment broke norm preservation: |psi|^2 = " +
-                         std::to_string(sv.norm_sq()));
+        // runs after end_run below.
+        QC_CHECK_MSG(std::abs(sv.norm_sq() - 1.0) < norm_tolerance(prog->qubits(), fp32_steps),
+                     norm_message("gate segment broke norm preservation", sv.norm_sq()));
         break;
       default:
         backend->run_highlevel(sv, op);
@@ -97,10 +113,8 @@ Result run_attempt(const Program& p, const RunOptions& opts,
     obs::Span fin_span("[finalize]");
     backend->end_run(sv);
     // The flushed-back state covers resident backends' whole run.
-    QC_CHECK_MSG(std::abs(sv.norm_sq() - 1.0) <
-                     1e-12 * static_cast<double>(dim(prog->qubits())) + 1e-9,
-                 "run left a non-normalized state: |psi|^2 = " +
-                     std::to_string(sv.norm_sq()));
+    QC_CHECK_MSG(std::abs(sv.norm_sq() - 1.0) < norm_tolerance(prog->qubits(), fp32_steps),
+                 norm_message("run left a non-normalized state", sv.norm_sq()));
     const BackendCounters after = backend->counters();
     fin_span.arg("host_bytes", static_cast<double>(after.host_bytes - before.host_bytes));
     fin_span.arg("net_bytes", static_cast<double>(after.net_bytes - before.net_bytes));

@@ -184,12 +184,11 @@ FusedCircuit fuse_circuit(const circuit::Circuit& c, const FusionOptions& opts) 
   FusedCircuit out;
   out.n = c.qubits();
   out.source_gates = c.size();
-  const bool enabled = opts.enabled && opts.max_width >= 1;
 
   std::vector<Builder> seq;
   for (const Gate& g : c.gates()) {
     const index_t gmask = support_mask(g);
-    if (!enabled || static_cast<qubit_t>(bits::popcount(gmask)) > opts.max_width) {
+    if (static_cast<qubit_t>(bits::popcount(gmask)) > opts.max_width) {
       seq.push_back(passthrough(g));
       continue;
     }
@@ -229,7 +228,6 @@ FusedCircuit fuse_circuit(const circuit::Circuit& c, const FusionOptions& opts) 
       for (Gate& g : b.sources) sub.append(std::move(g));
       FusionOptions narrower = opts;
       narrower.max_width = static_cast<qubit_t>(b.qubits.size() - 1);
-      narrower.enabled = narrower.max_width >= 1;
       FusedCircuit subplan = fuse_circuit(sub, narrower);
       for (FusedItem& item : subplan.items) out.items.push_back(std::move(item));
       continue;

@@ -32,10 +32,9 @@ struct FusionOptions {
   /// Maximum qubits per fused block (k). Wider blocks amortize more
   /// memory passes but cost 2^k mat-vec work per amplitude
   /// (bench/ablation_fusion measures the sweep). Must not exceed
-  /// sim::kernels::kMaxFusedWidth.
+  /// sim::kernels::kMaxFusedWidth; 0 disables the pass (every gate
+  /// becomes a passthrough item).
   qubit_t max_width = 5;
-  /// Disable the pass entirely (every gate becomes a passthrough item).
-  bool enabled = true;
   /// Keep a block only when the cost model predicts the one-pass dense
   /// apply beats the per-gate fast paths of its sources; unprofitable
   /// blocks are re-fused at the next narrower width. Guards against

@@ -102,18 +102,14 @@ double t_blocked_execution_seconds(qubit_t n, std::size_t passes, const MachineP
   return static_cast<double>(passes) * t_state_pass_seconds(n, m, amp_bytes);
 }
 
-bool remap_profitable(std::size_t ops_made_local, double remap_passes) {
-  return static_cast<double>(ops_made_local) - 1.0 > remap_passes;
+bool remap_profitable(std::size_t saved, double cost) {
+  return static_cast<double>(saved) > cost;
 }
 
 double t_chunk_exchange_seconds(qubit_t local_qubits, const MachineParams& m,
                                 std::size_t amp_bytes) {
   const double chunk = std::ldexp(1.0, static_cast<int>(local_qubits));
   return static_cast<double>(amp_bytes) * chunk / (m.b_net_gbs * 1e9);
-}
-
-bool global_remap_profitable(std::size_t exchanges_avoided, double remap_exchange_cost) {
-  return static_cast<double>(exchanges_avoided) > remap_exchange_cost;
 }
 
 std::uint64_t staging_bytes(qubit_t n, std::size_t amp_bytes) {

@@ -90,7 +90,7 @@ double asymptotic_crossover_gemm(qubit_t n);
 double asymptotic_crossover_strassen(qubit_t n);
 double asymptotic_crossover_eig_coherent(qubit_t n);
 
-// --- §4 locality cost model (cache-blocked scheduler, src/sched) -------
+// --- §4 locality cost model (sched/locality, both schedulers) ----------
 //
 // The §3.2/§4 bandwidth argument at the cache level: every op executed
 // un-blocked pays one full read+write memory pass over the state vector
@@ -99,8 +99,8 @@ double asymptotic_crossover_eig_coherent(qubit_t n);
 // ops together. Relocating a "high" qubit into the chunk-local low block
 // (the cache-level analogue of qHiPSTER's local/global rank exchange)
 // is itself one transposition pass now plus a share of the final
-// restore pass — so remapping is a pass-count trade the scheduler
-// resolves with the helpers below.
+// restore pass — so remapping is a pass-count trade, decided by
+// remap_profitable below exactly as the rank-level exchange is.
 
 /// Seconds for one full read+write memory pass over a 2^n state vector
 /// (2 * amp_bytes of DRAM traffic per amplitude; 32 at fp64, 16 at
@@ -113,12 +113,15 @@ double t_state_pass_seconds(qubit_t n, const MachineParams& m,
 double t_blocked_execution_seconds(qubit_t n, std::size_t passes, const MachineParams& m,
                                    std::size_t amp_bytes = sizeof(complex_t));
 
-/// Remap decision rule: making `ops_made_local` upcoming ops chunk-local
-/// saves them each a full pass (they then share ~one sweep pass), at the
-/// price of `remap_passes` transposition passes (the remap now plus the
-/// eventual restore, default 2). Profitable when saved passes
-/// (ops_made_local - 1) strictly exceed the remap passes.
-bool remap_profitable(std::size_t ops_made_local, double remap_passes = 2.0);
+/// The remap decision rule of both locality levels: a remap costs
+/// ~`cost` units — the permutation now plus its share of the eventual
+/// restore — and pays off when the units it `saved` strictly exceed
+/// that. Units are full memory passes at the cache level, where the
+/// saving of making k upcoming ops chunk-local is k - 1 (they then share
+/// one sweep pass), and chunk exchanges at the rank level, where it is
+/// the per-gate exchanges avoided. With the default cost of 2 the first
+/// paying counts are 4 made-local ops and 3 avoided exchanges.
+bool remap_profitable(std::size_t saved, double cost = 2.0);
 
 // --- Eq. 6 communication term (distributed scheduler, sched/dist) ------
 //
@@ -129,7 +132,7 @@ bool remap_profitable(std::size_t ops_made_local, double remap_passes = 2.0);
 // ~16 bytes per amplitude ONCE and then lets an entire run of
 // global-qubit gates execute rank-locally — the cluster-level analogue
 // of the cache scheduler's remap, with chunk exchanges instead of
-// memory passes as the unit cost.
+// memory passes as the unit cost (same rule: remap_profitable).
 
 /// Seconds for one pairwise exchange of a rank's full 2^local_qubits
 /// chunk (the 16N/B_net term of Eq. 6, N = the chunk's amplitudes).
@@ -137,15 +140,6 @@ bool remap_profitable(std::size_t ops_made_local, double remap_passes = 2.0);
 /// state moves 8 bytes per amplitude, halving the exchange term.
 double t_chunk_exchange_seconds(qubit_t local_qubits, const MachineParams& m,
                                 std::size_t amp_bytes = sizeof(complex_t));
-
-/// Global-remap decision rule, mirroring remap_profitable at cluster
-/// level: an exchange pass costs ~`remap_exchange_cost` chunk exchanges
-/// (the all-to-all now plus its share of the eventual restore) and saves
-/// one per-gate exchange for each of `exchanges_avoided` upcoming
-/// global-qubit gates it relocates into the local block. Profitable when
-/// the saving strictly exceeds the cost.
-bool global_remap_profitable(std::size_t exchanges_avoided,
-                             double remap_exchange_cost = 2.0);
 
 // --- host<->ranks staging term (resident sessions, engine/backend) -----
 //

@@ -1,33 +1,36 @@
-// Distributed execution planning — the PR 3 sweep machinery lifted to
-// the cluster level (paper Eq. 6, qHiPSTER's local/global qubit split).
+// Distributed execution planning — the cache scheduler's sweep
+// machinery lifted to the cluster level (paper Eq. 6, qHiPSTER's
+// local/global qubit split).
 //
 // A DistStateVector splits n qubits into nl local qubits (each rank's
 // 2^nl-amplitude chunk) and n - nl global qubits (the rank bits). Gates
 // on local qubits never communicate; a gate targeting a global qubit
 // normally pays one pairwise exchange of the whole chunk — the
 // 16N/B_net term of Eq. 6, per gate. dist_schedule() plans around that
-// cost the same way the cache scheduler plans around DRAM passes:
+// cost with the same LocalityPlanner (sched/locality.hpp) the cache
+// scheduler uses around DRAM passes, here with the nl local qubits as
+// boundary and chunk exchanges as unit:
 //
 //  * maximal runs of gates whose (remapped) support lies below nl
 //    become Local items — an nl-qubit sub-circuit pushed through the
-//    regular fusion + cache-blocked sweep pipeline, so every rank
-//    executes fused blocks and cache-resident sweeps on its own chunk
-//    with zero communication;
+//    regular fusion + cache-blocked sweep pipeline (sched::plan), so
+//    every rank executes fused blocks and cache-resident sweeps on its
+//    own chunk with zero communication;
 //  * when a run of global-qubit gates is coming up, a cost-gated
 //    Exchange item (DistStateVector::apply_qubit_swaps — ONE chunk
 //    permutation) relocates those qubits into the local block,
 //    amortizing a single exchange across the whole run instead of
-//    paying one exchange per gate (models::global_remap_profitable);
+//    paying one exchange per gate (models::remap_profitable);
 //  * gates that stay global run as Gate items through
-//    DistStateVector::apply_gate — which still skips communication
-//    entirely for diagonal targets and unsatisfied global controls
-//    under CommPolicy::Specialized.
+//    DistStateVector::apply_gate under CommPolicy::Specialized, which
+//    skips communication entirely for diagonal targets and unsatisfied
+//    global controls.
 //
-// Every exchange is undone by plan end: the state leaves in logical
-// qubit order, exactly like the cache scheduler's restore pass.
+// Every exchange is undone by plan end (restore_rounds): the state
+// leaves in logical qubit order, exactly like the cache scheduler's
+// restore pass.
 #pragma once
 
-#include <array>
 #include <string>
 #include <vector>
 
@@ -44,18 +47,6 @@ struct DistScheduleOptions {
   /// chosen against the nl-qubit local space; a small chunk's floor
   /// means tiny ranks run their whole chunk as one sweep chunk).
   ScheduleOptions sched;
-  /// Allow global<->local exchange passes (off: every global-qubit gate
-  /// falls back to per-gate handling).
-  bool remap = true;
-  /// Gates examined when scoring a candidate exchange's payoff.
-  std::size_t lookahead = 64;
-  /// Chunk exchanges charged to one exchange pass in the cost model
-  /// (the all-to-all now plus its share of the final restore).
-  double exchange_pass_cost = 2.0;
-  /// Policy the plan will run under — determines which global-qubit
-  /// gates actually pay an exchange (Specialized: only non-diagonal
-  /// targets; Exchange: every global target).
-  sim::CommPolicy policy = sim::CommPolicy::Specialized;
 };
 
 /// One element of the distributed plan, in execution order. Qubit labels
@@ -69,7 +60,7 @@ struct DistPlanItem {
   };
   Kind kind = Kind::Local;
   BlockedPlan local;                          ///< Local payload (n = nl).
-  std::vector<std::array<qubit_t, 2>> swaps;  ///< Exchange payload.
+  Swaps swaps;                                ///< Exchange payload.
   circuit::Gate gate;                         ///< Gate payload.
 };
 
@@ -107,22 +98,15 @@ struct DistPlan {
                                      const DistScheduleOptions& opts = {},
                                      std::vector<qubit_t>* perm_io = nullptr);
 
-/// Disjoint-transposition rounds returning a state to logical qubit
-/// order from `perm` (logical->physical). Apply round by round via
-/// DistStateVector::apply_qubit_swaps; each round is one chunk
-/// permutation. Identity permutations yield zero rounds.
-[[nodiscard]] std::vector<std::vector<std::array<qubit_t, 2>>> restore_rounds(
-    std::vector<qubit_t> perm);
-
 /// Collective: executes a plan on a distributed state (dsv's qubit
 /// split must match the plan's). Local items run execute_blocked on the
 /// rank's chunk; Exchange items run the one-pass chunk permutation;
-/// Gate items fall back to per-gate policy handling. The plan is
-/// precision-agnostic — the same DistPlan runs on an fp32 or fp64
-/// state. Instantiated for float/double.
+/// Gate items run DistStateVector::apply_gate under
+/// CommPolicy::Specialized, the policy the plan was costed for. The
+/// plan is precision-agnostic — the same DistPlan runs on an fp32 or
+/// fp64 state. Instantiated for float/double.
 template <typename T>
-void run_dist_plan(sim::BasicDistStateVector<T>& dsv, const DistPlan& plan,
-                   sim::CommPolicy policy = sim::CommPolicy::Specialized);
+void run_dist_plan(sim::BasicDistStateVector<T>& dsv, const DistPlan& plan);
 
 /// Predicted execution cost of a plan in model seconds: Local items
 /// charge their blocked memory passes over the chunk, Exchange items

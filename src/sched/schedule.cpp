@@ -1,30 +1,22 @@
 #include "sched/schedule.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "common/bits.hpp"
 #include "common/parallel.hpp"
-#include "models/perf_model.hpp"
 #include "obs/trace.hpp"
+#include "sched/locality.hpp"
 
 namespace qc::sched {
 
 namespace {
 
-using circuit::Gate;
 using fuse::FusedCircuit;
 using fuse::FusedItem;
 using fuse::FusedOp;
-
-index_t gate_support(const Gate& g) {
-  index_t m = 0;
-  for (qubit_t t : g.targets) m = bits::set(m, t);
-  for (qubit_t c : g.controls) m = bits::set(m, c);
-  return m;
-}
 
 index_t item_support(const FusedItem& it) {
   if (it.kind == FusedItem::Kind::Block) {
@@ -33,13 +25,6 @@ index_t item_support(const FusedItem& it) {
     return m;
   }
   return gate_support(it.gate);
-}
-
-Gate remap_gate(const Gate& g, const std::vector<qubit_t>& perm) {
-  Gate out = g;
-  for (qubit_t& t : out.targets) t = perm[t];
-  for (qubit_t& c : out.controls) c = perm[c];
-  return out;
 }
 
 /// Builds a ChunkOp from a fused block under the current permutation.
@@ -97,7 +82,7 @@ ChunkOp remap_item(const FusedItem& it, const std::vector<qubit_t>& perm, std::s
   if (it.kind == FusedItem::Kind::Block) return remap_block(it.block, perm, idx);
   ChunkOp out;
   out.kind = ChunkOp::Kind::Gate;
-  out.gate = remap_gate(it.gate, perm);
+  out.gate = relabel(it.gate, perm);
   out.gate_count = 1;
   out.source_index = idx;
   return out;
@@ -192,8 +177,7 @@ BlockedPlan global_plan(const FusedCircuit& fc) {
   plan.n = fc.n;
   plan.chunk_width = choose_chunk_width(fc.n, {});
   plan.source_ops = fc.items.size();
-  std::vector<qubit_t> identity(fc.n);
-  std::iota(identity.begin(), identity.end(), qubit_t{0});
+  const std::vector<qubit_t> identity = identity_perm(fc.n);
   plan.items.resize(fc.items.size());
   for (std::size_t i = 0; i < fc.items.size(); ++i) {
     plan.items[i].kind = PlanItem::Kind::Global;
@@ -209,7 +193,6 @@ BlockedPlan schedule(const FusedCircuit& fc, const ScheduleOptions& opts) {
   plan.chunk_width = choose_chunk_width(fc.n, opts);
   plan.source_ops = fc.items.size();
   const qubit_t chunk_w = plan.chunk_width;
-  const qubit_t n = fc.n;
 
   std::vector<index_t> masks(fc.items.size());
   std::vector<qubit_t> widths(fc.items.size());
@@ -217,155 +200,46 @@ BlockedPlan schedule(const FusedCircuit& fc, const ScheduleOptions& opts) {
     masks[i] = item_support(fc.items[i]);
     widths[i] = static_cast<qubit_t>(bits::popcount(masks[i]));
   }
-
-  // perm: logical qubit -> physical index bit; inv: its inverse.
-  std::vector<qubit_t> perm(n), inv(n);
-  std::iota(perm.begin(), perm.end(), qubit_t{0});
-  std::iota(inv.begin(), inv.end(), qubit_t{0});
-  const auto commit_swaps = [&](const std::vector<std::array<qubit_t, 2>>& swaps) {
-    for (const auto& s : swaps) {
-      const qubit_t qa = inv[s[0]], qb = inv[s[1]];
-      std::swap(perm[qa], perm[qb]);
-      std::swap(inv[s[0]], inv[s[1]]);
-    }
-  };
+  LocalityPlanner planner(chunk_w, std::move(masks), identity_perm(fc.n), "sched.remap_decision");
 
   std::vector<ChunkOp> sweep;
   const auto flush = [&] {
     if (sweep.empty()) return;
-    PlanItem item;
+    PlanItem& item = plan.items.emplace_back();
     item.kind = PlanItem::Kind::Sweep;
-    item.ops = std::move(sweep);
-    sweep.clear();
-    plan.items.push_back(std::move(item));
+    item.ops = std::exchange(sweep, {});
   };
-  const auto emit_global = [&](std::size_t i) {
+  // Closes the open sweep, then appends an item of `kind`.
+  const auto push = [&](PlanItem::Kind kind) -> PlanItem& {
     flush();
-    PlanItem item;
-    item.kind = PlanItem::Kind::Global;
-    item.global = remap_item(fc.items[i], perm, i);
-    plan.items.push_back(std::move(item));
-  };
-  const auto all_low = [&](index_t mask, const std::vector<qubit_t>& p) {
-    for (qubit_t q = 0; mask >> q; ++q)
-      if (bits::test(mask, q) && p[q] >= chunk_w) return false;
-    return true;
+    PlanItem& item = plan.items.emplace_back();
+    item.kind = kind;
+    return item;
   };
 
   for (std::size_t i = 0; i < fc.items.size(); ++i) {
-    const index_t mask = masks[i];
-    if (widths[i] > chunk_w) {
-      // Wider than a chunk: can never be made local, stays a full pass.
-      emit_global(i);
+    if (planner.local(i)) {
+      sweep.push_back(remap_item(fc.items[i], planner.perm(), i));
       continue;
     }
-    if (all_low(mask, perm)) {
-      sweep.push_back(remap_item(fc.items[i], perm, i));
-      continue;
+    // One full pass for an op that fits a chunk but lies outside the low
+    // block. The op being decided pays one either way — its own global
+    // pass, or the sweep a remap opens for it — so a remap's saving
+    // counts the ops it makes chunk-local, minus one.
+    const auto passes = [&](std::size_t j, const std::vector<qubit_t>& p) -> std::size_t {
+      return widths[j] <= chunk_w && (j == i || !planner.local(j, p));
+    };
+    if (Swaps swaps = planner.remap(i, passes); !swaps.empty()) {
+      push(PlanItem::Kind::Remap).swaps = std::move(swaps);
+      sweep.push_back(remap_item(fc.items[i], planner.perm(), i));
+    } else {
+      push(PlanItem::Kind::Global).global = remap_item(fc.items[i], planner.perm(), i);
     }
-    bool remapped = false;
-    if (opts.remap) {
-      const std::size_t window_end = std::min(fc.items.size(), i + opts.lookahead);
-      constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
-      std::vector<std::size_t> next_use(n, kNever);
-      for (std::size_t j = i; j < window_end; ++j) {
-        for (qubit_t q = 0; masks[j] >> q; ++q)
-          if (bits::test(masks[j], q) && next_use[q] == kNever) next_use[q] = j;
-      }
-      // Candidate imports: the current op's high qubits (mandatory — the
-      // op must become chunk-local), then the window's remaining high
-      // working set, soonest-used first, as far as the low slots allow.
-      std::vector<qubit_t> imports;
-      for (qubit_t q = 0; mask >> q; ++q)
-        if (bits::test(mask, q) && perm[q] >= chunk_w) imports.push_back(q);
-      const std::size_t mandatory = imports.size();
-      for (qubit_t q = 0; q < n; ++q)
-        if (perm[q] >= chunk_w && next_use[q] != kNever && !bits::test(mask, q))
-          imports.push_back(q);
-      std::stable_sort(imports.begin() + static_cast<std::ptrdiff_t>(mandatory),
-                       imports.end(),
-                       [&](qubit_t x, qubit_t y) { return next_use[x] < next_use[y]; });
-      // Farthest-next-use victim choice: evict from the low block the
-      // qubits the window touches last (or never).
-      std::vector<qubit_t> victims;
-      for (qubit_t p = 0; p < chunk_w; ++p)
-        if (!bits::test(mask, inv[p])) victims.push_back(p);
-      std::stable_sort(victims.begin(), victims.end(), [&](qubit_t x, qubit_t y) {
-        return next_use[inv[x]] > next_use[inv[y]];
-      });
-      std::vector<std::array<qubit_t, 2>> swaps;
-      std::size_t v = 0;
-      for (std::size_t s = 0; s < imports.size() && v < victims.size(); ++s) {
-        const qubit_t victim = victims[v];
-        // Optional imports only displace a qubit needed later than they
-        // are (never trade a sooner-used low qubit for a later high one).
-        if (s >= mandatory && next_use[imports[s]] >= next_use[inv[victim]]) break;
-        swaps.push_back({perm[imports[s]], victim});
-        ++v;
-      }
-      if (!swaps.empty()) {
-        // Score the remap: how many upcoming ops become chunk-local?
-        std::vector<qubit_t> trial = perm;
-        for (const auto& s : swaps) {
-          const qubit_t qa = inv[s[0]], qb = inv[s[1]];
-          std::swap(trial[qa], trial[qb]);
-        }
-        // Score only ops whose locality the remap *changes*: ops already
-        // chunk-local stay in sweeps either way, and ops the eviction
-        // pushes out of the low block count against the remap.
-        std::ptrdiff_t gain = 0;
-        for (std::size_t j = i; j < window_end; ++j) {
-          if (widths[j] > chunk_w) continue;
-          const bool now = all_low(masks[j], perm);
-          const bool then = all_low(masks[j], trial);
-          gain += static_cast<std::ptrdiff_t>(then) - static_cast<std::ptrdiff_t>(now);
-        }
-        const bool taken = all_low(mask, trial) && gain > 0 &&
-                           models::remap_profitable(static_cast<std::size_t>(gain),
-                                                    opts.remap_pass_cost);
-        // The cost-model decision with its inputs, as a trace marker —
-        // this is what makes a "why did/didn't it remap here?" question
-        // answerable from a trace alone.
-        obs::instant("sched.remap_decision",
-                     {{"op", static_cast<double>(i)},
-                      {"gain", static_cast<double>(gain)},
-                      {"pass_cost", opts.remap_pass_cost},
-                      {"taken", taken ? 1.0 : 0.0}});
-        if (taken) {
-          flush();
-          PlanItem item;
-          item.kind = PlanItem::Kind::Remap;
-          item.swaps = swaps;
-          plan.items.push_back(std::move(item));
-          commit_swaps(swaps);
-          sweep.push_back(remap_item(fc.items[i], perm, i));
-          remapped = true;
-        }
-      }
-    }
-    if (!remapped) emit_global(i);
   }
   flush();
-
-  // Undo all remaps so the state leaves in logical qubit order. Each
-  // round emits a disjoint transposition set that homes at least one
-  // qubit per swap; any permutation settles in a few rounds.
-  while (true) {
-    std::vector<std::array<qubit_t, 2>> swaps;
-    index_t used = 0;
-    for (qubit_t p = 0; p < n; ++p) {
-      const qubit_t home = inv[p];
-      if (home == p || bits::test(used, p) || bits::test(used, home)) continue;
-      swaps.push_back({p, home});
-      used = bits::set(bits::set(used, p), home);
-    }
-    if (swaps.empty()) break;
-    PlanItem item;
-    item.kind = PlanItem::Kind::Remap;
-    item.swaps = swaps;
-    plan.items.push_back(std::move(item));
-    commit_swaps(swaps);
-  }
+  // Undo all remaps so the state leaves in logical qubit order.
+  for (Swaps& swaps : restore_rounds(planner.perm()))
+    push(PlanItem::Kind::Remap).swaps = std::move(swaps);
   if (obs::enabled()) {
     plan_span.arg("source_ops", static_cast<double>(plan.source_ops));
     plan_span.arg("items", static_cast<double>(plan.items.size()));

@@ -23,19 +23,20 @@
 // explicit qubit-remap item — disjoint bit transpositions applied in
 // one pass (kernels::apply_qubit_swaps) — relocating high qubits into
 // the low block, exactly dist_sv's local/global exchange at cache
-// level. Remapping is cost-gated through models/perf_model
-// (remap_profitable): a remap pays one pass now plus a share of the
-// final restore, and must be earned back by the upcoming ops it makes
-// chunk-local (scored over a lookahead window). Ops that stay global
-// execute as ordinary full-vector passes.
+// level. The decision is the shared LocalityPlanner's
+// (sched/locality.hpp, also behind dist_schedule) with the chunk width
+// as boundary and full memory passes as unit: a remap pays one pass now
+// plus a share of the final restore, and must be earned back by the
+// upcoming ops it makes chunk-local (models::remap_profitable). Ops
+// that stay global execute as ordinary full-vector passes.
 #pragma once
 
-#include <array>
 #include <string>
 #include <vector>
 
 #include "circuit/gate.hpp"
 #include "fuse/fusion.hpp"
+#include "sched/locality.hpp"
 
 namespace qc::sched {
 
@@ -67,7 +68,7 @@ struct PlanItem {
   };
   Kind kind = Kind::Sweep;
   std::vector<ChunkOp> ops;                  ///< Sweep payload.
-  std::vector<std::array<qubit_t, 2>> swaps; ///< Remap payload (physical positions).
+  Swaps swaps;                               ///< Remap payload (physical positions).
   ChunkOp global;                            ///< Global payload.
 };
 
@@ -106,13 +107,6 @@ struct ScheduleOptions {
   /// bench_ablation_blocking --fusion-sweep). sched::plan re-fuses at
   /// min(fusion max_width, this cap).
   qubit_t max_block_width = 3;
-  /// Allow qubit-remap items (off: high-qubit ops stay global passes).
-  bool remap = true;
-  /// Ops examined when scoring a candidate remap's payoff.
-  std::size_t lookahead = 64;
-  /// Full passes charged to a remap in the cost model (the remap itself
-  /// plus its share of the final restore).
-  double remap_pass_cost = 2.0;
 };
 
 /// The chunk width schedule() will use for an n-qubit state: the

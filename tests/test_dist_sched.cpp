@@ -5,8 +5,6 @@
 // (paper Eq. 6 / Fig. 4), and plan-structure sanity.
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 #include "circuit/builders.hpp"
 #include "engine/backend.hpp"
 #include "models/perf_model.hpp"
@@ -23,21 +21,19 @@ using sim::StateVector;
 /// Runs `c` through dist_schedule + run_dist_plan on `ranks` ranks
 /// (random init, fixed seed) and compares against the serial
 /// "hpc" backend; returns the max amplitude difference.
-double plan_vs_serial(const Circuit& c, qubit_t n, int ranks, std::uint64_t seed,
-                      const DistScheduleOptions& opts = {},
-                      CommPolicy policy = CommPolicy::Specialized) {
+double plan_vs_serial(const Circuit& c, qubit_t n, int ranks, std::uint64_t seed) {
   StateVector serial(n);
   serial.randomize_deterministic(seed);
   engine::make_backend("hpc")->run_gates(serial, c);
 
   const auto nl = static_cast<qubit_t>(n - bits::log2_floor(static_cast<index_t>(ranks)));
-  const DistPlan plan = dist_schedule(c, nl, opts);
+  const DistPlan plan = dist_schedule(c, nl, {});
   double diff = -1;
   cluster::Cluster cluster(ranks, 1);
   cluster.run([&](cluster::Comm& comm) {
     DistStateVector dsv(comm, n);
     dsv.randomize(seed);
-    run_dist_plan(dsv, plan, policy);
+    run_dist_plan(dsv, plan);
     const StateVector gathered = dsv.gather_all();
     if (comm.rank() == 0) diff = gathered.max_abs_diff(serial);
   });
@@ -72,23 +68,6 @@ INSTANTIATE_TEST_SUITE_P(Cases, DistPlanRandomCircuit,
                                            // test machine has cores.
                                            Case{10, 32}));
 
-TEST(DistSchedule, RemapDisabledStillAgrees) {
-  Rng rng(5);
-  const Circuit c = circuit::random_circuit(9, 50, rng);
-  DistScheduleOptions opts;
-  opts.remap = false;
-  EXPECT_LT(plan_vs_serial(c, 9, 4, 99, opts), 1e-12);
-  EXPECT_LT(plan_vs_serial(c, 9, 4, 99, opts, CommPolicy::Exchange), 1e-12);
-}
-
-TEST(DistSchedule, ExchangePolicyExecutionAgrees) {
-  Rng rng(6);
-  const Circuit c = circuit::random_circuit(8, 50, rng);
-  DistScheduleOptions opts;
-  opts.policy = CommPolicy::Exchange;
-  EXPECT_LT(plan_vs_serial(c, 8, 4, 77, opts, CommPolicy::Exchange), 1e-12);
-}
-
 /// A global-qubit-heavy workload: a long run of non-diagonal gates on
 /// the two distributed qubits, plus local work.
 Circuit global_heavy_circuit(qubit_t n) {
@@ -114,6 +93,27 @@ TEST(DistSchedule, PlanLocalizesGlobalHeavyRun) {
   EXPECT_FALSE(plan.to_string().empty());
 }
 
+TEST(DistSchedule, LoneGlobalGateStaysPerGate) {
+  // The rank-level twin of Schedule.LoneHighOpStaysGlobalInsteadOfRemapping:
+  // one non-diagonal gate on a global qubit amid a long local run avoids
+  // a single chunk exchange, less than an exchange pass and its restore
+  // cost, so it must stay a per-gate Gate item.
+  const qubit_t n = 10;
+  Rng rng(13);
+  Circuit c(n);
+  c.h(n - 1);
+  c.compose(circuit::random_dense_circuit(3, 90, rng).widened(n));
+  for (const int ranks : {2, 4}) {
+    const auto nl = static_cast<qubit_t>(n - bits::log2_floor(static_cast<index_t>(ranks)));
+    const DistPlan plan = dist_schedule(c, nl, {});
+    EXPECT_EQ(plan.exchanges(), 0u) << plan.to_string();
+    ASSERT_EQ(plan.globals(), 1u) << plan.to_string();
+    EXPECT_EQ(plan.items.front().kind, DistPlanItem::Kind::Gate);
+    EXPECT_EQ(plan.items.front().gate.targets, std::vector<qubit_t>{static_cast<qubit_t>(n - 1)});
+    EXPECT_LT(plan_vs_serial(c, n, ranks, 31), 1e-12) << "ranks=" << ranks;
+  }
+}
+
 TEST(DistSchedule, RemappedSweepsCommunicateLessThanPerGateExchange) {
   // The acceptance criterion: on a global-qubit-heavy circuit the
   // amortized exchange pass must move strictly fewer bytes than the
@@ -129,7 +129,7 @@ TEST(DistSchedule, RemappedSweepsCommunicateLessThanPerGateExchange) {
   cluster.run([&](cluster::Comm& comm) {
     DistStateVector a(comm, n);
     a.randomize(11);
-    run_dist_plan(a, plan, CommPolicy::Specialized);
+    run_dist_plan(a, plan);
     DistStateVector b(comm, n);
     b.randomize(11);
     b.run(c, CommPolicy::Exchange);
@@ -168,8 +168,7 @@ TEST(DistSchedule, PermCarryAcrossSegmentsMatchesSerial) {
   serial.randomize_deterministic(777);
   engine::make_backend("hpc")->run_gates(serial, whole);
 
-  std::vector<qubit_t> perm(n);
-  std::iota(perm.begin(), perm.end(), qubit_t{0});
+  std::vector<qubit_t> perm = identity_perm(n);
   std::vector<DistPlan> plans;
   for (const Circuit& seg : segments) plans.push_back(dist_schedule(seg, nl, {}, &perm));
   const auto rounds = restore_rounds(perm);
@@ -179,7 +178,7 @@ TEST(DistSchedule, PermCarryAcrossSegmentsMatchesSerial) {
   cluster.run([&](cluster::Comm& comm) {
     DistStateVector dsv(comm, n);
     dsv.randomize(777);
-    for (const DistPlan& plan : plans) run_dist_plan(dsv, plan, CommPolicy::Specialized);
+    for (const DistPlan& plan : plans) run_dist_plan(dsv, plan);
     for (const auto& swaps : rounds) dsv.apply_qubit_swaps(swaps);
     const StateVector gathered = dsv.gather_all();
     if (comm.rank() == 0) diff = gathered.max_abs_diff(serial);
@@ -194,16 +193,13 @@ TEST(DistSchedule, PermCarrySkipsPerSegmentRestores) {
   const qubit_t nl = 8;
   const Circuit c = global_heavy_circuit(n);
   const DistPlan self_contained = dist_schedule(c, nl, {});
-  std::vector<qubit_t> perm(n);
-  std::iota(perm.begin(), perm.end(), qubit_t{0});
+  std::vector<qubit_t> perm = identity_perm(n);
   const DistPlan carried = dist_schedule(c, nl, {}, &perm);
   EXPECT_LT(carried.exchanges(), self_contained.exchanges());
   // The carried plan left the state permuted; restore_rounds knows how
   // to get back, and a straight identity needs no rounds at all.
   EXPECT_FALSE(restore_rounds(perm).empty());
-  std::vector<qubit_t> identity(n);
-  std::iota(identity.begin(), identity.end(), qubit_t{0});
-  EXPECT_TRUE(restore_rounds(identity).empty());
+  EXPECT_TRUE(restore_rounds(identity_perm(n)).empty());
 }
 
 TEST(DistSchedule, RestoreRoundsValidatesPermutation) {
@@ -242,16 +238,12 @@ TEST(PerfModel, HostStagingTerm) {
   EXPECT_NEAR(models::t_host_staging_seconds(21, m), 2 * t1, 1e-15);
 }
 
-TEST(PerfModel, Eq6ExchangeTermAndRemapGate) {
+TEST(PerfModel, Eq6ExchangeTerm) {
   const models::MachineParams m = models::MachineParams::stampede();
   // 16 bytes/amplitude over the chunk: doubling the chunk doubles time.
   const double t20 = models::t_chunk_exchange_seconds(20, m);
   EXPECT_NEAR(models::t_chunk_exchange_seconds(21, m), 2 * t20, 1e-12);
   EXPECT_GT(t20, 0);
-  // The exchange pass (cost ~2 chunk exchanges) needs > 2 avoided
-  // per-gate exchanges to pay off.
-  EXPECT_FALSE(models::global_remap_profitable(2));
-  EXPECT_TRUE(models::global_remap_profitable(3));
 }
 
 }  // namespace

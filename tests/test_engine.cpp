@@ -398,22 +398,6 @@ TEST(DistBackend, TinyRegisterClampsRanksAndStillAgrees) {
   }
 }
 
-TEST(DistBackend, ExchangePolicyAndNoRemapAgree) {
-  const qubit_t n = 8;
-  const Program p = dist_test_program(n);
-  RunOptions hpc_opts;
-  hpc_opts.backend = "hpc";
-  const Result ref = Engine().run(p, hpc_opts);
-  RunOptions opts;
-  opts.backend = "dist";
-  opts.dist_ranks = 4;
-  opts.dist_policy = sim::CommPolicy::Exchange;
-  opts.dist_remap = false;
-  const Result r = Engine().run(p, opts);
-  EXPECT_LT(r.state.max_abs_diff(ref.state), 1e-12);
-  EXPECT_EQ(r.measurements, ref.measurements);
-}
-
 TEST(DistBackend, LoweredHighLevelProgramRunsDistributed) {
   Program p(6);
   p.h(0).h(1).h(2).h(3).add({0, 2}, {2, 2}).multiply({0, 2}, {2, 2}, {4, 2}).measure({4, 2});

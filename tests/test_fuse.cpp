@@ -293,7 +293,7 @@ TEST(FusionPass, DisabledKeepsEveryGate) {
   Rng rng(31);
   const Circuit c = circuit::random_circuit(6, 50, rng);
   FusionOptions opts;
-  opts.enabled = false;
+  opts.max_width = 0;
   const FusedCircuit plan = fuse_circuit(c, opts);
   EXPECT_EQ(plan.items.size(), c.size());
   EXPECT_EQ(plan.blocks(), 0u);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "circuit/builders.hpp"
+#include "common/check.hpp"
 #include "engine/engine.hpp"
 #include "sim/sampling.hpp"
 #include "sim/state_vector.hpp"
@@ -175,6 +176,43 @@ TEST(Precision, DistFp32MatchesSerialFp32) {
   // Both paths run the identical float kernels; only op order differs.
   EXPECT_LE(rd.state.max_abs_diff(rs.state), 1e-5);
 }
+
+#if QC_ENABLE_CHECKS
+TEST(Precision, Fp32NormCheckStillFiresWhenArmed) {
+  // The norm invariant's fp32 allowance grows with the gates run, but a
+  // real unitarity break must still trip it at fp32. This backend runs
+  // hpc and, while `broken` is set, then scales the state by 1 + 1e-3.
+  // (Other tests iterate every registered backend; unbroken it is hpc.)
+  static bool broken = false;
+  class ScalingBackend final : public Backend {
+   public:
+    explicit ScalingBackend(const RunOptions& opts) : hpc_(make_backend("hpc", opts)) {}
+    [[nodiscard]] std::string name() const override { return "test-scaling"; }
+    void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
+      hpc_->run_gates(sv, c);
+      if (broken)
+        for (complex_t& a : sv.amplitudes()) a *= 1.0 + 1e-3;
+    }
+
+   private:
+    std::unique_ptr<Backend> hpc_;
+  };
+  register_backend("test-scaling", [](const RunOptions& opts) -> std::unique_ptr<Backend> {
+    return std::make_unique<ScalingBackend>(opts);
+  });
+  RunOptions opts;
+  opts.backend = "test-scaling";
+  opts.precision = Precision::kF32;
+  const Program p = random_dense_program(6, 4, 5);
+  EXPECT_NO_THROW((void)Engine().run(p, opts));
+  broken = true;
+  EXPECT_THROW((void)Engine().run(p, opts), CheckError);
+  opts.precision = Precision::kF64;
+  EXPECT_THROW((void)Engine().run(p, opts), CheckError);
+  broken = false;
+}
+#endif
+
 
 }  // namespace
 }  // namespace qc::engine

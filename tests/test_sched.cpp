@@ -14,6 +14,7 @@
 #include "engine/backend.hpp"
 #include "models/perf_model.hpp"
 #include "sched/cached_simulator.hpp"
+#include "sched/dist_schedule.hpp"
 #include "sim/kernels.hpp"
 #include "sim/simulator.hpp"
 
@@ -146,16 +147,6 @@ TEST(Schedule, LoneHighOpStaysGlobalInsteadOfRemapping) {
   EXPECT_EQ(plan.globals(), 1u);
 }
 
-TEST(Schedule, RemapDisabledFallsBackToGlobals) {
-  const Circuit c = high_qubit_qft(12, 6);
-  ScheduleOptions opts;
-  opts.chunk_width = 6;
-  opts.remap = false;
-  const BlockedPlan plan = schedule(fuse::fuse_circuit(c, {}), opts);
-  EXPECT_EQ(plan.remaps(), 0u);
-  EXPECT_GT(plan.globals(), 0u);
-}
-
 TEST(Schedule, WideGateStaysGlobal) {
   Circuit c(12);
   for (qubit_t q = 0; q < 6; ++q) c.h(q);
@@ -268,12 +259,33 @@ TEST(FusedPlan, DiagonalExtractedAtPlanTime) {
 
 // --- cost model --------------------------------------------------------
 
-TEST(BlockingModel, RemapProfitability) {
+TEST(PerfModel, RemapProfitableAtBothLevels) {
+  // One rule: a remap (~2 units: itself plus its share of the restore)
+  // pays when the units it saves strictly exceed that.
   EXPECT_FALSE(models::remap_profitable(0));
-  EXPECT_FALSE(models::remap_profitable(3));  // saves 2 passes, costs 2
-  EXPECT_TRUE(models::remap_profitable(4));
+  EXPECT_FALSE(models::remap_profitable(2));
+  EXPECT_TRUE(models::remap_profitable(3));
   EXPECT_TRUE(models::remap_profitable(100));
-  EXPECT_FALSE(models::remap_profitable(4, 4.0));
+  EXPECT_FALSE(models::remap_profitable(3, 4.0));
+  // The thresholds it sets, through both planners: k unfused gates on
+  // the top qubit of a 9-qubit state, all non-local at the start.
+  const auto top_run = [](std::size_t k) {
+    Circuit c(9);
+    for (std::size_t r = 0; r < k; ++r) c.rx(8, 0.1 * static_cast<double>(r + 1));
+    return c;
+  };
+  fuse::FusionOptions unfused;
+  unfused.max_width = 0;
+  ScheduleOptions chunk4;
+  chunk4.chunk_width = 4;
+  // Cache level: the made-local ops share one sweep pass, so the saving
+  // is (made-local - 1) passes and 4 ops is the first count that pays.
+  EXPECT_EQ(plan(top_run(3), unfused, chunk4).remaps(), 0u);
+  EXPECT_EQ(plan(top_run(4), unfused, chunk4).remaps(), 2u);  // in + restore
+  // Rank level: each gate moved local avoids one chunk exchange, so 3
+  // avoided exchanges is the first count that pays.
+  EXPECT_EQ(dist_schedule(top_run(2), 8, {}).exchanges(), 0u);
+  EXPECT_EQ(dist_schedule(top_run(3), 8, {}).exchanges(), 2u);
 }
 
 TEST(BlockingModel, PassSecondsScaleWithSizeAndBandwidth) {
@@ -343,7 +355,7 @@ TEST(CachedBackend, AgreesWithFusionDisabled) {
   Rng rng(19);
   const Circuit c = circuit::random_circuit(10, 80, rng);
   engine::RunOptions opts;
-  opts.fusion.enabled = false;  // every op is a passthrough gate
+  opts.fusion.max_width = 0;  // every op is a passthrough gate
   opts.sched.chunk_width = 6;
   EXPECT_LT(backend_divergence(c, opts, 20), 1e-12);
 }
