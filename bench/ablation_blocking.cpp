@@ -29,9 +29,9 @@
 #include "circuit/builders.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "engine/backend.hpp"
 #include "fuse/fusion.hpp"
 #include "sched/cached_simulator.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 
@@ -110,8 +110,7 @@ int main(int argc, char** argv) {
 
   double t_hpc = 0;
   if (with_hpc) {
-    const auto hpc = engine::make_backend("hpc");
-    t_hpc = bench::timed([&] { hpc->run_gates(sv, c); }, /*warmup=*/true);
+    t_hpc = bench::timed([&] { sim::apply_circuit_hpc(sv.amplitudes(), c); }, /*warmup=*/true);
     std::printf("hpc baseline (unfused): %s s/run (%zu passes)\n", sci(t_hpc).c_str(), gates);
     results.push_back({"hpc", 0, 0, gates, t_hpc});
   }

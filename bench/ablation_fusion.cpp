@@ -20,9 +20,9 @@
 #include "circuit/builders.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "engine/backend.hpp"
 #include "fuse/fusion.hpp"
 #include "sched/cached_simulator.hpp"
+#include "sim/simulator.hpp"
 
 int main(int argc, char** argv) {
   using namespace qc;
@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
   sv.randomize(state_rng);
 
   // Unfused baseline: every gate is one specialized sweep.
-  const auto hpc = engine::make_backend("hpc");
-  const double t_hpc = bench::timed([&] { hpc->run_gates(sv, c); }, /*warmup=*/true);
+  const double t_hpc =
+      bench::timed([&] { sim::apply_circuit_hpc(sv.amplitudes(), c); }, /*warmup=*/true);
   std::printf("hpc baseline (unfused): %s s/run, %s s/gate\n\n", sci(t_hpc).c_str(),
               sci(t_hpc / static_cast<double>(gates)).c_str());
 

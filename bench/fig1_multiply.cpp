@@ -11,8 +11,8 @@
 #include "circuit/decompose.hpp"
 #include "common/rng.hpp"
 #include "emu/emulator.hpp"
-#include "engine/backend.hpp"
 #include "revcirc/arith.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 
@@ -48,8 +48,8 @@ double time_simulation(qubit_t m, bool lower) {
     data.randomize(rng);
     std::copy(data.amplitudes().begin(), data.amplitudes().end(), sv.amplitudes().begin());
   }
-  const auto hpc = engine::make_backend("hpc");
-  return time_per_rep([&] { hpc->run_gates(sv, c); }, /*min_seconds=*/0.3, /*max_reps=*/20);
+  return time_per_rep([&] { sim::apply_circuit_hpc(sv.amplitudes(), c); }, /*min_seconds=*/0.3,
+                      /*max_reps=*/20);
 }
 
 double time_emulation(qubit_t m) {

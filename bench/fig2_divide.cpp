@@ -12,8 +12,8 @@
 #include "circuit/decompose.hpp"
 #include "common/rng.hpp"
 #include "emu/emulator.hpp"
-#include "engine/backend.hpp"
 #include "revcirc/arith.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 
@@ -40,17 +40,16 @@ double time_simulation(qubit_t m, bool lower) {
   circuit::Circuit prep(c.qubits());
   for (qubit_t q = 0; q < m; ++q) prep.h(q);
   for (qubit_t q = 0; q < m; ++q) prep.h(2 * m + 1 + q);
-  const auto hpc = engine::make_backend("hpc");
-  hpc->run_gates(sv, prep);
+  sim::apply_circuit_hpc(sv.amplitudes(), prep);
   // One-shot timing: the divider is not idempotent on its own output, so
   // re-prepare per repetition (preparation excluded from the clock).
   double total = 0;
   int reps = 0;
   do {
     sv.set_basis(0);
-    hpc->run_gates(sv, prep);
+    sim::apply_circuit_hpc(sv.amplitudes(), prep);
     WallTimer t;
-    hpc->run_gates(sv, c);
+    sim::apply_circuit_hpc(sv.amplitudes(), c);
     total += t.seconds();
     ++reps;
   } while (total < 0.3 && reps < 20);
@@ -61,14 +60,13 @@ double time_emulation(qubit_t m) {
   sim::StateVector sv(3 * m);
   emu::Emulator emulator(sv);
   const emu::RegRef a{0, m}, b{m, m}, c{static_cast<qubit_t>(2 * m), m};
-  const auto hpc = engine::make_backend("hpc");
   circuit::Circuit prep(3 * m);
   for (qubit_t q = 0; q < 2 * m; ++q) prep.h(q);  // superpose a and b, c = 0
   double total = 0;
   int reps = 0;
   do {
     sv.set_basis(0);
-    hpc->run_gates(sv, prep);
+    sim::apply_circuit_hpc(sv.amplitudes(), prep);
     WallTimer t;
     emulator.divide(a, b, c);
     total += t.seconds();

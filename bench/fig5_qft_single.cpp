@@ -10,7 +10,6 @@
 #include "bench_util.hpp"
 #include "circuit/builders.hpp"
 #include "common/parallel.hpp"
-#include "common/rng.hpp"
 #include "engine/backend.hpp"
 
 namespace {
@@ -19,13 +18,11 @@ using namespace qc;
 
 double time_qft(const std::string& backend, qubit_t n) {
   const auto simulator = engine::make_backend(backend);
-  sim::StateVector sv(n);
-  Rng rng(n);
-  sv.randomize(rng);
+  simulator->begin(n, 0);
   const circuit::Circuit c = circuit::qft(n);
-  simulator->run_gates(sv, c);  // warm-up (page faults, code paths)
+  simulator->run_gates(c);  // warm-up (page faults, code paths)
   // Repeat until >= 0.3 s so small sizes aren't fork/join noise.
-  return time_per_rep([&] { simulator->run_gates(sv, c); }, 0.3, 50);
+  return time_per_rep([&] { simulator->run_gates(c); }, 0.3, 50);
 }
 
 }  // namespace

@@ -17,12 +17,12 @@ using namespace qc;
 
 double time_entangle(const std::string& backend, qubit_t n) {
   const auto simulator = engine::make_backend(backend);
-  sim::StateVector sv(n);
+  simulator->begin(n, 0);
   const circuit::Circuit c = circuit::entangle(n);
-  simulator->run_gates(sv, c);  // warm-up
+  simulator->run_gates(c);  // warm-up
   // Repeat until >= 0.3 s: a single entangle pass is microseconds at
   // small n, far below OpenMP fork/join noise.
-  return time_per_rep([&] { simulator->run_gates(sv, c); }, 0.3, 1000);
+  return time_per_rep([&] { simulator->run_gates(c); }, 0.3, 1000);
 }
 
 }  // namespace

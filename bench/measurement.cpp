@@ -13,7 +13,7 @@
 #include "circuit/builders.hpp"
 #include "common/rng.hpp"
 #include "emu/observables.hpp"
-#include "engine/backend.hpp"
+#include "sim/simulator.hpp"
 
 int main(int argc, char** argv) {
   using namespace qc;
@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
                       "§3.4 — measurement statistics: exact one-pass vs sampling");
 
   sim::StateVector sv(n);
-  engine::make_backend("hpc")->run_gates(sv, circuit::tfim_trotter_step(n, 0.3));
+  sim::apply_circuit_hpc(sv.amplitudes(), circuit::tfim_trotter_step(n, 0.3));
   const index_t mask = bits::low_mask(n / 2);  // Z-string on the low half
 
   const double t_exact = time_once([&] {

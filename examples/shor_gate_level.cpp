@@ -13,7 +13,7 @@
 //                        [--ranks 2]
 // --ranks sets RunOptions.dist_ranks for --backend dist: the whole
 // order-finding circuit then runs against one resident cluster session
-// (one scatter, one gather for the entire program).
+// (chunks built in place at begin(), one gather at the end).
 #include <cstdio>
 
 #include "circuit/builders.hpp"
@@ -21,6 +21,7 @@
 #include "common/timer.hpp"
 #include "engine/engine.hpp"
 #include "revcirc/modular.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 
@@ -75,7 +76,6 @@ int main(int argc, char** argv) {
   std::printf("simulation: %zu gates on %u qubits ('%s')  %.4f s\n", full.size(),
               layout.total_qubits(), gate_result.backend.c_str(), t_gate);
 
-  const auto hpc = engine::make_backend("hpc");
   WallTimer timer;
 
   // --- emulation ---------------------------------------------------------
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     circuit::Circuit prep(t + w);
     for (qubit_t q = 0; q < t; ++q) prep.h(q);
     prep.x(t);  // x register = |1>
-    hpc->run_gates(emu_sv, prep);
+    sim::apply_circuit_hpc(emu_sv.amplitudes(), prep);
   }
   emu::Emulator emulator(emu_sv);
   timer.reset();

@@ -45,8 +45,8 @@
 //   dist.alloc          DistStateVector chunk allocation
 //   dist.exchange       combine-with-paired-chunk exchange
 //   dist.exchange_pass  global-swap chunk permutation pass
-//   dist.scatter        resident scatter job (DistBackend)
-//   dist.gather         resident gather job (DistBackend)
+//   dist.scatter        chunk initialization job at begin() (DistBackend)
+//   dist.gather         gather job at take_state() (DistBackend)
 #pragma once
 
 #include <atomic>

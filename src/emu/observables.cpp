@@ -11,16 +11,20 @@
 
 namespace qc::emu {
 
-double expectation_z_string(const sim::StateVector& sv, index_t mask) {
+template <typename T>
+double expectation_z_string(const sim::BasicStateVector<T>& sv, index_t mask) {
   const auto a = sv.amplitudes();
   double acc = 0;
 #pragma omp parallel for reduction(+ : acc) if (worth_parallelizing(a.size()))
   for (index_t i = 0; i < a.size(); ++i) {
-    const double p = std::norm(a[i]);
+    const double p = std::norm(static_cast<complex_t>(a[i]));
     acc += bits::parity(i, mask) ? -p : p;
   }
   return acc;
 }
+
+template double expectation_z_string<float>(const sim::BasicStateVector<float>&, index_t);
+template double expectation_z_string<double>(const sim::BasicStateVector<double>&, index_t);
 
 double expectation_pauli(const sim::StateVector& sv, const std::string& axes) {
   if (axes.size() > sv.qubits()) throw std::invalid_argument("expectation_pauli: too long");

@@ -20,8 +20,10 @@
 namespace qc::emu {
 
 /// <psi| Z_mask |psi>: expectation of the tensor product of Z on every
-/// qubit set in `mask` (identity elsewhere). One pass, exact.
-double expectation_z_string(const sim::StateVector& sv, index_t mask);
+/// qubit set in `mask` (identity elsewhere). One pass, exact; squares
+/// and accumulates in double at either precision.
+template <typename T>
+double expectation_z_string(const sim::BasicStateVector<T>& sv, index_t mask);
 
 /// Expectation of a general Pauli string, e.g. "XZIY" (index 0 = qubit 0
 /// = leftmost character). Rotates a copy of the state into the Z basis

@@ -3,16 +3,19 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "cluster/cluster.hpp"
 #include "cluster/fault.hpp"
+#include "common/check.hpp"
 #include "emu/dist_emu.hpp"
 #include "emu/observables.hpp"
 #include "models/perf_model.hpp"
@@ -24,51 +27,39 @@
 
 namespace qc::engine {
 
-void Backend::run_highlevel(sim::StateVector&, const Op& op) {
+void Backend::run_highlevel(const Op& op) {
   throw std::logic_error("backend '" + name() + "' is gate-level and cannot run '" +
                          op.label() + "'; lower() the program first");
 }
 
-index_t Backend::measure_register(sim::StateVector& sv, RegRef r, double u, bool collapse) {
-  // §3.4: one distribution pass, one uniform draw — through the shared
-  // sampler, which never picks a zero-probability outcome.
-  const std::vector<double> dist = sv.register_distribution(r.offset, r.width);
-  const index_t outcome = sim::SampleCdf::from_weights(dist).sample(u);
-  if (collapse)
-    for (qubit_t j = 0; j < r.width; ++j)
-      sv.collapse(r.offset + j, bits::test(outcome, j) ? 1 : 0);
-  return outcome;
+template <typename T>
+void check_norm([[maybe_unused]] const sim::BasicStateVector<T>& sv,
+                [[maybe_unused]] std::size_t fp32_steps, [[maybe_unused]] const char* what) {
+#if QC_ENABLE_CHECKS
+  const double norm_sq = sv.norm_sq();
+  const double tolerance = 1e-12 * static_cast<double>(dim(sv.qubits())) + 1e-9 +
+                           std::ldexp(static_cast<double>(fp32_steps), -22);
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", norm_sq);
+  QC_CHECK_MSG(std::abs(norm_sq - 1.0) < tolerance, std::string(what) + ": |psi|^2 = " + buf);
+#endif
 }
 
-double Backend::expectation_z(sim::StateVector& sv, index_t mask) {
-  return emu::expectation_z_string(sv, mask);
-}
-
-void Backend::end_run(sim::StateVector&) {}
-
-BackendCounters Backend::counters() const { return {}; }
+template void check_norm<float>(const sim::BasicStateVector<float>&, std::size_t, const char*);
+template void check_norm<double>(const sim::BasicStateVector<double>&, std::size_t,
+                                 const char*);
 
 namespace {
 
-/// Widens an fp32 working state back into the fp64 host state (the
-/// second half of the convert-at-segment-boundary round trip).
-void widen_into(const sim::BasicStateVector<float>& src, sim::StateVector& dst) {
-  const auto s = src.amplitudes();
-  const auto d = dst.amplitudes();
-  const index_t count = s.size();
-#pragma omp parallel for schedule(static) if (worth_parallelizing(count))
-  for (index_t i = 0; i < count; ++i) d[i] = static_cast<complex_t>(s[i]);
+/// The width check every built-in backend runs before a segment touches
+/// an amplitude, empty segments included.
+void check_width(const std::string& backend, const circuit::Circuit& c, qubit_t n) {
+  if (c.qubits() != n)
+    throw std::invalid_argument("backend '" + backend + "': " + std::to_string(c.qubits()) +
+                                "-qubit segment on a " + std::to_string(n) + "-qubit state");
 }
 
 // Span-level segment executors, each callable at T = float and double.
-
-/// "hpc": the paper's simulator, one specialized kernel per gate.
-struct HpcExec {
-  template <typename T>
-  void operator()(std::span<basic_complex_t<T>> a, const circuit::Circuit& c) const {
-    for (const circuit::Gate& g : c.gates()) sim::apply_gate_hpc<T>(a, c.qubits(), g);
-  }
-};
 
 /// "qhipster-like" (parallel) / "liquid-like" (serial): every gate
 /// through the generic masked 2x2 kernel.
@@ -102,60 +93,98 @@ struct BlockedExec {
   }
 };
 
-/// The one precision adapter: a single-node gate-level backend over a
-/// span-level executor. run_gates checks the segment width once, runs
-/// fp64 in place on the host state, and at fp32 narrows the host state
-/// once per segment (BasicStateVector::cast), runs the float
-/// instantiation and widens back — two extra state passes per segment,
-/// amortized over its gates, while every kernel sweep inside moves half
-/// the bytes. Measurement ops keep reading the fp64 host state through
-/// the default virtuals.
-template <typename Exec>
+/// A single-node backend: the state at precision T plus a span-level
+/// executor, width- and norm-checked per segment. Measurement reads the
+/// owned state, squaring in double at fp32 (what a widened copy gives).
+template <typename Exec, typename T>
 class GateBackend : public Backend {
  public:
-  GateBackend(std::string name, Precision precision, Exec exec)
-      : name_(std::move(name)), precision_(precision), exec_(std::move(exec)) {}
+  GateBackend(std::string name, Exec exec) : name_(std::move(name)), exec_(std::move(exec)) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
 
-  void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
-    if (c.qubits() != sv.qubits())
-      throw std::invalid_argument("backend '" + name_ + "': " + std::to_string(c.qubits()) +
-                                  "-qubit segment on a " + std::to_string(sv.qubits()) +
-                                  "-qubit state");
-    if (c.empty()) return;
-    if (precision_ == Precision::kF64) {
-      exec_(sv.amplitudes(), c);
-      return;
-    }
-    sim::BasicStateVector<float> work = sv.cast<float>();
-    exec_(work.amplitudes(), c);
-    widen_into(work, sv);
+  void begin(qubit_t n, index_t initial_basis) override {
+    state_ = sim::BasicStateVector<T>(n, initial_basis);
+    fp32_steps_ = 0;
   }
+
+  void run_gates(const circuit::Circuit& c) override {
+    check_width(name_, c, state_.qubits());
+    if (c.empty()) return;
+    exec_(state_.amplitudes(), c);
+    if constexpr (std::is_same_v<T, float>) fp32_steps_ += c.size() + 1;
+    check_norm(state_, fp32_steps_, "gate segment broke norm preservation");
+  }
+
+  index_t measure_register(RegRef r, double u, bool collapse) override {
+    // §3.4: one distribution pass, one uniform draw — through the shared
+    // sampler, which never picks a zero-probability outcome.
+    const std::vector<double> dist = state_.register_distribution(r.offset, r.width);
+    const index_t outcome = sim::SampleCdf::from_weights(dist).sample(u);
+    if (collapse)
+      for (qubit_t j = 0; j < r.width; ++j)
+        state_.collapse(r.offset + j, bits::test(outcome, j) ? 1 : 0);
+    return outcome;
+  }
+
+  double expectation_z(index_t mask) override { return emu::expectation_z_string(state_, mask); }
+
+  /// fp64 moves the state out; fp32 widens it, once.
+  sim::StateVector take_state() override {
+    sim::BasicStateVector<T> out = std::exchange(state_, sim::BasicStateVector<T>(0));
+    if constexpr (std::is_same_v<T, double>) return out;
+    else return out.template cast<double>();
+  }
+
+ protected:
+  sim::BasicStateVector<T> state_{0};
+  std::size_t fp32_steps_ = 0;  ///< fp32 gates + segments (+ high-level ops) since begin().
 
  private:
   std::string name_;
-  Precision precision_;
   Exec exec_;
 };
 
 template <typename Exec>
 std::unique_ptr<Backend> gate_backend(std::string name, const RunOptions& opts, Exec exec) {
-  return std::make_unique<GateBackend<Exec>>(std::move(name), opts.precision, std::move(exec));
+  if (opts.precision == Precision::kF32)
+    return std::make_unique<GateBackend<Exec, float>>(std::move(name), std::move(exec));
+  return std::make_unique<GateBackend<Exec, double>>(std::move(name), std::move(exec));
 }
 
 /// The paper's dispatch rule as a backend: high-level ops through the
-/// emu::Emulator shortcuts (fp64, on the host state), gate segments
-/// through the "cached" executor's precision adapter.
-class AutoBackend final : public GateBackend<BlockedExec> {
+/// emu::Emulator shortcuts, gate segments through the "cached"
+/// executor. The Emulator and FFT are fp64 only, so at fp32 each
+/// high-level op runs on a widened fp64 copy that is narrowed back in
+/// place: two conversion passes and an fp64 temporary per op.
+template <typename T>
+class AutoBackend final : public GateBackend<BlockedExec, T> {
  public:
   explicit AutoBackend(const RunOptions& opts)
-      : GateBackend("auto", opts.precision, BlockedExec{opts.fusion, opts.sched}) {}
+      : GateBackend<BlockedExec, T>("auto", BlockedExec{opts.fusion, opts.sched}) {
+    if constexpr (std::is_same_v<T, double>)
+      emulator_ = std::make_unique<emu::Emulator>(this->state_);
+  }
+
+  AutoBackend(const AutoBackend&) = delete;  // emulator_ binds state_ by address
+  AutoBackend& operator=(const AutoBackend&) = delete;
 
   [[nodiscard]] bool emulates() const override { return true; }
 
-  void run_highlevel(sim::StateVector& sv, const Op& op) override {
-    emu::Emulator& em = emulator_for(sv);
+  void run_highlevel(const Op& op) override {
+    if constexpr (std::is_same_v<T, double>) {
+      emulate(*emulator_, op);
+    } else {
+      sim::StateVector wide = this->state_.template cast<double>();
+      emu::Emulator em(wide);
+      emulate(em, op);
+      this->state_.convert_from(wide);
+      ++this->fp32_steps_;
+    }
+  }
+
+ private:
+  static void emulate(emu::Emulator& em, const Op& op) {
     switch (op.kind) {
       case OpKind::Add: em.add(op.a, op.b); return;
       case OpKind::Multiply: em.multiply(op.a, op.b, op.c); return;
@@ -171,46 +200,33 @@ class AutoBackend final : public GateBackend<BlockedExec> {
     }
   }
 
- private:
-  /// The Emulator binds to one StateVector and caches scratch + FFT
-  /// plans; rebuild only when the engine hands us a different state.
-  emu::Emulator& emulator_for(sim::StateVector& sv) {
-    if (emulator_ == nullptr || bound_ != &sv) {
-      emulator_ = std::make_unique<emu::Emulator>(sv);
-      bound_ = &sv;
-    }
-    return *emulator_;
-  }
-
+  /// fp64: bound once to state_. Its state-sized scratch stays lazy
+  /// (Emulator::ensure_scratch), so gate-only runs never allocate it.
   std::unique_ptr<emu::Emulator> emulator_;
-  sim::StateVector* bound_ = nullptr;
 };
 
 /// The distributed execution backend ("dist"), built around a
-/// persistent cluster::ClusterSession. The first op that needs the
-/// distributed state opens the session (rank threads spawned once,
-/// parked on the job queue) and scatters the engine's host state into
-/// per-rank resident DistStateVector chunks — exactly once per
-/// Engine::run. Every subsequent gate segment, exchange pass, Measure,
-/// ExpectationZ and collapse is submitted as a job against those
-/// *resident* chunks: gate segments chain their logical->physical qubit
-/// permutation forward (dist_schedule's perm_io) instead of restoring
-/// logical order between segments, and the measurement surface reads
-/// straight through the live permutation. While resident_ the bound
-/// host state (host_) is stale; one gather refreshes it at end_run, so
-/// a run stages the host state twice in total (counters() reports the
-/// bytes into the engine trace). Measurement ops still consume the
-/// engine's uniform draw, so recorded streams match the serial backends
-/// seed for seed.
+/// persistent cluster::ClusterSession. begin() opens the session (rank
+/// threads spawned once, parked on the job queue) and builds every
+/// rank's DistStateVector chunk at |initial_basis> in place. Every gate
+/// segment, exchange pass, Measure, ExpectationZ and collapse is then
+/// submitted as a job against those chunks: gate segments chain their
+/// logical->physical qubit permutation forward (dist_schedule's
+/// perm_io) instead of restoring logical order between segments, and
+/// the measurement surface reads straight through the live permutation.
+/// take_state() gathers once — the run's only host staging (counters()
+/// reports the bytes into the engine trace). Measurement ops still
+/// consume the engine's uniform draw, so recorded streams match the
+/// serial backends seed for seed.
 ///
 /// Every job goes through run_job, the one retry primitive, under one
 /// of two recovery classes (Recovery).
 ///
-/// Templated on the resident amplitude scalar T: under fp32 the ranks
-/// hold float chunks (the host state narrows at scatter, widens at
-/// gather), so every chunk exchange, checkpoint and host staging moves
-/// exactly half the fp64 bytes on the same plan — Result.net_bytes and
-/// the model predictions both reflect sizeof(value_type).
+/// Templated on the chunk amplitude scalar T: under fp32 the ranks hold
+/// float chunks (widened at the gather), so every chunk exchange,
+/// checkpoint and the gather move exactly half the fp64 bytes on the
+/// same plan — Result.net_bytes and the model predictions both reflect
+/// sizeof(value_type).
 template <typename T>
 class DistBackendT final : public Backend {
  public:
@@ -227,21 +243,51 @@ class DistBackendT final : public Backend {
     dopts_.sched = opts.sched;
   }
 
-  /// Drops resident chunks without gathering (the engine's end_run is
-  /// the one gather point); the session destructor joins the parked
-  /// rank threads.
+  /// Drops the chunks without gathering; the session destructor joins
+  /// the parked rank threads.
   ~DistBackendT() override { release_slots(); }
 
   [[nodiscard]] std::string name() const override { return "dist"; }
 
-  void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
+  /// Opens (or reuses, at the same clamped rank count) the session and
+  /// builds the chunks at |initial_basis> in one job — job 0 of the
+  /// run, under the dist.scatter span and fault site.
+  void begin(qubit_t n, index_t initial_basis) override {
+    const int eff = effective_ranks(n);
+    if (session_ == nullptr || session_->ranks() != eff)
+      session_ = std::make_unique<cluster::ClusterSession>(eff);
+    if (timeout_s_ > 0) session_->set_timeout(timeout_s_);
+    release_slots();
+    slots_.resize(static_cast<std::size_t>(eff));
+    slot_bytes_seen_.assign(static_cast<std::size_t>(eff), 0);
+    n_ = n;
+    initial_basis_ = initial_basis;
+    perm_ = sched::identity_perm(n);
+    ckpt_valid_ = false;
+    ckpt_chunks_.clear();
+    ckpt_perm_.clear();
+    replay_log_.clear();
+    replay_pred_s_ = 0;
+    segments_since_ckpt_ = 0;
+    obs::Span scatter_span("dist.scatter");
+    // Each attempt rebuilds every chunk from scratch.
+    run_job(Recovery::kInPlace, [this](cluster::Comm& comm) {
+      cluster::fault_point("dist.scatter", comm.rank());
+      auto& s = slots_[static_cast<std::size_t>(comm.rank())];
+      s.reset();  // a retry frees the failed attempt's chunk first
+      s = std::make_unique<sim::BasicDistStateVector<T>>(comm, n_);
+      s->set_basis(initial_basis_);
+    });
+  }
+
+  void run_gates(const circuit::Circuit& c) override {
+    check_width(name(), c, n_);
     if (c.empty()) return;
-    ensure_resident(sv);
     // Checkpoint *before* planning, so the segment about to run joins
     // the replay log of the checkpoint it would restore to.
     maybe_checkpoint();
     // Planned once: a replayed retry restarts from the same permutation.
-    const auto nl = static_cast<qubit_t>(resident_n_ - session_global_qubits());
+    const auto nl = static_cast<qubit_t>(n_ - session_global_qubits());
     std::vector<qubit_t> perm_after = perm_;
     sched::DistPlan plan = sched::dist_schedule(c, nl, dopts_, &perm_after);
     run_job(Recovery::kReplay, [this, &plan](cluster::Comm& comm) {
@@ -255,9 +301,7 @@ class DistBackendT final : public Backend {
     }
   }
 
-  index_t measure_register(sim::StateVector& sv, RegRef r, double u,
-                           bool collapse) override {
-    ensure_resident(sv);
+  index_t measure_register(RegRef r, double u, bool collapse) override {
     // Collapse destroys the pre-measurement state, and — unlike a gate
     // segment — cannot be replayed from the plan log. Force a checkpoint
     // of the pre-collapse state so a mid-collapse fault can retry.
@@ -274,7 +318,7 @@ class DistBackendT final : public Backend {
                   dsv.register_distribution(std::span<const qubit_t>(phys));
               const index_t o = sim::SampleCdf::from_weights(dist).sample(u);
               if (comm.rank() == 0) outcome = o;
-              if (!collapse) return;  // read-only: resident state untouched
+              if (!collapse) return;  // read-only: chunks untouched
               for (std::size_t j = 0; j < phys.size(); ++j)
                 dsv.collapse(phys[j], bits::test(o, static_cast<qubit_t>(j)) ? 1 : 0);
             });
@@ -285,8 +329,7 @@ class DistBackendT final : public Backend {
     return outcome;
   }
 
-  double expectation_z(sim::StateVector& sv, index_t mask) override {
-    ensure_resident(sv);
+  double expectation_z(index_t mask) override {
     // <Z_mask> is permutation-covariant: map the logical mask to the
     // physical bit positions and reduce in place.
     index_t pmask = 0;
@@ -300,8 +343,33 @@ class DistBackendT final : public Backend {
     return value;
   }
 
-  void end_run(sim::StateVector& sv) override {
-    if (resident_ && host_ == &sv) flush_to_host();
+  /// The one gather: restores physical qubit order (the only restore of
+  /// the whole run — segments deferred theirs via perm_io), copies the
+  /// chunks into a fresh fp64 state and drops them. The session stays
+  /// open for reuse. The restore rounds and the copy-out are separate
+  /// jobs, so a fault in the copy-out retries in place.
+  sim::StateVector take_state() override {
+    obs::Span gather_span("dist.gather");
+    gather_span.arg("host_bytes",
+                    static_cast<double>(models::staging_bytes(n_, sizeof(value_type))));
+    gather_span.arg("pred_s", models::t_host_staging_seconds(n_, {}, sizeof(value_type)));
+    const auto rounds = sched::restore_rounds(perm_);
+    run_job(Recovery::kReplay, [this, &rounds](cluster::Comm& comm) {
+      cluster::fault_point("dist.gather", comm.rank());
+      for (const auto& swaps : rounds) slot(comm).apply_qubit_swaps(swaps);
+    });
+    sim::StateVector out(n_);
+    run_job(Recovery::kInPlace, [this, &out](cluster::Comm& comm) {
+      const auto& local = slot(comm).local();
+      const auto base = static_cast<std::ptrdiff_t>(comm.rank()) *
+                        static_cast<std::ptrdiff_t>(local.size());
+      std::transform(local.begin(), local.end(), out.amplitudes().begin() + base,
+                     [](const value_type& z) { return static_cast<complex_t>(z); });
+    });
+    gather_span.end();
+    release_slots();
+    host_bytes_ += models::staging_bytes(n_, sizeof(value_type));
+    return out;
   }
 
   /// Counters are *snapshots taken at op boundaries* (snapshot_net after
@@ -316,9 +384,9 @@ class DistBackendT final : public Backend {
   /// How a job that failed with a retryable fault is made safe to re-run.
   enum class Recovery {
     /// The job leaves the chunks as it found them, or rebuilds them from
-    /// an intact source: re-run it as is. The expectation, the
-    /// read-only measure, the checkpoint copy, the scatter, the restore
-    /// and the gather's copy-out.
+    /// an intact source: re-run it as is. begin()'s initialization, the
+    /// expectation, the read-only measure, the checkpoint copy, the
+    /// restore and the gather's copy-out.
     kInPlace,
     /// The job mutates the chunks: restore the checkpoint and replay the
     /// segment log first. The gate segment, the collapsing measure and
@@ -331,8 +399,10 @@ class DistBackendT final : public Backend {
   /// snapshots the net counters. On a retryable fault it backs off,
   /// recovers as `recovery` says and re-runs the job, up to
   /// max_retries_ times; any other error, or a fault past the budget,
-  /// propagates as thrown.
+  /// propagates as thrown. Throws std::logic_error outside a
+  /// begin() ... take_state() run.
   void run_job(Recovery recovery, const std::function<void(cluster::Comm&)>& job) {
+    if (slots_.empty()) throw std::logic_error("dist backend: no state; call begin() first");
     for (int attempt = 0;; ++attempt) {
       try {
         session_->submit(job);
@@ -353,16 +423,6 @@ class DistBackendT final : public Backend {
     return *slots_[static_cast<std::size_t>(comm.rank())];
   }
 
-  /// Narrows this rank's slice of the host state into its chunk (the
-  /// scatter, and a restore taken before the first checkpoint).
-  static void load_host_chunk(sim::BasicDistStateVector<T>& dsv, int rank,
-                              std::span<const complex_t> amps) {
-    const auto chunk = static_cast<std::ptrdiff_t>(dim(dsv.local_qubits()));
-    const auto first = amps.begin() + static_cast<std::ptrdiff_t>(rank) * chunk;
-    std::transform(first, first + chunk, dsv.local().begin(),
-                   [](const complex_t& z) { return static_cast<value_type>(z); });
-  }
-
   /// Every rank must keep at least one *local* qubit (the distributed
   /// planner schedules within the local block), so the rank count clamps
   /// to 2^(n-1) for narrow registers (lowered programs can be tiny).
@@ -375,89 +435,6 @@ class DistBackendT final : public Backend {
   [[nodiscard]] qubit_t session_global_qubits() const {
     return static_cast<qubit_t>(
         bits::log2_floor(static_cast<index_t>(session_->ranks())));
-  }
-
-  /// Binds `sv` as the resident distributed state: opens (or reuses)
-  /// the session and scatters the host amplitudes into per-rank chunks.
-  /// Subsequent calls with the same bound state are free — this is the
-  /// "exactly one scatter per run" point. A *different* state (or a
-  /// width change, e.g. the clamp lifting when the register widens)
-  /// first flushes the old resident state back, and reuses the already
-  /// parked rank threads whenever the clamp resolves to the same rank
-  /// count instead of silently rebuilding the session per op.
-  void ensure_resident(sim::StateVector& sv) {
-    if (resident_ && host_ == &sv && resident_n_ == sv.qubits()) return;
-    if (resident_) flush_to_host();
-    const int eff = effective_ranks(sv.qubits());
-    if (session_ == nullptr || session_->ranks() != eff)
-      session_ = std::make_unique<cluster::ClusterSession>(eff);
-    if (timeout_s_ > 0) session_->set_timeout(timeout_s_);
-    const qubit_t n = sv.qubits();
-    const std::span<const complex_t> amps = sv.amplitudes();
-    obs::Span scatter_span("dist.scatter");
-    scatter_span.arg("host_bytes",
-                     static_cast<double>(models::staging_bytes(n, sizeof(value_type))));
-    scatter_span.arg("pred_s", models::t_host_staging_seconds(n, {}, sizeof(value_type)));
-    release_slots();
-    slots_.resize(static_cast<std::size_t>(eff));
-    slot_bytes_seen_.assign(static_cast<std::size_t>(eff), 0);
-    // Each attempt rebuilds every chunk from the host state, which a
-    // failed attempt leaves untouched.
-    run_job(Recovery::kInPlace, [this, n, amps](cluster::Comm& comm) {
-      cluster::fault_point("dist.scatter", comm.rank());
-      auto& s = slots_[static_cast<std::size_t>(comm.rank())];
-      s.reset();  // a retry frees the failed attempt's chunk first
-      s = std::make_unique<sim::BasicDistStateVector<T>>(comm, n);
-      load_host_chunk(*s, comm.rank(), amps);
-    });
-    scatter_span.end();
-    host_ = &sv;
-    resident_ = true;
-    resident_n_ = n;
-    perm_ = sched::identity_perm(n);
-    host_bytes_ += models::staging_bytes(n, sizeof(value_type));
-    // Fresh residency: any previous checkpoint/replay state described a
-    // different (or stale) resident state.
-    ckpt_valid_ = false;
-    ckpt_chunks_.clear();
-    ckpt_perm_.clear();
-    replay_log_.clear();
-    replay_pred_s_ = 0;
-    segments_since_ckpt_ = 0;
-  }
-
-  /// The one gather: restores physical qubit order (the only restore of
-  /// the whole run — segments deferred theirs via perm_io), copies the
-  /// chunks back into the bound host state, and drops the resident
-  /// slots. The session stays open for reuse. The restore rounds and
-  /// the copy-out are separate jobs: the host state stays the pristine
-  /// scatter source until every chunk is back in logical order, so a
-  /// failed round can still restore from it.
-  void flush_to_host() {
-    if (!resident_) return;
-    const std::span<complex_t> amps = host_->amplitudes();
-    obs::Span gather_span("dist.gather");
-    gather_span.arg("host_bytes", static_cast<double>(models::staging_bytes(
-                                      resident_n_, sizeof(value_type))));
-    gather_span.arg("pred_s",
-                    models::t_host_staging_seconds(resident_n_, {}, sizeof(value_type)));
-    const auto rounds = sched::restore_rounds(perm_);
-    run_job(Recovery::kReplay, [this, &rounds](cluster::Comm& comm) {
-      cluster::fault_point("dist.gather", comm.rank());
-      for (const auto& swaps : rounds) slot(comm).apply_qubit_swaps(swaps);
-    });
-    run_job(Recovery::kInPlace, [this, amps](cluster::Comm& comm) {
-      const auto& local = slot(comm).local();
-      const auto base = static_cast<std::ptrdiff_t>(comm.rank()) *
-                        static_cast<std::ptrdiff_t>(local.size());
-      std::transform(local.begin(), local.end(), amps.begin() + base,
-                     [](const value_type& z) { return static_cast<complex_t>(z); });
-    });
-    gather_span.end();
-    release_slots();
-    host_bytes_ += models::staging_bytes(resident_n_, sizeof(value_type));
-    resident_ = false;
-    host_ = nullptr;
   }
 
   // --- failure domain: checkpoint / restore / retry ---------------------
@@ -495,19 +472,19 @@ class DistBackendT final : public Backend {
   /// captured by checkpoint + replay log... i.e. always capturable, so a
   /// force only spends a checkpoint when it shortens the restore path.
   void maybe_checkpoint(bool force = false) {
-    if (!resident_ || !checkpoints_enabled()) return;
+    if (!checkpoints_enabled()) return;
     bool due = false;
     if (force) {
       due = !ckpt_valid_ || !replay_log_.empty();
     } else if (ckpt_interval_ > 0) {
       due = segments_since_ckpt_ >= static_cast<std::size_t>(ckpt_interval_);
     } else {
-      due = models::checkpoint_due(replay_pred_s_, resident_n_, {});
+      due = models::checkpoint_due(replay_pred_s_, n_, {});
     }
     if (due) take_checkpoint();
   }
 
-  /// Copies every rank's resident chunk (and the carried permutation)
+  /// Copies every rank's chunk (and the carried permutation)
   /// into host-side checkpoint storage. The copy job is communication-
   /// free but still runs on the rank threads, so injected cluster.job
   /// faults exercise checkpoint failure too. The old checkpoint's
@@ -516,7 +493,7 @@ class DistBackendT final : public Backend {
   void take_checkpoint() {
     obs::Span span("dist.checkpoint");
     span.arg("bytes", static_cast<double>(
-                          models::staging_bytes(resident_n_, sizeof(value_type))));
+                          models::staging_bytes(n_, sizeof(value_type))));
     ckpt_valid_ = false;
     ckpt_chunks_.resize(slots_.size());
     run_job(Recovery::kInPlace, [this](cluster::Comm& comm) {
@@ -531,27 +508,25 @@ class DistBackendT final : public Backend {
     obs::counter_add("checkpoint.count", 1);
     obs::counter_add("checkpoint.bytes",
                      static_cast<double>(
-                         models::staging_bytes(resident_n_, sizeof(value_type))));
+                         models::staging_bytes(n_, sizeof(value_type))));
   }
 
-  /// Restores the last checkpoint (or the host state the residency was
-  /// scattered from, when no checkpoint was taken yet — it only goes
-  /// stale at the gather's copy-out) and replays the logged segments, in
-  /// one job that rebuilds the chunks from that intact source — so a
+  /// Restores the last checkpoint (or re-initializes |initial_basis>,
+  /// when no checkpoint was taken yet) and replays the logged segments,
+  /// in one job that rebuilds the chunks from that intact source — so a
   /// fault inside it retries in place. Leaves chunks and perm_ exactly
   /// as before the failed op.
   void restore_and_replay() {
     obs::Span span("dist.restore");
     span.arg("segments", static_cast<double>(replay_log_.size()));
     obs::counter_add("checkpoint.restores", 1);
-    const std::span<const complex_t> amps = host_->amplitudes();
-    run_job(Recovery::kInPlace, [this, amps](cluster::Comm& comm) {
+    run_job(Recovery::kInPlace, [this](cluster::Comm& comm) {
       auto& dsv = slot(comm);
       if (ckpt_valid_) {
         const auto& saved = ckpt_chunks_[static_cast<std::size_t>(comm.rank())];
         std::copy(saved.begin(), saved.end(), dsv.local().begin());
       } else {
-        load_host_chunk(dsv, comm.rank(), amps);
+        dsv.set_basis(initial_basis_);
       }
       for (const SegmentLog& s : replay_log_) sched::run_dist_plan(dsv, s.plan);
     });
@@ -560,7 +535,7 @@ class DistBackendT final : public Backend {
     } else if (ckpt_valid_) {
       perm_ = ckpt_perm_;
     } else {
-      perm_ = sched::identity_perm(resident_n_);
+      perm_ = sched::identity_perm(n_);
     }
   }
 
@@ -595,9 +570,8 @@ class DistBackendT final : public Backend {
   /// Per-rank bytes_communicated() value at the last snapshot_net —
   /// deltas against these attribute communication to the right op.
   std::vector<std::uint64_t> slot_bytes_seen_;
-  sim::StateVector* host_ = nullptr;  ///< Host state the residency is bound to.
-  bool resident_ = false;
-  qubit_t resident_n_ = 0;
+  qubit_t n_ = 0;                ///< begin()'s register width.
+  index_t initial_basis_ = 0;    ///< begin()'s |initial_basis>, for a restore.
   std::vector<qubit_t> perm_;  ///< Logical->physical, carried across segments.
   std::uint64_t host_bytes_ = 0;
   std::uint64_t net_bytes_ = 0;
@@ -622,7 +596,10 @@ class DistBackendT final : public Backend {
 
 std::map<std::string, BackendFactory>& registry() {
   static std::map<std::string, BackendFactory> reg{
-      {"hpc", [](const RunOptions& o) { return gate_backend("hpc", o, HpcExec{}); }},
+      {"hpc",  // the paper's simulator, one kernel per gate
+       [](const RunOptions& o) {
+         return gate_backend("hpc", o, [](auto a, const auto& c) { sim::apply_circuit_hpc(a, c); });
+       }},
       {"qhipster-like",
        [](const RunOptions& o) { return gate_backend("qhipster-like", o, GenericExec{true}); }},
       {"liquid-like",
@@ -634,7 +611,8 @@ std::map<std::string, BackendFactory>& registry() {
        }},
       {"auto",
        [](const RunOptions& o) -> std::unique_ptr<Backend> {
-         return std::make_unique<AutoBackend>(o);
+         if (o.precision == Precision::kF32) return std::make_unique<AutoBackend<float>>(o);
+         return std::make_unique<AutoBackend<double>>(o);
        }},
       {"dist",
        [](const RunOptions& o) -> std::unique_ptr<Backend> {

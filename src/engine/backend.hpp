@@ -1,9 +1,11 @@
 // Backend registry — one namespace for every way this library can
 // execute a Program.
 //
-// A Backend executes the *unitary* ops of a Program; Measure /
-// ExpectationZ ops are routed through the measurement virtuals below
-// with an engine-supplied uniform draw, so the recorded streams stay
+// A Backend owns the run's state, at the run's precision, from begin()
+// until Engine::run takes it back once with take_state(). In between it
+// executes the *unitary* ops of a Program; Measure / ExpectationZ ops
+// are routed through the measurement virtuals below with an
+// engine-supplied uniform draw, so the recorded streams stay
 // backend-independent for one seed. Two families:
 //
 //  * gate-level backends ("hpc", "fused", "cached", "qhipster-like",
@@ -14,13 +16,13 @@
 //    dispatching gate segments to the cache-blocked executor — the
 //    paper's §3 contract expressed as one dispatch rule.
 //
-// Every single-node backend is one precision adapter over a span-level
-// executor (per-gate sim::apply_gate_hpc / apply_gate_generic, or
-// sched::execute_blocked on an all-Global or a blocked plan): it checks
-// the segment width, runs fp64 in place and fp32 on a narrowed copy.
-// "dist" keeps its own fp32-resident chunks. The registry maps each
-// name to a BackendFactory; tests, benches and examples pick a backend
-// through make_backend().
+// Every single-node backend holds a BasicStateVector<T> (T from
+// RunOptions::precision) and runs segments through a span-level
+// executor: sim::apply_circuit_hpc / apply_gate_generic, or
+// sched::execute_blocked on an all-Global or a blocked plan. "dist"
+// holds per-rank chunks at T. The registry maps each name to a
+// BackendFactory; tests, benches and examples pick a backend through
+// make_backend().
 #pragma once
 
 #include <cstdint>
@@ -49,13 +51,14 @@ struct RunOptions {
   /// Cache-blocking options for backends that sweep-schedule ("auto",
   /// "cached").
   sched::ScheduleOptions sched;
-  /// Amplitude precision gate segments execute at. kF64 (default) is
-  /// the reference. kF32 runs the float-instantiated kernels: the host
-  /// state stays fp64 and is narrowed once per gate segment (resp. held
-  /// float-resident on the dist backend's ranks, halving exchange
-  /// bytes); measurement sampling and reductions stay double either
-  /// way. Accuracy is bounded by the precision-drift test gate (fp32 vs
-  /// fp64 <= 1e-6 max amplitude error on deep QFT/random circuits).
+  /// Amplitude precision the backend holds the state at. kF64 (default)
+  /// is the reference. kF32 runs the float-instantiated kernels on a
+  /// float state (on the dist backend's ranks too, halving exchange
+  /// bytes); "auto" emulates high-level ops at fp64 on a widened copy,
+  /// and Result.state is widened once at the end. Measurement sampling
+  /// and reductions stay double either way. Accuracy is bounded by the
+  /// precision-drift test gate (fp32 vs fp64 <= 1e-6 max amplitude
+  /// error on deep QFT/random circuits).
   Precision precision = Precision::kF64;
   /// Initial computational basis state |initial_basis> of the *program*
   /// register (lowering ancillas always start at |0>).
@@ -115,11 +118,10 @@ struct RunOptions {
 };
 
 /// Monotone byte counters a backend exposes for the per-op engine
-/// trace. `host_bytes` is data staged between the engine's host state
-/// and backend-resident storage (the dist backend's scatter/gather);
-/// `net_bytes` is data moved between ranks. Engine::run records per-op
-/// deltas, so a dist run shows one scatter on the first op and one
-/// gather at finalize.
+/// trace. `host_bytes` is data staged from rank chunks into a host
+/// state (the dist backend's gather in take_state()); `net_bytes` is
+/// data moved between ranks. Engine::run records per-op deltas, so a
+/// dist run shows host bytes only on the trailing "[finalize]" row.
 struct BackendCounters {
   std::uint64_t host_bytes = 0;
   std::uint64_t net_bytes = 0;
@@ -135,36 +137,42 @@ class Backend {
   /// Engine::run must lower() the program to gates first.
   [[nodiscard]] virtual bool emulates() const { return false; }
 
-  /// Executes a gate segment. Every built-in backend throws
-  /// std::invalid_argument when `c` and `sv` differ in width.
-  virtual void run_gates(sim::StateVector& sv, const circuit::Circuit& c) = 0;
+  /// Starts a run: allocates the n-qubit state, written once at
+  /// |initial_basis>. Engine::run calls it once, after lowering.
+  virtual void begin(qubit_t n, index_t initial_basis) = 0;
+
+  /// Executes a gate segment on the owned state. Every built-in backend
+  /// throws std::invalid_argument when `c` is not as wide as the state
+  /// begin() made, empty segments included.
+  virtual void run_gates(const circuit::Circuit& c) = 0;
 
   /// Executes a high-level unitary op. Default throws std::logic_error —
   /// gate-level backends never see one.
-  virtual void run_highlevel(sim::StateVector& sv, const Op& op);
+  virtual void run_highlevel(const Op& op);
 
   /// Samples a measurement outcome of register `r` using the
   /// engine-supplied uniform draw `u` (exactly one per Measure op, so
   /// the recorded stream is identical across backends for one seed),
-  /// optionally collapsing the register. Default: one distribution pass
-  /// plus the shared zero-probability-safe inverse-CDF sampler.
-  /// Backends with their own state layout ("dist") override with a
-  /// collective implementation.
-  virtual index_t measure_register(sim::StateVector& sv, RegRef r, double u, bool collapse);
+  /// optionally collapsing the register.
+  virtual index_t measure_register(RegRef r, double u, bool collapse) = 0;
 
-  /// <Z_mask> of the current state. Default: serial one-pass reduction;
-  /// "dist" overrides with the collective reduction.
-  virtual double expectation_z(sim::StateVector& sv, index_t mask);
+  /// <Z_mask> of the owned state.
+  virtual double expectation_z(index_t mask) = 0;
 
-  /// Called once by Engine::run after the last op. Backends holding
-  /// state resident elsewhere ("dist") flush it back into `sv` here —
-  /// the at-most-one gather of a resident run. Default: no-op.
-  virtual void end_run(sim::StateVector& sv);
+  /// Ends the run: hands the final state back as fp64, once, and leaves
+  /// the backend without one until the next begin().
+  virtual sim::StateVector take_state() = 0;
 
   /// Monotone counters behind the engine trace's per-op byte columns.
   /// Default: all zero (purely host-side backends move nothing).
-  [[nodiscard]] virtual BackendCounters counters() const;
+  [[nodiscard]] virtual BackendCounters counters() const { return {}; }
 };
+
+/// The norm invariant (a QC_CHECK: armed builds only): |psi|^2 within
+/// 1e-12 * 2^n + 1e-9 of 1, plus 2^-22 per fp32 gate, segment and
+/// high-level op run so far (`fp32_steps`). `what` leads the message.
+template <typename T>
+void check_norm(const sim::BasicStateVector<T>& sv, std::size_t fp32_steps, const char* what);
 
 using BackendFactory = std::function<std::unique_ptr<Backend>(const RunOptions&)>;
 

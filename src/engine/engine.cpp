@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 #include "cluster/fault.hpp"
-#include "common/check.hpp"
 #include "common/timer.hpp"
 #include "obs/trace.hpp"
 #include "sim/kernels_dispatch.hpp"
@@ -15,22 +13,6 @@
 namespace qc::engine {
 
 namespace {
-
-/// Tolerance of the norm invariant after `fp32_steps` fp32 gates plus
-/// fp32 segments: fp64's, which scales with the rounding sites of the
-/// norm reduction itself, plus 2^-22 per fp32 step — fp32 rounding
-/// drift builds up across segments, since nothing renormalizes between
-/// them. Unused when checks are compiled out.
-[[maybe_unused]] double norm_tolerance(qubit_t n, std::size_t fp32_steps) {
-  return 1e-12 * static_cast<double>(dim(n)) + 1e-9 +
-         std::ldexp(static_cast<double>(fp32_steps), -22);
-}
-
-[[maybe_unused]] std::string norm_message(const char* what, double norm_sq) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", norm_sq);
-  return std::string(what) + ": |psi|^2 = " + buf;
-}
 
 /// One end-to-end attempt of the program on one backend. Throws
 /// whatever the backend throws; the degradation ladder in Engine::run
@@ -57,8 +39,7 @@ Result run_attempt(const Program& p, const RunOptions& opts,
     prog = &lowered;
   }
 
-  sim::StateVector sv(prog->qubits());
-  sv.set_basis(opts.initial_basis);  // ancillas (high qubits) stay |0>
+  backend->begin(prog->qubits(), opts.initial_basis);  // ancillas (high qubits) stay |0>
   Rng rng(opts.seed);
 
   Result res;
@@ -67,7 +48,8 @@ Result run_attempt(const Program& p, const RunOptions& opts,
   res.trace.reserve(prog->size());
   WallTimer total;
   BackendCounters before = backend->counters();
-  [[maybe_unused]] std::size_t fp32_steps = 0;
+  const bool fp32 = opts.precision == Precision::kF32;
+  std::size_t fp32_steps = 0;
   for (const Op& op : prog->ops()) {
     const std::string label = op.label();
     WallTimer t;
@@ -78,24 +60,19 @@ Result run_attempt(const Program& p, const RunOptions& opts,
         // order) so the recorded stream is seed-deterministic on every
         // backend; the backend maps it to an outcome (§3.4 — the "dist"
         // backend does so collectively against the distributed state).
-        res.measurements.push_back(backend->measure_register(
-            sv, op.a, rng.uniform(), opts.collapse_measurements));
+        res.measurements.push_back(
+            backend->measure_register(op.a, rng.uniform(), opts.collapse_measurements));
         break;
       case OpKind::ExpectationZ:
-        res.expectations.push_back(backend->expectation_z(sv, op.mask));
+        res.expectations.push_back(backend->expectation_z(op.mask));
         break;
       case OpKind::GateSegment:
-        backend->run_gates(sv, op.gates);
-        if (opts.precision == Precision::kF32) fp32_steps += op.gates.size() + 1;
-        // Gate segments are unitary: the 2-norm must survive each one.
-        // Backends holding the state resident elsewhere leave sv's
-        // (normalized) host copy untouched mid-run; their real check
-        // runs after end_run below.
-        QC_CHECK_MSG(std::abs(sv.norm_sq() - 1.0) < norm_tolerance(prog->qubits(), fp32_steps),
-                     norm_message("gate segment broke norm preservation", sv.norm_sq()));
+        backend->run_gates(op.gates);
+        if (fp32) fp32_steps += op.gates.size() + 1;
         break;
       default:
-        backend->run_highlevel(sv, op);
+        backend->run_highlevel(op);
+        if (fp32) ++fp32_steps;
     }
     const BackendCounters after = backend->counters();
     op_span.arg("host_bytes", static_cast<double>(after.host_bytes - before.host_bytes));
@@ -105,26 +82,22 @@ Result run_attempt(const Program& p, const RunOptions& opts,
                          after.net_bytes - before.net_bytes});
     before = after;
   }
-  // A backend holding state resident elsewhere flushes it back exactly
-  // once, here; the bytes it moves get their own trailing trace row so
-  // the per-run staging count stays auditable.
-  {
-    WallTimer t;
-    obs::Span fin_span("[finalize]");
-    backend->end_run(sv);
-    // The flushed-back state covers resident backends' whole run.
-    QC_CHECK_MSG(std::abs(sv.norm_sq() - 1.0) < norm_tolerance(prog->qubits(), fp32_steps),
-                 norm_message("run left a non-normalized state", sv.norm_sq()));
-    const BackendCounters after = backend->counters();
-    fin_span.arg("host_bytes", static_cast<double>(after.host_bytes - before.host_bytes));
-    fin_span.arg("net_bytes", static_cast<double>(after.net_bytes - before.net_bytes));
-    fin_span.end();
-    if (after.host_bytes != before.host_bytes || after.net_bytes != before.net_bytes)
-      res.trace.push_back({"[finalize]", t.seconds(), after.host_bytes - before.host_bytes,
-                           after.net_bytes - before.net_bytes});
-    res.host_bytes = after.host_bytes;
-    res.net_bytes = after.net_bytes;
-  }
+  // The backend hands its state back exactly once, here; bytes it stages
+  // doing so (dist's gather) get their own trailing trace row so the
+  // per-run staging count stays auditable.
+  WallTimer fin;
+  obs::Span fin_span("[finalize]");
+  sim::StateVector sv = backend->take_state();
+  check_norm(sv, fp32_steps, "run left a non-normalized state");
+  const BackendCounters after = backend->counters();
+  fin_span.arg("host_bytes", static_cast<double>(after.host_bytes - before.host_bytes));
+  fin_span.arg("net_bytes", static_cast<double>(after.net_bytes - before.net_bytes));
+  fin_span.end();
+  if (after.host_bytes != before.host_bytes || after.net_bytes != before.net_bytes)
+    res.trace.push_back({"[finalize]", fin.seconds(), after.host_bytes - before.host_bytes,
+                         after.net_bytes - before.net_bytes});
+  res.host_bytes = after.host_bytes;
+  res.net_bytes = after.net_bytes;
   res.total_seconds = total.seconds();
 
   if (prog->qubits() == p.qubits()) {

@@ -4,7 +4,9 @@
 // any registered backend and returns the final state, recorded
 // measurement outcomes, requested expectation values, and a per-op
 // wall-clock trace (the raw datapoints behind models/perf_model and the
-// BENCH json series).
+// BENCH json series). The backend holds the state at the run's
+// precision from begin() until the one take_state() at the end; the
+// engine allocates one only to project away a lowered run's ancillas.
 //
 // Dispatch rule (the paper's §3 contract as one API):
 //   * backend->emulates()  — high-level ops run at their mathematical
@@ -29,26 +31,25 @@ namespace qc::engine {
 
 /// One per-op timing sample of a run. The byte columns are deltas of
 /// the backend's monotone counters around this op: a dist run shows
-/// host_bytes only on the op that scattered (and on the trailing
-/// "[finalize]" row that gathered).
+/// host_bytes only on the trailing "[finalize]" row that gathered.
 struct OpTrace {
   std::string op;       ///< Op::label() of the executed node.
   double seconds = 0;   ///< Wall-clock time of this node.
-  std::uint64_t host_bytes = 0;  ///< Host<->rank staging bytes this op moved.
+  std::uint64_t host_bytes = 0;  ///< Rank->host staging bytes this op moved.
   std::uint64_t net_bytes = 0;   ///< Rank<->rank bytes this op moved.
 };
 
 struct Result {
   /// Final state on the *program's* qubits (lowering ancillas verified
-  /// clean and projected away).
+  /// clean and projected away), fp64 at either run precision.
   sim::StateVector state{0};
   /// Sampled outcome of each Measure op, in program order.
   std::vector<index_t> measurements;
   /// Value of each ExpectationZ op, in program order.
   std::vector<double> expectations;
   /// Per-op wall-clock trace (of the lowered program when lowering ran).
-  /// A backend that flushes resident state at run end (dist) appends
-  /// one trailing "[finalize]" row covering that gather. With
+  /// A backend whose take_state() moves bytes (dist's gather) adds one
+  /// trailing "[finalize]" row covering it. With
   /// RunOptions.trace enabled these rows are the flat view over the
   /// root op spans of `trace_data` — same columns, same totals.
   std::vector<OpTrace> trace;
@@ -70,7 +71,7 @@ struct Result {
   qubit_t run_qubits = 0;   ///< Qubits actually simulated (incl. ancillas).
   double total_seconds = 0; ///< End-to-end wall-clock time.
   /// Whole-run totals of the backend byte counters (equal to the sums
-  /// of the trace columns): host<->rank staging and rank<->rank
+  /// of the trace columns): rank->host staging and rank<->rank
   /// communication volume.
   std::uint64_t host_bytes = 0;
   std::uint64_t net_bytes = 0;

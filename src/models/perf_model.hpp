@@ -141,15 +141,13 @@ bool remap_profitable(std::size_t saved, double cost = 2.0);
 double t_chunk_exchange_seconds(qubit_t local_qubits, const MachineParams& m,
                                 std::size_t amp_bytes = sizeof(complex_t));
 
-// --- host<->ranks staging term (resident sessions, engine/backend) -----
+// --- ranks->host staging term (resident sessions, engine/backend) -----
 //
-// Before the distributed state can live on the ranks at all, the engine
-// must stage the host state vector into the per-rank chunks (scatter)
-// and, at the end of the run, back (gather). One staging copies every
-// amplitude once — 16 bytes each at fp64 — through host memory. The
-// dist backend's resident session pays two stagings per Engine::run and
-// reports the bytes it moved in the per-op engine trace; the scatter
-// and gather spans carry this term as their prediction.
+// The dist backend builds its chunks in place at begin() and stages the
+// state into a host vector once, at take_state() (the gather). One
+// staging copies every amplitude once — 16 bytes each at fp64 — through
+// host memory; the trace's "[finalize]" row reports those bytes and the
+// gather span carries this term as its prediction.
 
 /// Bytes one host<->ranks staging of a 2^n state moves (amp_bytes per
 /// amplitude: each stored complex copied exactly once; 16 at fp64, 8

@@ -73,4 +73,15 @@ void apply_gate_hpc(std::span<basic_complex_t<T>> a, qubit_t n, const Gate& g) {
 template void apply_gate_hpc<float>(std::span<basic_complex_t<float>>, qubit_t, const Gate&);
 template void apply_gate_hpc<double>(std::span<basic_complex_t<double>>, qubit_t, const Gate&);
 
+template <typename T>
+void apply_circuit_hpc(std::span<basic_complex_t<T>> a, const circuit::Circuit& c) {
+  if (a.size() != dim(c.qubits()))
+    throw std::invalid_argument("apply_circuit_hpc: circuit and state widths differ");
+  for (const Gate& g : c.gates()) apply_gate_hpc<T>(a, c.qubits(), g);
+}
+
+template void apply_circuit_hpc<float>(std::span<basic_complex_t<float>>, const circuit::Circuit&);
+template void apply_circuit_hpc<double>(std::span<basic_complex_t<double>>,
+                                        const circuit::Circuit&);
+
 }  // namespace qc::sim

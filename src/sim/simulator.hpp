@@ -49,6 +49,12 @@ namespace qc::sim {
 template <typename T>
 void apply_gate_hpc(std::span<basic_complex_t<T>> a, qubit_t n, const circuit::Gate& g);
 
+/// Applies every gate of `c`, in order, through apply_gate_hpc: "apply
+/// this circuit to my state", and the executor behind the "hpc" backend.
+/// Throws std::invalid_argument unless `a` holds 2^c.qubits() amplitudes.
+template <typename T>
+void apply_circuit_hpc(std::span<basic_complex_t<T>> a, const circuit::Circuit& c);
+
 /// The unspecialized per-gate dispatch (the qhipster-/liquid-like tier)
 /// on a raw amplitude array: every gate through the generic masked 2x2
 /// kernel, SWAP lowered to three CNOTs. `parallel` selects OpenMP. No

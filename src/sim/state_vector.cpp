@@ -9,14 +9,14 @@
 namespace qc::sim {
 
 template <typename T>
-BasicStateVector<T>::BasicStateVector(qubit_t n_qubits) : n_(n_qubits), data_(dim(n_qubits)) {
+BasicStateVector<T>::BasicStateVector(qubit_t n_qubits, index_t basis)
+    : n_(n_qubits), data_(dim(n_qubits)) {
   // data_ is allocated uninitialized (UninitAlignedAllocator); the
-  // parallel first-touch fill below places each page on the NUMA node of
-  // the thread that will sweep it in the kernels — a serial zero fill
-  // would land every page on one node and make all kernels pay
+  // parallel first-touch fill in set_basis places each page on the NUMA
+  // node of the thread that will sweep it in the kernels — a serial zero
+  // fill would land every page on one node and make all kernels pay
   // remote-memory latency on multi-socket boxes.
-  zero_fill();
-  data_[0] = value_type{T{1}};
+  set_basis(basis);
 }
 
 template <typename T>

@@ -8,10 +8,11 @@
 // bytes every kernel sweep moves — one extra qubit per node at equal
 // memory). Reductions (norms, probabilities, distributions) accumulate
 // in double for either precision. Gate application lives in kernels.hpp
-// / the Simulator classes; classical-function shortcuts in qc::emu.
+// and simulator.hpp; classical-function shortcuts in qc::emu.
 #pragma once
 
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -27,9 +28,11 @@ class BasicStateVector {
  public:
   using value_type = basic_complex_t<T>;
 
-  /// |0...0> on n qubits. Allocates 2^n amplitudes (sizeof(value_type)
-  /// bytes each: 16 at fp64, 8 at fp32).
-  explicit BasicStateVector(qubit_t n_qubits);
+  /// The basis state |basis> on n qubits (|0...0> by default), written
+  /// in one pass. Allocates 2^n amplitudes (sizeof(value_type) bytes
+  /// each: 16 at fp64, 8 at fp32). Throws std::invalid_argument when
+  /// basis >= 2^n.
+  explicit BasicStateVector(qubit_t n_qubits, index_t basis = 0);
 
   [[nodiscard]] qubit_t qubits() const noexcept { return n_; }
   [[nodiscard]] index_t size() const noexcept { return dim(n_); }
@@ -86,18 +89,26 @@ class BasicStateVector {
   /// outcome has probability ~0.
   void collapse(qubit_t q, int outcome);
 
-  /// Precision-converting copy (fp64 <-> fp32): the engine's
-  /// convert-at-segment-boundary strategy narrows the host state once
-  /// per gate segment, runs the fp32 kernels, and widens the result.
+  /// Precision-converting copy (fp64 <-> fp32): how an fp32 backend
+  /// hands back its final state, and "auto" widens the state for an
+  /// emulated op.
   template <typename U>
   [[nodiscard]] BasicStateVector<U> cast() const {
     BasicStateVector<U> out(n_);
-    auto dst = out.amplitudes();
+    out.convert_from(*this);
+    return out;
+  }
+
+  /// Overwrites every amplitude with src's, converted to T, in one pass:
+  /// how "auto" narrows back in place after an fp32 emulated op. Throws
+  /// std::invalid_argument when the qubit counts differ.
+  template <typename U>
+  void convert_from(const BasicStateVector<U>& src) {
+    if (src.qubits() != n_) throw std::invalid_argument("convert_from: qubit counts differ");
+    const auto from = src.amplitudes();
     const index_t count = size();
 #pragma omp parallel for schedule(static) if (worth_parallelizing(count))
-    for (index_t i = 0; i < count; ++i)
-      dst[i] = static_cast<basic_complex_t<U>>(data_[i]);
-    return out;
+    for (index_t i = 0; i < count; ++i) data_[i] = static_cast<value_type>(from[i]);
   }
 
  private:

@@ -8,7 +8,7 @@
 #include "circuit/builders.hpp"
 #include "emu/dist_emu.hpp"
 #include "emu/observables.hpp"
-#include "engine/backend.hpp"
+#include "sim/simulator.hpp"
 
 namespace qc::emu {
 namespace {
@@ -105,7 +105,7 @@ TEST(DistEmulator, DivideMatchesSerialOnPreparedState) {
   {
     circuit::Circuit prep(n);
     for (qubit_t q = 0; q < 2 * m; ++q) prep.h(q);
-    engine::make_backend("hpc")->run_gates(serial, prep);
+    sim::apply_circuit_hpc(serial.amplitudes(), prep);
   }
   Emulator semu(serial);
   semu.divide(a, b, c);
@@ -151,7 +151,7 @@ TEST(DistEmulator, QftMatchesSerialCircuit) {
   const qubit_t n = 10;
   StateVector serial(n);
   serial.randomize_deterministic(404);
-  engine::make_backend("hpc")->run_gates(serial, circuit::qft(n));
+  sim::apply_circuit_hpc(serial.amplitudes(), circuit::qft(n));
 
   for (const int ranks : {1, 2, 4, 8}) {
     cluster::Cluster cluster(ranks, 1);

@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "circuit/builders.hpp"
-#include "engine/backend.hpp"
 #include "models/perf_model.hpp"
 #include "sched/dist_schedule.hpp"
+#include "sim/simulator.hpp"
 
 namespace qc::sched {
 namespace {
@@ -24,7 +24,7 @@ using sim::StateVector;
 double plan_vs_serial(const Circuit& c, qubit_t n, int ranks, std::uint64_t seed) {
   StateVector serial(n);
   serial.randomize_deterministic(seed);
-  engine::make_backend("hpc")->run_gates(serial, c);
+  sim::apply_circuit_hpc(serial.amplitudes(), c);
 
   const auto nl = static_cast<qubit_t>(n - bits::log2_floor(static_cast<index_t>(ranks)));
   const DistPlan plan = dist_schedule(c, nl, {});
@@ -166,7 +166,7 @@ TEST(DistSchedule, PermCarryAcrossSegmentsMatchesSerial) {
 
   StateVector serial(n);
   serial.randomize_deterministic(777);
-  engine::make_backend("hpc")->run_gates(serial, whole);
+  sim::apply_circuit_hpc(serial.amplitudes(), whole);
 
   std::vector<qubit_t> perm = identity_perm(n);
   std::vector<DistPlan> plans;

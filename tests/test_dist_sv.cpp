@@ -11,8 +11,8 @@
 
 #include "circuit/builders.hpp"
 #include "cluster/fault.hpp"
-#include "engine/backend.hpp"
 #include "sim/dist_sv.hpp"
+#include "sim/simulator.hpp"
 
 namespace qc::sim {
 namespace {
@@ -31,7 +31,7 @@ double dist_vs_serial(const Circuit& c, qubit_t n, int ranks, CommPolicy policy,
                       std::uint64_t seed) {
   StateVector serial(n);
   serial.randomize_deterministic(seed);
-  engine::make_backend("hpc")->run_gates(serial, c);
+  sim::apply_circuit_hpc(serial.amplitudes(), c);
 
   double diff = -1;
   cluster::Cluster cluster(ranks, 1);

@@ -9,8 +9,8 @@
 
 #include "circuit/builders.hpp"
 #include "emu/emulator.hpp"
-#include "engine/backend.hpp"
 #include "revcirc/arith.hpp"
+#include "sim/simulator.hpp"
 
 namespace qc::emu {
 namespace {
@@ -97,7 +97,7 @@ TEST_P(MulEquivalence, EmulatedMultiplyEqualsSimulatedCircuit) {
   std::copy(data.amplitudes().begin(), data.amplitudes().end(),
             circuit_sv.amplitudes().begin());
 
-  engine::make_backend("hpc")->run_gates(circuit_sv, revcirc::multiplier_circuit(m));
+  sim::apply_circuit_hpc(circuit_sv.amplitudes(), revcirc::multiplier_circuit(m));
 
   StateVector emu_sv(total);
   std::copy(data.amplitudes().begin(), data.amplitudes().end(), emu_sv.amplitudes().begin());
@@ -125,11 +125,11 @@ TEST_P(DivEquivalence, EmulatedDivideEqualsSimulatedCircuit) {
   for (qubit_t q = 0; q < m; ++q) prep.h(q);
   for (qubit_t q = 0; q < m; ++q) prep.h(2 * m + 1 + q);
   StateVector circuit_sv(total);
-  engine::make_backend("hpc")->run_gates(circuit_sv, prep);
+  sim::apply_circuit_hpc(circuit_sv.amplitudes(), prep);
   StateVector emu_sv(total);
   copy_state(circuit_sv, emu_sv);
 
-  engine::make_backend("hpc")->run_gates(circuit_sv, revcirc::divider_circuit(m));
+  sim::apply_circuit_hpc(circuit_sv.amplitudes(), revcirc::divider_circuit(m));
 
   Emulator emu(emu_sv);
   emu.divide({0, m}, {2 * m + 1, m}, {3 * m + 1, m});
@@ -183,7 +183,7 @@ TEST(Emulator, AddMatchesAdderCircuit) {
 
   Circuit add_circuit(total);
   revcirc::cuccaro_add(add_circuit, revcirc::make_reg(0, w), revcirc::make_reg(w, w), 2 * w);
-  engine::make_backend("hpc")->run_gates(circuit_sv, add_circuit);
+  sim::apply_circuit_hpc(circuit_sv.amplitudes(), add_circuit);
 
   Emulator emu(emu_sv);
   emu.add({0, w}, {w, w});
@@ -244,7 +244,7 @@ TEST(Emulator, PhaseOracleMatchesControlledZNetwork) {
   }
   for (qubit_t q = 0; q < n; ++q)
     if (!bits::test(x0, q)) c.x(q);
-  engine::make_backend("hpc")->run_gates(circuit_sv, c);
+  sim::apply_circuit_hpc(circuit_sv.amplitudes(), c);
 
   Emulator(emu_sv).apply_phase_oracle([x0](index_t i) { return i == x0; });
   EXPECT_LT(emu_sv.max_abs_diff(circuit_sv), 1e-13);
@@ -259,7 +259,7 @@ TEST(Emulator, PhaseFunctionMatchesDiagonalGates) {
   copy_state(circuit_sv, emu_sv);
   Circuit c(n);
   c.phase(2, theta);
-  engine::make_backend("hpc")->run_gates(circuit_sv, c);
+  sim::apply_circuit_hpc(circuit_sv.amplitudes(), c);
   Emulator(emu_sv).apply_phase_function(
       [theta](index_t i) { return bits::test(i, 2) ? theta : 0.0; });
   EXPECT_LT(emu_sv.max_abs_diff(circuit_sv), 1e-13);
@@ -281,7 +281,7 @@ TEST_P(QftEquivalence, EmulatedQftEqualsCircuit) {
   StateVector emu_sv(n);
   copy_state(circuit_sv, emu_sv);
 
-  engine::make_backend("hpc")->run_gates(circuit_sv, circuit::qft(n));
+  sim::apply_circuit_hpc(circuit_sv.amplitudes(), circuit::qft(n));
   Emulator(emu_sv).qft();
   EXPECT_LT(emu_sv.max_abs_diff(circuit_sv), 1e-12);
 }
@@ -291,7 +291,7 @@ TEST_P(QftEquivalence, EmulatedInverseQftEqualsCircuit) {
   StateVector circuit_sv = random_state(n, 60 + n);
   StateVector emu_sv(n);
   copy_state(circuit_sv, emu_sv);
-  engine::make_backend("hpc")->run_gates(circuit_sv, circuit::inverse_qft(n));
+  sim::apply_circuit_hpc(circuit_sv.amplitudes(), circuit::inverse_qft(n));
   Emulator(emu_sv).inverse_qft();
   EXPECT_LT(emu_sv.max_abs_diff(circuit_sv), 1e-12);
 }
@@ -324,7 +324,7 @@ TEST(Emulator, SubRegisterQftMatchesMappedCircuit) {
   std::vector<qubit_t> mapping(reg.width);
   for (qubit_t i = 0; i < reg.width; ++i) mapping[i] = reg.offset + i;
   mapped.compose_mapped(circuit::qft(reg.width), mapping);
-  engine::make_backend("hpc")->run_gates(circuit_sv, mapped);
+  sim::apply_circuit_hpc(circuit_sv.amplitudes(), mapped);
 
   Emulator(emu_sv).qft(reg);
   EXPECT_LT(emu_sv.max_abs_diff(circuit_sv), 1e-11);
@@ -340,7 +340,7 @@ TEST(Emulator, SubRegisterQftAtBothEnds) {
     std::vector<qubit_t> mapping(reg.width);
     for (qubit_t i = 0; i < reg.width; ++i) mapping[i] = reg.offset + i;
     mapped.compose_mapped(circuit::qft(reg.width), mapping);
-    engine::make_backend("hpc")->run_gates(circuit_sv, mapped);
+    sim::apply_circuit_hpc(circuit_sv.amplitudes(), mapped);
     Emulator emu(emu_sv);
     emu.qft(reg);
     EXPECT_LT(emu_sv.max_abs_diff(circuit_sv), 1e-11) << "offset=" << reg.offset;

@@ -123,9 +123,13 @@ TEST(Registry, RoundTripCustomBackend) {
   class EchoBackend final : public Backend {
    public:
     [[nodiscard]] std::string name() const override { return "test-echo"; }
-    void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
-      hpc_->run_gates(sv, c);
+    void begin(qubit_t n, index_t initial_basis) override { hpc_->begin(n, initial_basis); }
+    void run_gates(const circuit::Circuit& c) override { hpc_->run_gates(c); }
+    index_t measure_register(RegRef r, double u, bool collapse) override {
+      return hpc_->measure_register(r, u, collapse);
     }
+    double expectation_z(index_t mask) override { return hpc_->expectation_z(mask); }
+    sim::StateVector take_state() override { return hpc_->take_state(); }
 
    private:
     std::unique_ptr<Backend> hpc_ = make_backend("hpc");
@@ -150,17 +154,25 @@ TEST(Registry, RoundTripCustomBackend) {
 }
 
 TEST(Registry, EveryBackendRejectsAWiderSegmentAtBothPrecisions) {
-  // An 8-qubit segment on a 4-qubit state: every backend must refuse it
-  // before touching an amplitude, at fp64 and at fp32.
+  // 8-qubit segments (one empty) and a 2-qubit one on a 4-qubit state:
+  // every backend must refuse each before touching an amplitude, at
+  // fp64 and at fp32, and keep its state intact.
   Circuit wide(8);
   wide.h(7);
+  const Circuit empty_wide(8);
+  Circuit narrow(2);
+  narrow.h(1);
   for (const std::string& name : backend_names()) {
     for (const Precision precision : {Precision::kF64, Precision::kF32}) {
       RunOptions opts;
       opts.precision = precision;
-      sim::StateVector sv(4);
-      EXPECT_THROW(make_backend(name, opts)->run_gates(sv, wide), std::invalid_argument)
-          << name << " at fp" << precision_bits(precision);
+      const std::unique_ptr<Backend> backend = make_backend(name, opts);
+      backend->begin(4, 0);
+      for (const Circuit& c : {wide, empty_wide, narrow})
+        EXPECT_THROW(backend->run_gates(c), std::invalid_argument)
+            << name << " at fp" << precision_bits(precision) << ", " << c.qubits()
+            << "-qubit segment";
+      EXPECT_EQ(backend->take_state()[0], complex_t{1.0}) << name;
     }
   }
 }
@@ -169,8 +181,8 @@ TEST(Registry, GateOnlyBackendRejectsHighLevelOps) {
   Program p(4);
   p.qft();
   const std::unique_ptr<Backend> hpc = make_backend("hpc");
-  sim::StateVector sv(4);
-  EXPECT_THROW(hpc->run_highlevel(sv, p.ops()[0]), std::logic_error);
+  hpc->begin(4, 0);
+  EXPECT_THROW(hpc->run_highlevel(p.ops()[0]), std::logic_error);
 }
 
 // --- auto vs lowered gate-level agreement (acceptance programs) --------
@@ -318,17 +330,35 @@ TEST(Engine, TraceCoversEveryOpWithLabels) {
 }
 
 TEST(Engine, InitialBasisSeedsTheProgramRegister) {
-  Program p(4);
-  p.add({0, 2}, {2, 2});
+  // begin() writes |initial_basis> on every backend at both precisions.
+  // The basis sets the top program qubit, so on dist (2 and 4 ranks) a
+  // gate-only run starts in a non-zero rank's chunk; on gate-level
+  // backends the lowered add appends an ancilla, which starts at |0>.
+  Program flip(4);
+  flip.x(1);
+  Program add(4);
+  add.add({0, 2}, {2, 2});
   RunOptions opts;
-  opts.initial_basis = 0b0110;  // a = 2, b = 1
-  for (const char* backend : {"auto", "hpc"}) {
-    opts.backend = backend;
-    const Result r = Engine().run(p, opts);
-    EXPECT_NEAR(std::norm(r.state[0b1110]), 1.0, 1e-12) << backend;  // b = 3
+  opts.initial_basis = 0b1001;  // a = 1, b = 2
+  for (const std::string& name : backend_names()) {
+    for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+      for (const int ranks : {2, 4}) {
+        if (ranks != 2 && name != "dist") continue;
+        opts.backend = name;
+        opts.precision = precision;
+        opts.dist_ranks = ranks;
+        const std::string where = name + " at fp" + std::to_string(precision_bits(precision)) +
+                                  ", " + std::to_string(ranks) + " ranks";
+        EXPECT_EQ(Engine().run(flip, opts).state[0b1011], complex_t{1.0}) << where;
+        const Result r = Engine().run(add, opts);
+        const double tol = precision == Precision::kF64 ? 1e-12 : 1e-6;
+        EXPECT_NEAR(std::norm(r.state[0b1101]), 1.0, tol) << where;  // b = 3
+      }
+    }
   }
+  opts.backend = "auto";
   opts.initial_basis = dim(4);
-  EXPECT_THROW((void)Engine().run(p, opts), std::invalid_argument);
+  EXPECT_THROW((void)Engine().run(add, opts), std::invalid_argument);
 }
 
 TEST(Engine, LoweredRunReportsWidenedRegisterButReturnsProgramState) {
@@ -461,12 +491,12 @@ TEST(DistBackend, ResidentMeasurementStreamBitIdenticalToCached) {
   EXPECT_EQ(r.measurements, ref.measurements);
 }
 
-TEST(DistBackend, ResidentRunStagesHostStateExactlyTwice) {
-  // The acceptance criterion: a multi-op 20-qubit program on the dist
-  // backend performs exactly ONE scatter (on the first op that needs
-  // the distributed state) and at most ONE gather (the trailing
-  // "[finalize]" row), asserted through the engine trace's byte
-  // counters.
+TEST(DistBackend, ResidentRunStagesHostStateExactlyOnce) {
+  // A multi-op 20-qubit program on the dist backend stages the state
+  // exactly once: the ranks build their chunks at |initial_basis>
+  // themselves, so nothing is scattered, and take_state() gathers once
+  // (the trailing "[finalize]" row), asserted through the engine
+  // trace's byte counters.
   const qubit_t n = 20;
   Program p(n);
   Circuit seg1(n), seg2(n), seg3(n);
@@ -480,15 +510,14 @@ TEST(DistBackend, ResidentRunStagesHostStateExactlyTwice) {
   opts.backend = "dist";
   opts.dist_ranks = 4;
   const Result r = Engine().run(p, opts);
-  // One scatter on the first op, nothing in between, one gather at
-  // finalize — and the whole-run totals agree with the trace columns.
+  // No staging on any op, the first included, one gather at finalize —
+  // and the whole-run totals agree with the trace columns.
   ASSERT_EQ(r.trace.size(), p.size() + 1);  // + "[finalize]"
-  EXPECT_EQ(r.trace.front().host_bytes, staging);
-  for (std::size_t i = 1; i < r.trace.size() - 1; ++i)
+  for (std::size_t i = 0; i < r.trace.size() - 1; ++i)
     EXPECT_EQ(r.trace[i].host_bytes, 0u) << "op " << r.trace[i].op;
   EXPECT_EQ(r.trace.back().op, "[finalize]");
   EXPECT_EQ(r.trace.back().host_bytes, staging);
-  EXPECT_EQ(r.host_bytes, 2 * staging);
+  EXPECT_EQ(r.host_bytes, staging);
 }
 
 TEST(DistBackend, RejectsNonPow2Ranks) {

@@ -290,28 +290,29 @@ TEST(FaultRecovery, GatherAbortReplaysAndFlushes) {
 
 TEST(FaultRecovery, FaultAtEveryClusterJobRecoversBitIdentically) {
   // abort@cluster.job#k fails the k-th job of the run. With auto
-  // checkpoints the failure program runs twelve: the scatter (0), three
-  // gate segments (1, 2, 6), the pre- and post-collapse checkpoints (3,
-  // 5, 8, 10), two collapsing measures (4, 9), the expectation (7) and
-  // the gather (11).
+  // checkpoints the failure program runs twelve: the initialization (0,
+  // begin()'s job under the dist.scatter span), three gate segments (1,
+  // 2, 6), the pre- and post-collapse checkpoints (3, 5, 8, 10), two
+  // collapsing measures (4, 9), the expectation (7) and the gather (11).
   for (int k = 0; k < 12; ++k)
     expect_recovers_identically("abort@cluster.job#" + std::to_string(k),
                                 /*expect_degraded=*/false);
   // The segment's retry restores the state, and the restore faults too.
   expect_recovers_identically("abort@cluster.job#1;abort@cluster.job#2",
                               /*expect_degraded=*/false);
-  // Read-only measures: the scatter (0), segments (1, 2, 5), measures
-  // (3, 7), an auto checkpoint (4), the expectation (6), the gather (8).
+  // Read-only measures: the initialization (0), segments (1, 2, 5),
+  // measures (3, 7), an auto checkpoint (4), the expectation (6), the
+  // gather (8).
   for (int k = 0; k < 9; ++k)
     expect_recovers_identically("abort@cluster.job#" + std::to_string(k),
                                 /*expect_degraded=*/false, /*collapse=*/false);
 }
 
 TEST(FaultRecovery, WithoutCheckpointsOnlyInPlaceJobsRecover) {
-  // Checkpoints off: the scatter (0), segments (1, 2, 4), measures (3,
-  // 6), the expectation (5), the gather (7). Jobs that leave the chunks
-  // intact (or rebuild them from the host state) still retry; a job
-  // that mutates them has no state to return to and throws.
+  // Checkpoints off: the initialization (0), segments (1, 2, 4),
+  // measures (3, 6), the expectation (5), the gather (7). Jobs that
+  // leave the chunks intact (or rebuild them from scratch) still retry;
+  // a job that mutates them has no state to return to and throws.
   const engine::Program p = failure_program(10);
   for (const bool collapse : {true, false})
     for (int k = 0; k < 8; ++k) {
@@ -329,31 +330,36 @@ TEST(FaultRecovery, WithoutCheckpointsOnlyInPlaceJobsRecover) {
     }
 }
 
-TEST(FaultRecovery, GatherFaultBeforeTheFirstCheckpointRestoresFromHost) {
+TEST(FaultRecovery, GatherFaultBeforeTheFirstCheckpointReinitializesAndReplays) {
   // A gates-only run takes no checkpoint, so a fault in the gather's
-  // restore rounds (job 2, after the scatter and the segment) restores
-  // from the host state. The gather must not have written it yet: the
+  // restore rounds (job 2, after the initialization and the segment)
+  // re-initializes |initial_basis> and replays the segment. The
   // copy-out is a job of its own (3) that retries in place. Rank-pinned
-  // rules let the other ranks finish the faulted job.
+  // rules let the other ranks finish the faulted job. A non-zero basis
+  // catches a restore that re-initializes |0> instead.
   const qubit_t n = 10;
   engine::Program p(n);
   for (qubit_t q = 0; q < n; ++q) {
     p.h(q);
     p.rz(q, 0.1 * static_cast<double>(q + 1));
   }
-  engine::RunOptions ref_opts;
-  ref_opts.backend = "hpc";
   const engine::Engine eng;
-  const engine::Result ref = eng.run(p, ref_opts);
-  for (const char* spec : {"abort@cluster.job#2/0", "abort@cluster.job#2/3",
-                           "abort@dist.gather#0/1", "abort@cluster.job#3/2"}) {
-    engine::RunOptions opts = faulty_dist_opts(spec, /*collapse=*/true, 0);
-    opts.degrade = false;
-    const engine::Result r = eng.run(p, opts);
-    ASSERT_NE(r.trace_data, nullptr);
-    EXPECT_EQ(r.trace_data->counters.count("checkpoint.count"), 0u) << spec;
-    EXPECT_EQ(r.trace_data->counters.at("fault.retries"), 1.0) << spec;
-    EXPECT_LT(r.state.max_abs_diff(ref.state), 1e-12) << spec;
+  for (const index_t basis : {index_t{0}, index_t{0b1000110101}}) {
+    engine::RunOptions ref_opts;
+    ref_opts.backend = "hpc";
+    ref_opts.initial_basis = basis;
+    const engine::Result ref = eng.run(p, ref_opts);
+    for (const char* spec : {"abort@cluster.job#2/0", "abort@cluster.job#2/3",
+                             "abort@dist.gather#0/1", "abort@cluster.job#3/2"}) {
+      engine::RunOptions opts = faulty_dist_opts(spec, /*collapse=*/true, 0);
+      opts.degrade = false;
+      opts.initial_basis = basis;
+      const engine::Result r = eng.run(p, opts);
+      ASSERT_NE(r.trace_data, nullptr);
+      EXPECT_EQ(r.trace_data->counters.count("checkpoint.count"), 0u) << spec;
+      EXPECT_EQ(r.trace_data->counters.at("fault.retries"), 1.0) << spec;
+      EXPECT_LT(r.state.max_abs_diff(ref.state), 1e-12) << spec << " basis " << basis;
+    }
   }
 }
 

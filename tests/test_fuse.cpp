@@ -13,6 +13,7 @@
 #include "fuse/fusion.hpp"
 #include "sched/cached_simulator.hpp"
 #include "sim/kernels.hpp"
+#include "sim/simulator.hpp"
 
 namespace qc::fuse {
 namespace {
@@ -58,20 +59,18 @@ Circuit grover_circuit(qubit_t n, index_t marked, int iterations) {
   return c;
 }
 
-/// Runs `c` on `sv` through the registered backend `name`.
-void run_on(const std::string& name, sim::StateVector& sv, const Circuit& c,
-            const FusionOptions& fusion = {}) {
-  engine::RunOptions opts;
-  opts.fusion = fusion;
-  engine::make_backend(name, opts)->run_gates(sv, c);
+/// Runs `c` on `sv` the way the "fused" backend does: the blocked
+/// executor on an all-Global plan.
+void run_fused(sim::StateVector& sv, const Circuit& c, const FusionOptions& fusion = {}) {
+  sched::execute_blocked<double>(sv.amplitudes(), sched::global_plan(fuse_circuit(c, fusion)));
 }
 
-/// max_abs_diff between the "fused" and "hpc" backends on `c`.
+/// max_abs_diff between the "fused" and "hpc" executors on `c`.
 double backend_divergence(const Circuit& c, const FusionOptions& fusion, std::uint64_t seed) {
   sim::StateVector a = random_state(c.qubits(), seed);
   sim::StateVector b = copy_state(a);
-  run_on("hpc", a, c);
-  run_on("fused", b, c, fusion);
+  sim::apply_circuit_hpc(a.amplitudes(), c);
+  run_fused(b, c, fusion);
   return a.max_abs_diff(b);
 }
 
@@ -265,7 +264,7 @@ TEST(FusionPass, EmptyCircuit) {
   const FusedCircuit plan = fuse_circuit(c);
   EXPECT_TRUE(plan.items.empty());
   sim::StateVector sv(4);
-  run_on("fused", sv, c);
+  run_fused(sv, c);
   EXPECT_EQ(sv[0], complex_t{1.0});
 }
 
@@ -319,8 +318,8 @@ TEST(FusedBackend, MatchesHpcOnGrover10) {
   const Circuit c = grover_circuit(n, /*marked=*/421, iterations);
   // Start from |0...0> (the algorithm's actual input), not a random state.
   sim::StateVector a(n), b(n);
-  run_on("hpc", a, c);
-  run_on("fused", b, c);
+  sim::apply_circuit_hpc(a.amplitudes(), c);
+  run_fused(b, c);
   EXPECT_LT(a.max_abs_diff(b), 1e-12);
   // And the search must actually succeed.
   const auto dist = b.register_distribution(0, n);
@@ -370,18 +369,18 @@ TEST(FusedBackend, FactoryAndPlanReuse) {
   const auto backend = engine::make_backend("fused");
   EXPECT_EQ(backend->name(), "fused");
   const Circuit c = circuit::qft(9);
-  sim::StateVector a = random_state(9, 71);
-  sim::StateVector b = copy_state(a);
-  backend->run_gates(a, c);
+  backend->begin(9, 71);
+  sim::StateVector b(9, 71);
+  backend->run_gates(c);
   // One prebuilt all-Global plan executed twice must equal two runs.
   const FusedCircuit fused = fuse_circuit(c);
   EXPECT_GT(fused.fused_gates(), 0u);
   const sched::BlockedPlan plan = sched::global_plan(fused);
   EXPECT_EQ(plan.globals(), fused.items.size());
   sched::execute_blocked<double>(b.amplitudes(), plan);
-  backend->run_gates(a, c);
+  backend->run_gates(c);
   sched::execute_blocked<double>(b.amplitudes(), plan);
-  EXPECT_LT(a.max_abs_diff(b), 1e-12);
+  EXPECT_LT(backend->take_state().max_abs_diff(b), 1e-12);
 }
 
 }  // namespace

@@ -10,10 +10,10 @@
 #include "circuit/builders.hpp"
 #include "emu/emulator.hpp"
 #include "emu/observables.hpp"
-#include "engine/backend.hpp"
 #include "fft/dist_fft.hpp"
 #include "revcirc/arith.hpp"
 #include "sim/dist_sv.hpp"
+#include "sim/simulator.hpp"
 
 namespace qc {
 namespace {
@@ -72,7 +72,7 @@ TEST(Integration, ShorOrderFindingEmulated) {
   {
     circuit::Circuit h(total);
     for (qubit_t q = 0; q < t_bits; ++q) h.h(q);
-    engine::make_backend("hpc")->run_gates(sv, h);
+    sim::apply_circuit_hpc(sv.amplitudes(), h);
   }
   // |e>|1> -> |e>|a^e mod N> via controlled modular multiplications:
   // for each exponent bit j, multiply by a^(2^j) mod N when e_j = 1.
@@ -117,7 +117,7 @@ TEST(Integration, GroverSearchWithEmulatedOracle) {
   StateVector sv(n);
   circuit::Circuit hadamards(n);
   for (qubit_t q = 0; q < n; ++q) hadamards.h(q);
-  engine::make_backend("hpc")->run_gates(sv, hadamards);
+  sim::apply_circuit_hpc(sv.amplitudes(), hadamards);
 
   // Diffusion: H^n X^n (C^{n-1}Z) X^n H^n.
   circuit::Circuit diffusion(n);
@@ -136,7 +136,7 @@ TEST(Integration, GroverSearchWithEmulatedOracle) {
   for (int it = 0; it < iterations; ++it) {
     // Emulated oracle: flip the phase of the marked basis state.
     sv[marked] = -sv[marked];
-    engine::make_backend("hpc")->run_gates(sv, diffusion);
+    sim::apply_circuit_hpc(sv.amplitudes(), diffusion);
   }
   const auto dist = sv.register_distribution(0, n);
   // Theoretical success probability sin^2((2k+1) asin(2^{-n/2})) at the
@@ -152,7 +152,7 @@ TEST(Integration, DistributedEmulatedQftMatchesSerialCircuit) {
   const int ranks = 4;
   StateVector serial(n);
   serial.randomize_deterministic(321);
-  engine::make_backend("hpc")->run_gates(serial, circuit::qft(n));
+  sim::apply_circuit_hpc(serial.amplitudes(), circuit::qft(n));
 
   double diff = -1;
   cluster::Cluster cluster(ranks, 1);
@@ -212,7 +212,7 @@ TEST(Integration, EmulatedArithmeticPipelineMatchesCircuits) {
   revcirc::cuccaro_add(chain, revcirc::make_reg(0, m), revcirc::make_reg(m, m), 3 * m);
   revcirc::multiply_accumulate(chain, revcirc::make_reg(0, m), revcirc::make_reg(m, m),
                                revcirc::make_reg(2 * m, m), 3 * m);
-  engine::make_backend("hpc")->run_gates(circuit_sv, chain);
+  sim::apply_circuit_hpc(circuit_sv.amplitudes(), chain);
 
   Emulator emu(emu_sv);
   emu.add({0, m}, {m, m});
@@ -228,7 +228,7 @@ TEST(Integration, QftPeriodicityAfterEmulatedFunction) {
   StateVector sv(in_w + out_w);
   circuit::Circuit h(in_w + out_w);
   for (qubit_t q = 0; q < in_w; ++q) h.h(q);
-  engine::make_backend("hpc")->run_gates(sv, h);
+  sim::apply_circuit_hpc(sv.amplitudes(), h);
   Emulator emu(sv);
   emu.apply_function({0, in_w}, {in_w, out_w}, [](index_t x) { return x % 4; });
   // Collapse the output register to 1.
@@ -250,7 +250,7 @@ TEST(Integration, MeasurementShortcutsAgreeWithSimulatedSampling) {
   // of many samples (up to statistical error).
   const qubit_t n = 8;
   StateVector sv(n);
-  engine::make_backend("hpc")->run_gates(sv, circuit::tfim_trotter_step(n, 0.37));
+  sim::apply_circuit_hpc(sv.amplitudes(), circuit::tfim_trotter_step(n, 0.37));
   const auto exact = sv.register_distribution(0, 3);
   Rng rng(13);
   const auto counts = emu::sample_register_counts(sv, 0, 3, 60000, rng);

@@ -9,8 +9,8 @@
 
 #include "circuit/builders.hpp"
 #include "emu/emulator.hpp"
-#include "engine/backend.hpp"
 #include "revcirc/modular.hpp"
+#include "sim/simulator.hpp"
 
 namespace qc::revcirc {
 namespace {
@@ -46,7 +46,7 @@ TEST_P(DraperAdder, AddConstantMatchesEmulatorOnRandomState) {
 
   Circuit c(w);
   add_const_via_qft(c, make_reg(0, w), k);
-  engine::make_backend("hpc")->run_gates(circuit_sv, c);
+  sim::apply_circuit_hpc(circuit_sv.amplitudes(), c);
 
   Emulator(emu_sv).add_constant({0, w}, k);
   EXPECT_LT(circuit_sv.max_abs_diff(emu_sv), 1e-11);
@@ -66,7 +66,7 @@ TEST_P(DraperAdder, SubtractionInverts) {
   phi_add_const(c, reg, k);
   phi_sub_const(c, reg, k);
   inverse_qft_on_reg(c, reg);
-  engine::make_backend("hpc")->run_gates(sv, c);
+  sim::apply_circuit_hpc(sv.amplitudes(), c);
   EXPECT_LT(sv.max_abs_diff(ref), 1e-11);
 }
 
@@ -80,7 +80,7 @@ TEST(DraperAdder, ControlledRespectsControl) {
     sv.set_basis(5 | (static_cast<index_t>(ctl) << w));
     Circuit c(w + 1);
     add_const_via_qft(c, make_reg(0, w), 6, {w});
-    engine::make_backend("hpc")->run_gates(sv, c);
+    sim::apply_circuit_hpc(sv.amplitudes(), c);
     const index_t expect = (ctl ? (5 + 6) & 7 : 5) | (static_cast<index_t>(ctl) << w);
     EXPECT_NEAR(std::abs(sv[expect]), 1.0, 1e-11) << "ctl=" << ctl;
   }
@@ -95,7 +95,6 @@ TEST_P(ModularAdder, AllInputsAllConstants) {
   while (dim(w) < modulus) ++w;
   const qubit_t total = w + 2;  // b (w+1) + ancilla
   const Reg b_reg = make_reg(0, w + 1);
-  const auto hpc = engine::make_backend("hpc");
   for (index_t a = 0; a < modulus; ++a) {
     Circuit c(total);
     qft_on_reg(c, b_reg);
@@ -104,7 +103,7 @@ TEST_P(ModularAdder, AllInputsAllConstants) {
     for (index_t b = 0; b < modulus; ++b) {
       StateVector sv(total);
       sv.set_basis(b);
-      hpc->run_gates(sv, c);
+      sim::apply_circuit_hpc(sv.amplitudes(), c);
       const index_t expect = (a + b) % modulus;
       EXPECT_NEAR(std::abs(sv[expect]), 1.0, 1e-9)
           << "N=" << modulus << " a=" << a << " b=" << b;
@@ -134,7 +133,7 @@ TEST(ModularAdder, WorksOnSuperpositions) {
   StateVector emu_sv(total);
   std::copy(amps.begin(), amps.end(), emu_sv.amplitudes().begin());
 
-  engine::make_backend("hpc")->run_gates(circuit_sv, c);
+  sim::apply_circuit_hpc(circuit_sv.amplitudes(), c);
   Emulator(emu_sv).apply_partial_map(
       [&](index_t i) { return bits::with_field(i, 0, w + 1, (bits::field(i, 0, w + 1) + 9) % modulus); });
   EXPECT_LT(circuit_sv.max_abs_diff(emu_sv), 1e-10);
@@ -150,12 +149,11 @@ TEST(ModularAdder, ControlledVariantRespectsControl) {
   qft_on_reg(c, b_reg);
   phi_add_const_mod(c, b_reg, 7, modulus, anc, {ctl});
   inverse_qft_on_reg(c, b_reg);
-  const auto hpc = engine::make_backend("hpc");
   for (index_t b = 0; b < modulus; ++b) {
     for (const index_t on : {index_t{0}, index_t{1}}) {
       StateVector sv(total);
       sv.set_basis(b | (on << ctl));
-      hpc->run_gates(sv, c);
+      sim::apply_circuit_hpc(sv.amplitudes(), c);
       const index_t expect = (on ? (b + 7) % modulus : b) | (on << ctl);
       EXPECT_NEAR(std::abs(sv[expect]), 1.0, 1e-9) << "b=" << b << " on=" << on;
     }
@@ -174,7 +172,7 @@ TEST(OrderFinding, ExponentDistributionPeaksAtOrderMultiples) {
   c.compose(iqft);
 
   StateVector sv(layout.total_qubits());
-  engine::make_backend("hpc")->run_gates(sv, c);
+  sim::apply_circuit_hpc(sv.amplitudes(), c);
   const auto dist = sv.register_distribution(0, layout.t);
   // Peaks at 0, 4, 8, 12 (2^4 / 4 spacing), each with probability 1/4.
   for (index_t x = 0; x < dist.size(); ++x) {
@@ -195,20 +193,19 @@ TEST(CmultMod, AccumulatesProductOnBasisStates) {
   const Reg b_reg = make_reg(w, w + 1);
   Circuit c(total);
   cmult_mod(c, 2 * w + 2, x_reg, b_reg, a, modulus, 2 * w + 1);
-  const auto hpc = engine::make_backend("hpc");
   for (const index_t x : {index_t{0}, index_t{1}, index_t{6}, index_t{14}}) {
     for (const index_t b0 : {index_t{0}, index_t{4}}) {
       // Control on.
       StateVector sv(total);
       sv.set_basis(x | (b0 << w) | (index_t{1} << (2 * w + 2)));
-      hpc->run_gates(sv, c);
+      sim::apply_circuit_hpc(sv.amplitudes(), c);
       const index_t expect =
           x | (((b0 + a * x) % modulus) << w) | (index_t{1} << (2 * w + 2));
       EXPECT_NEAR(std::abs(sv[expect]), 1.0, 1e-9) << "x=" << x << " b0=" << b0;
       // Control off: identity.
       StateVector off(total);
       off.set_basis(x | (b0 << w));
-      hpc->run_gates(off, c);
+      sim::apply_circuit_hpc(off.amplitudes(), c);
       EXPECT_NEAR(std::abs(off[x | (b0 << w)]), 1.0, 1e-9);
     }
   }
@@ -222,11 +219,10 @@ TEST(ControlledModmul, InPlaceMultiplicationAndCleanAncillas) {
   const Reg b_reg = make_reg(w, w + 1);
   Circuit c(total);
   controlled_modmul(c, 2 * w + 2, x_reg, b_reg, a, modulus, 2 * w + 1);
-  const auto hpc = engine::make_backend("hpc");
   for (index_t x = 0; x < modulus; ++x) {
     StateVector sv(total);
     sv.set_basis(x | (index_t{1} << (2 * w + 2)));
-    hpc->run_gates(sv, c);
+    sim::apply_circuit_hpc(sv.amplitudes(), c);
     const index_t expect = (a * x % modulus) | (index_t{1} << (2 * w + 2));
     EXPECT_NEAR(std::abs(sv[expect]), 1.0, 1e-8) << "x=" << x;
   }
@@ -244,7 +240,7 @@ TEST(Modexp, MatchesEmulatedModularExponentiation) {
   const Circuit c = order_finding_circuit(layout, a, modulus);
 
   StateVector circuit_sv(layout.total_qubits());
-  engine::make_backend("hpc")->run_gates(circuit_sv, c);
+  sim::apply_circuit_hpc(circuit_sv.amplitudes(), c);
 
   // Emulated reference: Hadamards on the exponent register, |1> in x,
   // then the modexp permutation.
@@ -253,7 +249,7 @@ TEST(Modexp, MatchesEmulatedModularExponentiation) {
     Circuit prep(layout.total_qubits());
     for (const qubit_t q : layout.exponent) prep.h(q);
     prep.x(layout.x[0]);
-    engine::make_backend("hpc")->run_gates(emu_sv, prep);
+    sim::apply_circuit_hpc(emu_sv.amplitudes(), prep);
   }
   Emulator emu(emu_sv);
   emu.apply_permutation([&](index_t i) {

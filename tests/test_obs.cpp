@@ -392,7 +392,7 @@ TEST(EngineTrace, TraceDataMirrorsFlatTraceRows) {
 
   // The byte-delta args of engine.run's direct children (the op spans
   // and [finalize]) sum to the Result totals. Deeper spans re-describe
-  // the same traffic (dist.scatter host_bytes, exchange "bytes"), so
+  // the same traffic (dist.gather host_bytes, exchange "bytes"), so
   // only this level partitions it.
   double span_host = 0, span_net = 0;
   for (const std::size_t i : data.children_of(run_id)) {

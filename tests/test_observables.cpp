@@ -8,7 +8,7 @@
 
 #include "circuit/builders.hpp"
 #include "emu/observables.hpp"
-#include "engine/backend.hpp"
+#include "sim/simulator.hpp"
 
 namespace qc::emu {
 namespace {
@@ -32,7 +32,7 @@ TEST(Observables, ZExpectationOnPlusState) {
   StateVector sv(n);
   circuit::Circuit c(n);
   for (qubit_t q = 0; q < n; ++q) c.h(q);
-  engine::make_backend("hpc")->run_gates(sv, c);
+  sim::apply_circuit_hpc(sv.amplitudes(), c);
   EXPECT_NEAR(expectation_z_string(sv, 0b0001), 0.0, 1e-13);
   EXPECT_NEAR(expectation_z_string(sv, 0b1111), 0.0, 1e-13);
   EXPECT_NEAR(expectation_z_string(sv, 0), 1.0, 1e-13);  // identity
@@ -42,7 +42,7 @@ TEST(Observables, GhzCorrelations) {
   // GHZ: <Z_i Z_j> = 1, <Z_i> = 0, <X^n> = 1.
   const qubit_t n = 5;
   StateVector sv(n);
-  engine::make_backend("hpc")->run_gates(sv, circuit::entangle(n));
+  sim::apply_circuit_hpc(sv.amplitudes(), circuit::entangle(n));
   EXPECT_NEAR(expectation_z_string(sv, 0b00011), 1.0, 1e-13);
   EXPECT_NEAR(expectation_z_string(sv, 0b10100), 1.0, 1e-13);
   EXPECT_NEAR(expectation_z_string(sv, 0b00001), 0.0, 1e-13);
@@ -59,7 +59,7 @@ TEST(Observables, PauliMatchesZRotationIdentity) {
   EXPECT_NEAR(expectation_pauli(sv, "Z"), 1.0, 1e-13);
   circuit::Circuit c(1);
   c.h(0);
-  engine::make_backend("hpc")->run_gates(sv, c);
+  sim::apply_circuit_hpc(sv.amplitudes(), c);
   EXPECT_NEAR(expectation_pauli(sv, "X"), 1.0, 1e-13);
   EXPECT_NEAR(expectation_pauli(sv, "Z"), 0.0, 1e-13);
 }
@@ -84,7 +84,7 @@ TEST(Observables, RegisterExpectation) {
   StateVector sv(n);
   circuit::Circuit c(n);
   for (qubit_t q = 1; q < 4; ++q) c.h(q);
-  engine::make_backend("hpc")->run_gates(sv, c);
+  sim::apply_circuit_hpc(sv.amplitudes(), c);
   EXPECT_NEAR(expectation_register(sv, 1, 3), 3.5, 1e-12);
   EXPECT_NEAR(expectation_register(sv, 0, 1), 0.0, 1e-12);
 }
@@ -114,7 +114,7 @@ TEST(Observables, SampleRegisterCountsMatchDistribution) {
   StateVector sv(n);
   circuit::Circuit c(n);
   c.h(0).cnot(0, 1);  // Bell pair in register [0,2): only 00 and 11
-  engine::make_backend("hpc")->run_gates(sv, c);
+  sim::apply_circuit_hpc(sv.amplitudes(), c);
   Rng rng(11);
   const auto counts = sample_register_counts(sv, 0, 2, 10000, rng);
   EXPECT_EQ(counts.count(1), 0u);
@@ -129,7 +129,7 @@ TEST(Observables, TfimEnergyIsRealAndBounded) {
   // state: |<H>| <= (n-1)*|J| + n*|h|.
   const qubit_t n = 5;
   StateVector sv(n);
-  engine::make_backend("hpc")->run_gates(sv, circuit::tfim_trotter_step(n, 0.3));
+  sim::apply_circuit_hpc(sv.amplitudes(), circuit::tfim_trotter_step(n, 0.3));
   double energy = 0;
   for (qubit_t q = 0; q + 1 < n; ++q) {
     std::string axes(n, 'I');

@@ -86,8 +86,8 @@ TEST(Precision, Fp32StateStaysNormalized) {
 
 TEST(Precision, Fp32MeasurementRoundTrip) {
   // |+>^3 measured with collapse: outcomes must be uniform-legal and the
-  // collapsed state a basis state — the sampling path runs against the
-  // widened fp64 host state, so the draws stay backend-exact.
+  // collapsed state a basis state — the sampling path squares the fp32
+  // amplitudes in double, so the draws stay backend-exact.
   Program p(3);
   for (qubit_t q = 0; q < 3; ++q) p.h(q);
   p.measure({0, 3});
@@ -154,7 +154,7 @@ TEST(Precision, DistFp32MovesExactlyHalfTheBytes) {
   const Result r32 = eng.run(p, o32);
   ASSERT_GT(r64.net_bytes, 0u);
   EXPECT_EQ(r32.net_bytes * 2, r64.net_bytes);
-  // Host staging (scatter + gather of the full state) halves too.
+  // Host staging (the one gather of the full state) halves too.
   ASSERT_GT(r64.host_bytes, 0u);
   EXPECT_EQ(r32.host_bytes * 2, r64.host_bytes);
   // And the distributed fp32 run still lands on the fp64 answer.
@@ -180,19 +180,28 @@ TEST(Precision, DistFp32MatchesSerialFp32) {
 #if QC_ENABLE_CHECKS
 TEST(Precision, Fp32NormCheckStillFiresWhenArmed) {
   // The norm invariant's fp32 allowance grows with the gates run, but a
-  // real unitarity break must still trip it at fp32. This backend runs
-  // hpc and, while `broken` is set, then scales the state by 1 + 1e-3.
-  // (Other tests iterate every registered backend; unbroken it is hpc.)
+  // real unitarity break must still trip it at fp32. This backend
+  // forwards to hpc and, while `broken` is set, appends a non-unitary
+  // u2 (scaling qubit 0 by 1 + 1e-3) to every segment, so hpc's own
+  // per-segment check fires. (Other tests iterate every registered
+  // backend; unbroken it is hpc.)
   static bool broken = false;
   class ScalingBackend final : public Backend {
    public:
     explicit ScalingBackend(const RunOptions& opts) : hpc_(make_backend("hpc", opts)) {}
     [[nodiscard]] std::string name() const override { return "test-scaling"; }
-    void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
-      hpc_->run_gates(sv, c);
-      if (broken)
-        for (complex_t& a : sv.amplitudes()) a *= 1.0 + 1e-3;
+    void begin(qubit_t n, index_t initial_basis) override { hpc_->begin(n, initial_basis); }
+    void run_gates(const circuit::Circuit& c) override {
+      if (!broken) return hpc_->run_gates(c);
+      circuit::Circuit scaled = c;
+      scaled.u2(0, {1.0 + 1e-3, 0.0, 0.0, 1.0 + 1e-3});
+      hpc_->run_gates(scaled);
     }
+    index_t measure_register(RegRef r, double u, bool collapse) override {
+      return hpc_->measure_register(r, u, collapse);
+    }
+    double expectation_z(index_t mask) override { return hpc_->expectation_z(mask); }
+    sim::StateVector take_state() override { return hpc_->take_state(); }
 
    private:
     std::unique_ptr<Backend> hpc_;
@@ -210,6 +219,21 @@ TEST(Precision, Fp32NormCheckStillFiresWhenArmed) {
   opts.precision = Precision::kF64;
   EXPECT_THROW((void)Engine().run(p, opts), CheckError);
   broken = false;
+}
+
+TEST(Precision, Fp32HighLevelOnlyRunKeepsTheNormCheck) {
+  // High-level ops on "auto" at fp32 with no gate segment: each ends in
+  // a narrow the allowance must cover. A one-qubit QFT (a Hadamard)
+  // narrows both 1/sqrt(2) amplitudes down, moving the norm by ~3.4e-8,
+  // far above fp64's tolerance at 10 qubits.
+  Program round_trip(10);
+  round_trip.qft().inverse_qft();
+  Program hadamard(10);
+  hadamard.qft({0, 1});
+  RunOptions opts;
+  opts.precision = Precision::kF32;
+  EXPECT_NO_THROW((void)Engine().run(round_trip, opts));
+  EXPECT_NO_THROW((void)Engine().run(hadamard, opts));
 }
 #endif
 

@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "circuit/builders.hpp"
-#include "engine/backend.hpp"
 #include "revcirc/arith.hpp"
 #include "revcirc/bit_vm.hpp"
+#include "sim/simulator.hpp"
 
 namespace qc::revcirc {
 namespace {
@@ -183,7 +183,7 @@ TEST(BitVm, AgreesWithStateVectorOnRandomClassicalCircuits) {
       const index_t input = rng.uniform_u64(dim(n));
       sim::StateVector sv(n);
       sv.set_basis(input);
-      engine::make_backend("hpc")->run_gates(sv, c);
+      sim::apply_circuit_hpc(sv.amplitudes(), c);
       const index_t expected = BitVm::run(c, input);
       EXPECT_NEAR(std::abs(sv[expected]), 1.0, 1e-12);
     }
@@ -202,7 +202,7 @@ TEST(Adder, SuperpositionInputsAddCorrectly) {
     if (bits::test(b0, q)) prep.x(w + q);
   cuccaro_add(prep, make_reg(0, w), make_reg(w, w), 2 * w, std::nullopt);
   sim::StateVector sv(2 * w + 2);
-  engine::make_backend("hpc")->run_gates(sv, prep);
+  sim::apply_circuit_hpc(sv.amplitudes(), prep);
   const double amp = 1.0 / std::sqrt(8.0);
   for (index_t a = 0; a < 8; ++a) {
     const index_t idx = a | (((a + b0) & 7) << w);

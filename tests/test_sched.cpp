@@ -38,14 +38,14 @@ sim::StateVector copy_state(const sim::StateVector& in) {
   return out;
 }
 
-/// max_abs_diff between the "cached" backend (under `opts`) and "hpc" on
-/// `c`.
+/// max_abs_diff between the "cached" backend's executor (the blocked
+/// plan under `opts`) and "hpc" on `c`, from a random state.
 double backend_divergence(const Circuit& c, const engine::RunOptions& opts,
                           std::uint64_t seed) {
   sim::StateVector a = random_state(c.qubits(), seed);
   sim::StateVector b = copy_state(a);
-  engine::make_backend("hpc")->run_gates(a, c);
-  engine::make_backend("cached", opts)->run_gates(b, c);
+  sim::apply_circuit_hpc(a.amplitudes(), c);
+  sched::execute_blocked<double>(b.amplitudes(), sched::plan(c, opts.fusion, opts.sched));
   return a.max_abs_diff(b);
 }
 

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "circuit/builders.hpp"
-#include "engine/backend.hpp"
 #include "sim/simulator.hpp"
 #include "sim/state_vector.hpp"
 
@@ -277,7 +276,7 @@ TEST(Simulators, BellStateViaHAndCnot) {
 TEST(Simulators, RunRejectsMismatchedQubits) {
   StateVector sv(3);
   const Circuit c = circuit::entangle(4);
-  EXPECT_THROW(engine::make_backend("hpc")->run_gates(sv, c), std::invalid_argument);
+  EXPECT_THROW(sim::apply_circuit_hpc(sv.amplitudes(), c), std::invalid_argument);
 }
 
 TEST(FillRandomSlabs, PartitionIndependent) {

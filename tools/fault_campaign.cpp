@@ -6,7 +6,9 @@
 // matrix of deterministic fault schedules spanning every action
 // (delay / drop / abort / alloc-fail) across the instrumented sites
 // (send / sendrecv / barrier / job / alloc / exchange / scatter /
-// gather). The campaign contract, per schedule:
+// gather). Every run starts from one fixed non-zero basis state, so a
+// restore that re-initializes the wrong state shows. The campaign
+// contract, per schedule:
 //
 //   * the run completes and its final state is bit-identical to the hpc
 //     reference (max |amp diff| <= 1e-12, identical measurement
@@ -36,6 +38,7 @@
 #include <vector>
 
 #include "cluster/fault.hpp"
+#include "common/bits.hpp"
 #include "common/cli.hpp"
 #include "common/timer.hpp"
 #include "engine/engine.hpp"
@@ -66,6 +69,14 @@ engine::Program make_program(qubit_t n) {
   p.cz(0, static_cast<qubit_t>(n - 1));
   p.measure({static_cast<qubit_t>(n - 2), 2});
   return p;
+}
+
+/// The campaign's |initial_basis>, for the reference and every dist run
+/// alike: the top qubit puts its one amplitude in the last rank's chunk,
+/// so begin()'s initialization and a pre-checkpoint restore's
+/// re-initialization both have to land it there.
+index_t initial_basis(qubit_t n) {
+  return bits::low_mask(n) & (dim(n - 1) | index_t{0b101});
 }
 
 /// Max |amplitude difference| between two equal-width states.
@@ -113,7 +124,7 @@ std::vector<std::string> core_schedules(double /*timeout_s*/) {
       "abort@cluster.sendrecv#1",       // pairwise exchange abort
       "abort@dist.exchange#0",          // first chunk exchange
       "abort@dist.exchange_pass#1",     // remap pass abort
-      "abort@dist.scatter#0/1",         // scatter abort on rank 1
+      "abort@dist.scatter#0/1",         // initialization abort on rank 1
       "abort@dist.gather#0",            // gather abort at finalize
       "drop@cluster.send#1",            // lost message -> peer timeout
       "drop@cluster.send#2/1",          // rank 1 loses its 3rd send
@@ -150,11 +161,13 @@ int main(int argc, char** argv) {
   engine::RunOptions ref_opts;
   ref_opts.backend = "hpc";
   ref_opts.seed = seed;
+  ref_opts.initial_basis = initial_basis(n);
   const engine::Result ref = eng.run(program, ref_opts);
 
   engine::RunOptions base;
   base.backend = "dist";
   base.seed = seed;
+  base.initial_basis = ref_opts.initial_basis;
   base.dist_ranks = ranks;
   base.dist_timeout_s = timeout_s;
   base.dist_max_retries = retries;
