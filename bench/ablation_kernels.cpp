@@ -84,7 +84,7 @@ void run_cells(qubit_t n, int reps, const sched::BlockedPlan& plan, const char* 
   const sim::kernels::U2 h{1 / std::numbers::sqrt2, 1 / std::numbers::sqrt2,
                            1 / std::numbers::sqrt2, -1 / std::numbers::sqrt2};
   const auto hu = sim::kernels::u2_cast<T>(h);
-  double s = best_of(reps, [&] { sim::kernels::apply_folded<T>(a, n, 5, 0, hu); });
+  double s = best_of(reps, [&] { sim::kernels::apply_folded<T>(a, n, 5, 0, hu, true); });
   out.push_back({"dense2", isa, bits, s, pass_bytes / s / 1e9});
 
   // Dense 4x4: one fused 2-qubit block (H ox H), targets low so the
@@ -97,14 +97,15 @@ void run_cells(qubit_t n, int reps, const sched::BlockedPlan& plan, const char* 
       u[static_cast<std::size_t>(4 * i + j)] =
           static_cast<C>(hm[2 * (i >> 1) + (j >> 1)] * hm[2 * (i & 1) + (j & 1)]);
   s = best_of(reps, [&] {
-    sim::kernels::apply_multi<T>(a, n, {targets.data(), targets.size()},
-                                 {u.data(), u.size()});
+    sim::kernels::apply_multi<T>(a, n, {targets.data(), targets.size()}, {u.data(), u.size()},
+                                 true);
   });
   out.push_back({"dense4", isa, bits, s, pass_bytes / s / 1e9});
 
   const auto d1 = static_cast<C>(std::polar(1.0, 0.3));
-  s = best_of(reps,
-              [&] { sim::kernels::apply_diagonal<T>(a, n, 5, C{T{1}}, d1, index_t{1} << 9); });
+  s = best_of(reps, [&] {
+    sim::kernels::apply_diagonal<T>(a, n, 5, C{T{1}}, d1, index_t{1} << 9, true);
+  });
   out.push_back({"diag", isa, bits, s, pass_bytes / s / 1e9});
 
   s = best_of(reps, [&] { sched::execute_blocked<T>(a, plan); });

@@ -98,6 +98,7 @@ void DistEmulator::apply_partial_map(const std::function<index_t(index_t)>& f) {
 
 void DistEmulator::multiply(RegRef a, RegRef b, RegRef c) {
   check_widths(a, b, c);
+  check_regs({a, b, c}, dsv_->qubits());
   const index_t mask = bits::low_mask(c.width);
   route(
       [=](index_t i) {
@@ -111,6 +112,7 @@ void DistEmulator::multiply(RegRef a, RegRef b, RegRef c) {
 
 void DistEmulator::divide(RegRef a, RegRef b, RegRef c) {
   check_widths(a, b, c);
+  check_regs({a, b, c}, dsv_->qubits());
   const index_t mask = bits::low_mask(c.width);
   route(
       [=](index_t i) {
@@ -126,6 +128,7 @@ void DistEmulator::divide(RegRef a, RegRef b, RegRef c) {
 
 void DistEmulator::add(RegRef a, RegRef b) {
   if (a.width != b.width) throw std::invalid_argument("DistEmulator::add: widths");
+  check_regs({a, b}, dsv_->qubits());
   const index_t mask = bits::low_mask(b.width);
   route(
       [=](index_t i) {

@@ -54,6 +54,11 @@ class DistEmulator {
   /// std::logic_error.
   void apply_partial_map(const std::function<index_t(index_t)>& f);
 
+  /// The register ops below validate like Emulator's before routing:
+  /// mismatched widths and out-of-range or overlapping registers
+  /// (check_regs) throw std::invalid_argument on every rank alike, before
+  /// any communication.
+
   /// c += a*b (mod 2^w) across the distributed register (§3.1 at scale).
   void multiply(RegRef a, RegRef b, RegRef c);
 

@@ -15,35 +15,6 @@ namespace qc::sched {
 
 namespace {
 
-namespace kernels = sim::kernels;
-
-/// Serial single-gate dispatch on one cache-resident chunk — the same
-/// fast-path selection as sim::apply_gate_hpc, minus the OpenMP
-/// (the caller parallelizes across chunks).
-template <typename T>
-void apply_gate_serial(std::span<basic_complex_t<T>> chunk, qubit_t width,
-                       const circuit::Gate& g) {
-  using C = basic_complex_t<T>;
-  const index_t cmask = sim::control_mask(g);
-  if (g.kind == circuit::GateKind::Swap) {
-    kernels::apply_swap_serial<T>(chunk, width, g.targets[0], g.targets[1], cmask);
-    return;
-  }
-  const qubit_t t = g.targets[0];
-  if (g.kind == circuit::GateKind::X) {
-    kernels::apply_x_serial<T>(chunk, width, t, cmask);
-    return;
-  }
-  if (g.diagonal()) {
-    const auto [d0, d1] = sim::diagonal_entries(g);
-    kernels::apply_diagonal_serial<T>(chunk, width, t, static_cast<C>(d0), static_cast<C>(d1),
-                                      cmask);
-    return;
-  }
-  kernels::apply_folded_serial<T>(chunk, width, t, cmask,
-                                  kernels::u2_cast<T>(sim::target_block(g)));
-}
-
 /// A plan op with its dense/diagonal payload narrowed to the execution
 /// scalar ONCE, outside the chunk loop (the plan itself stays double
 /// precision). For T = double the views alias the plan storage.
@@ -83,17 +54,20 @@ struct TypedOp {
   }
 };
 
+/// Applies one plan op to 2^n amplitudes: a sweep's op on one chunk
+/// (serial, the sweep parallelizes across chunks) or a Global item on
+/// the whole vector (parallel).
 template <typename T>
-void apply_chunk_op(std::span<basic_complex_t<T>> chunk, qubit_t width, const TypedOp<T>& top) {
+void apply_op(std::span<basic_complex_t<T>> a, qubit_t n, const TypedOp<T>& top, bool parallel) {
   switch (top.op->kind) {
     case ChunkOp::Kind::Dense:
-      kernels::apply_multi_serial<T>(chunk, width, top.op->qubits, top.unitary_view());
+      sim::kernels::apply_multi<T>(a, n, top.op->qubits, top.unitary_view(), parallel);
       return;
     case ChunkOp::Kind::Diagonal:
-      kernels::apply_multi_diagonal_serial<T>(chunk, width, top.op->qubits, top.diag_view());
+      sim::kernels::apply_multi_diagonal<T>(a, n, top.op->qubits, top.diag_view(), parallel);
       return;
     case ChunkOp::Kind::Gate:
-      apply_gate_serial<T>(chunk, width, top.op->gate);
+      sim::apply_gate_hpc<T>(a, n, top.op->gate, parallel);
       return;
   }
 }
@@ -110,7 +84,7 @@ void run_sweep(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t chunk_width,
   for (std::int64_t c = 0; c < chunks; ++c) {
     const std::span<basic_complex_t<T>> chunk =
         a.subspan(static_cast<index_t>(c) * chunk_size, chunk_size);
-    for (const TypedOp<T>& op : ops) apply_chunk_op<T>(chunk, width, op);
+    for (const TypedOp<T>& op : ops) apply_op<T>(chunk, width, op, /*parallel=*/false);
   }
 }
 
@@ -166,14 +140,7 @@ void execute_blocked(std::span<basic_complex_t<T>> a, const BlockedPlan& plan) {
       case PlanItem::Kind::Global: {
         obs::Span span("sched.global");
         if (obs::enabled()) span.arg("pred_s", pass_pred);
-        const TypedOp<T> top(item.global);
-        if (top.op->kind == ChunkOp::Kind::Dense) {
-          sim::kernels::apply_multi<T>(a, plan.n, top.op->qubits, top.unitary_view());
-        } else if (top.op->kind == ChunkOp::Kind::Diagonal) {
-          sim::kernels::apply_multi_diagonal<T>(a, plan.n, top.op->qubits, top.diag_view());
-        } else {
-          sim::apply_gate_hpc<T>(a, plan.n, top.op->gate);
-        }
+        apply_op<T>(a, plan.n, TypedOp<T>(item.global), /*parallel=*/true);
         break;
       }
     }

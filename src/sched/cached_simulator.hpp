@@ -9,15 +9,16 @@
 //  * Sweep items walk the state vector chunk by chunk (2^L amplitudes,
 //    L = plan.chunk_width) and apply every op of the sweep to a chunk
 //    while it is cache resident — one `omp parallel` region over chunks
-//    per sweep, serial chunk-local kernels inside. This replaces the
+//    per sweep, and inside it the same kernels a Global item runs, in
+//    serial mode (kernels.hpp). This replaces the
 //    one-full-DRAM-pass-per-block of an unblocked plan with one pass per
 //    sweep (paper §4: the simulation is bandwidth bound, so fewer state
 //    traversals is the whole game).
 //  * Remap items relocate high qubits into the low block in one
 //    transposition pass (kernels::apply_qubit_swaps).
 //  * Global items (ops wider than a chunk, or not worth remapping) run
-//    as ordinary full-vector kernels. A plan of Globals only
-//    (sched::global_plan) is the "fused" backend.
+//    the kernels in parallel mode on the full vector. A plan of Globals
+//    only (sched::global_plan) is the "fused" backend.
 //
 // Iterative callers pay fusion + scheduling once: plan() then
 // execute_blocked() as often as needed.

@@ -94,7 +94,7 @@ double BasicDistStateVector<T>::probability_of_one(qubit_t q) const {
 
 template <typename T>
 void BasicDistStateVector<T>::exchange_and_combine(qubit_t rank_bit, const kernels::U2T<T>& u,
-                                                   index_t local_cmask, index_t) {
+                                                   index_t local_cmask) {
   // The per-gate pairwise chunk exchange of Eq. 6 — the span carries the
   // bytes it moved plus the model's predicted time, so the model-drift
   // report can compare Eq. 6 against this machine rank by rank. Both the
@@ -161,24 +161,10 @@ void BasicDistStateVector<T>::apply_gate(const Gate& g, CommPolicy policy) {
     local_gate.controls.clear();
     for (qubit_t c : g.controls)
       if (c < nl_) local_gate.controls.push_back(c);
-    if (policy == CommPolicy::Specialized) {
-      // Apply through the specialized kernels on the local window.
-      const auto a = std::span<value_type>(local_.data(), local_.size());
-      if (local_gate.kind == GateKind::X) {
-        kernels::apply_x<T>(a, nl_, t, local_cmask);
-      } else if (local_gate.diagonal()) {
-        const auto [d0, d1] = diagonal_entries(local_gate);
-        kernels::apply_diagonal<T>(a, nl_, t, static_cast<value_type>(d0),
-                                   static_cast<value_type>(d1), local_cmask);
-      } else {
-        kernels::apply_folded<T>(a, nl_, t, local_cmask,
-                                 kernels::u2_cast<T>(target_block(local_gate)));
-      }
-    } else {
-      kernels::apply_generic_masked<T>({local_.data(), local_.size()}, nl_, t, local_cmask,
-                                       kernels::u2_cast<T>(target_block(local_gate)),
-                                       /*parallel=*/true);
-    }
+    if (policy == CommPolicy::Specialized)
+      apply_gate_hpc<T>(local(), nl_, local_gate);
+    else
+      apply_gate_generic<T>(local(), nl_, local_gate, /*parallel=*/true);
     return;
   }
 
@@ -199,18 +185,12 @@ void BasicDistStateVector<T>::apply_gate(const Gate& g, CommPolicy policy) {
     return;
   }
 
-  // Exchange path. Note the pair partner has identical global control
-  // bits (it differs only in the target bit), so "skip" decisions agree.
+  // Exchange path, under either policy: the full chunk goes to the
+  // partner, then the pairs whose local controls are set combine. The
+  // partner has identical global control bits (it differs only in the
+  // target bit), so "skip" decisions agree.
   if (!globals_satisfied) return;
-  if (policy == CommPolicy::Exchange) {
-    // Unspecialized: the whole chunk participates regardless of local
-    // controls; fold the control test into the 2x2 by expanding... the
-    // generic simulator still exchanges the full chunk, then applies the
-    // masked combine.
-    exchange_and_combine(rank_bit, kernels::u2_cast<T>(target_block(g)), local_cmask, 0);
-    return;
-  }
-  exchange_and_combine(rank_bit, kernels::u2_cast<T>(target_block(g)), local_cmask, 0);
+  exchange_and_combine(rank_bit, kernels::u2_cast<T>(target_block(g)), local_cmask);
 }
 
 template <typename T>

@@ -122,8 +122,7 @@ class BasicDistStateVector {
   [[nodiscard]] std::uint64_t bytes_communicated() const noexcept { return bytes_comm_; }
 
  private:
-  void exchange_and_combine(qubit_t rank_bit, const kernels::U2T<T>& u, index_t local_cmask,
-                            index_t global_cmask_bits);
+  void exchange_and_combine(qubit_t rank_bit, const kernels::U2T<T>& u, index_t local_cmask);
 
   cluster::Comm* comm_;
   qubit_t n_;

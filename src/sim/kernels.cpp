@@ -17,11 +17,11 @@ std::vector<qubit_t> sorted_bit_positions(index_t mask, std::initializer_list<qu
 
 namespace {
 
-/// Longest run (in amplitudes) handed to one microkernel call from a
-/// parallel sweep: short enough that flattening (group, segment) pairs
-/// keeps every thread busy even when the target is a top qubit (one
-/// giant run), long enough to amortize dispatch.
-inline constexpr index_t kParSegment = index_t{1} << 12;
+/// Longest run (log2 amplitudes) handed to one microkernel call: short
+/// enough that a parallel walk over (run, segment) pairs keeps every
+/// thread busy even when the target is a top qubit (one run spanning
+/// half the vector), long enough to amortize dispatch.
+inline constexpr qubit_t kSegmentBits = 12;
 
 /// Splats a 2x2 block into the row-major {re, im} coefficient layout the
 /// dense2 microkernel consumes.
@@ -31,290 +31,249 @@ std::array<T, 8> u2_coef(const U2T<T>& u) noexcept {
           u.m10.real(), u.m10.imag(), u.m11.real(), u.m11.imag()};
 }
 
+// Every kernel below has one body, compiled once per mode, and loops
+// only through the helpers in this block; they alone hold an OpenMP
+// loop. The serial instantiation holds no OpenMP region at all: a
+// region makes the loop's captured state escape, and the serial loop
+// would then reload its coefficients after every amplitude store.
+
+/// A kernel's mode as a type: Mode<true> may open an OpenMP region.
+template <bool Par>
+using Mode = std::bool_constant<Par>;
+
+/// Runs the kernel body `body(mode)` in the mode `parallel` names.
+template <typename Body>
+inline void with_mode(bool parallel, const Body& body) {
+  if (parallel)
+    body(Mode<true>{});
+  else
+    body(Mode<false>{});
+}
+
+/// f(j) for j in [0, count). In parallel mode this is an OpenMP loop,
+/// forked when `work` amortizes the fork, and each thread runs its own
+/// copy of `f`, so the coefficients it captures stay in registers.
+template <bool Par, typename F>
+inline void loop(Mode<Par>, index_t count, [[maybe_unused]] index_t work, F f) {
+  if constexpr (Par) {
+#pragma omp parallel for schedule(static) firstprivate(f) if (worth_parallelizing(work))
+    for (index_t j = 0; j < count; ++j) f(j);
+  } else {
+    for (index_t j = 0; j < count; ++j) f(j);
+  }
+}
+
+/// f(i) for every index i of an n-qubit space whose bits at the
+/// ascending positions `pos` are 0, in increasing order. The 0-3
+/// position cases (a target plus up to two controls: nearly every gate)
+/// inline the insert_bit chain; BitExpander's runtime position loop
+/// costs ~2x on these loops.
+template <bool Par, typename F>
+inline void for_each_index(Mode<Par> mode, qubit_t n, std::span<const qubit_t> pos, const F& f) {
+  const index_t count = dim(n) >> pos.size();
+  switch (pos.size()) {
+    case 0:
+      return loop(mode, count, count, f);
+    case 1:
+      return loop(mode, count, count,
+                  [f, p0 = pos[0]](index_t j) { f(bits::insert_bit(j, p0)); });
+    case 2:
+      return loop(mode, count, count, [f, p0 = pos[0], p1 = pos[1]](index_t j) {
+        f(bits::insert_bit(bits::insert_bit(j, p0), p1));
+      });
+    case 3:
+      return loop(mode, count, count, [f, p0 = pos[0], p1 = pos[1], p2 = pos[2]](index_t j) {
+        f(bits::insert_bit(bits::insert_bit(bits::insert_bit(j, p0), p1), p2));
+      });
+    default:
+      return loop(mode, count, count,
+                  [f, expand = BitExpander{pos}](index_t j) { f(expand(j)); });
+  }
+}
+
+/// f(base, len) over the contiguous runs of the indices whose bits at
+/// the ascending positions `pos` (one or two) are 0. A run is
+/// 2^pos[0] amplitudes; runs longer than 2^kSegmentBits are cut into
+/// segments of that length, so a parallel walk stays load-balanced.
+template <bool Par, typename F>
+inline void for_each_run(Mode<Par> mode, qubit_t n, std::span<const qubit_t> pos, const F& f) {
+  assert(!pos.empty() && pos.size() <= 2);
+  if (pos[0] == 0) {
+    // Runs of one amplitude: pass the length as a constant, so the body
+    // compiles to straight-line code.
+    return for_each_index(mode, n, pos, [f](index_t i) { f(i, index_t{1}); });
+  }
+  // Segment starts are s << w, with s enumerated over the remaining
+  // n - w bits with 0s at the shifted positions.
+  const qubit_t w = std::min(pos[0], kSegmentBits);
+  const qubit_t p0 = pos[0] - w;
+  const qubit_t p1 = pos.back() - w;
+  const index_t count = dim(n - w) >> pos.size();
+  const index_t len = dim(w);
+  if (pos.size() == 2)
+    return loop(mode, count, dim(n), [f, w, p0, p1, len](index_t s) {
+      f(bits::insert_bit(bits::insert_bit(s, p0), p1) << w, len);
+    });
+  if (p0 == 0)  // whole runs: segment s starts at s * 2^(w+1)
+    return loop(mode, count, dim(n), [f, w, len](index_t s) { f(s << (w + 1), len); });
+  loop(mode, count, dim(n),
+       [f, w, p0, len](index_t s) { f(bits::insert_bit(s, p0) << w, len); });
+}
+
+// The per-amplitude arithmetic below works on the {re, im} planes in
+// plain real arithmetic. On std::complex values GCC builds each {re, im}
+// vector through a stack slot (a store-forwarding stall per amplitude)
+// and carries operator*'s NaN fix-up branch.
+
+/// x <- x * w for the amplitude at planes x[0], x[1].
+template <typename T>
+inline void scale(T* x, basic_complex_t<T> w) {
+  const T xr = x[0], xi = x[1];
+  x[0] = xr * w.real() - xi * w.imag();
+  x[1] = xr * w.imag() + xi * w.real();
+}
+
+/// Exchanges the amplitudes at planes x and y.
+template <typename T>
+inline void swap_amplitudes(T* x, T* y) {
+  std::swap(x[0], y[0]);
+  std::swap(x[1], y[1]);
+}
+
+/// (x, y) <- u (x, y) for the amplitude pair at planes x, y; `coef` is
+/// u in u2_coef's layout.
+template <typename T>
+inline void apply_u2(T* x, T* y, const std::array<T, 8>& coef) {
+  const T xr = x[0], xi = x[1], yr = y[0], yi = y[1];
+  x[0] = coef[0] * xr - coef[1] * xi + coef[2] * yr - coef[3] * yi;
+  x[1] = coef[0] * xi + coef[1] * xr + coef[2] * yi + coef[3] * yr;
+  y[0] = coef[4] * xr - coef[5] * xi + coef[6] * yr - coef[7] * yi;
+  y[1] = coef[4] * xi + coef[5] * xr + coef[6] * yi + coef[7] * yr;
+}
+
 }  // namespace
 
 template <typename T>
 void apply_generic_masked(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
                           index_t cmask, const U2T<T>& u, bool parallel) {
-  using C = basic_complex_t<T>;
-  const index_t pairs = dim(n) >> 1;
-  const index_t tbit = index_t{1} << target;
-  if (parallel) {
-#pragma omp parallel for schedule(static) if (worth_parallelizing(pairs))
-    for (index_t j = 0; j < pairs; ++j) {
-      const index_t i0 = bits::insert_bit(j, target);
-      if ((i0 & cmask) != cmask) continue;
-      const index_t i1 = i0 | tbit;
-      const C x0 = a[i0], x1 = a[i1];
-      a[i0] = u.m00 * x0 + u.m01 * x1;
-      a[i1] = u.m10 * x0 + u.m11 * x1;
-    }
-  } else {
-    for (index_t j = 0; j < pairs; ++j) {
-      const index_t i0 = bits::insert_bit(j, target);
-      if ((i0 & cmask) != cmask) continue;
-      const index_t i1 = i0 | tbit;
-      const C x0 = a[i0], x1 = a[i1];
-      a[i0] = u.m00 * x0 + u.m01 * x1;
-      a[i1] = u.m10 * x0 + u.m11 * x1;
-    }
-  }
+  const index_t tbit = bits::bit(target);
+  const qubit_t pos[] = {target};
+  with_mode(parallel, [&](auto mode) {
+    for_each_index(mode, n, pos,
+                   [p = real_imag_planes(a.data()), coef = u2_coef(u), cmask, tbit](index_t i0) {
+                     if ((i0 & cmask) == cmask) apply_u2(p + 2 * i0, p + 2 * (i0 | tbit), coef);
+                   });
+  });
 }
 
 template <typename T>
 void apply_folded(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask,
-                  const U2T<T>& u) {
-  using C = basic_complex_t<T>;
-  const index_t tbit = index_t{1} << target;
+                  const U2T<T>& u, bool parallel) {
+  const index_t tbit = bits::bit(target);
   if (cmask == 0) {
     // Uncontrolled: the (target=0, target=1) partners form contiguous
     // runs of 2^target amplitudes — hand them to the runtime-dispatched
-    // dense2 microkernel. The (group, segment) flattening keeps the
-    // parallel loop load-balanced whether the target is qubit 0 (many
-    // short runs) or the top qubit (one run spanning half the vector).
-    const index_t size = dim(n);
-    const auto& mk = active_microkernels<T>();
+    // dense2 microkernel.
+    const qubit_t pos[] = {target};
     const std::array<T, 8> coef = u2_coef(u);
-    const index_t seg = std::min(tbit, kParSegment);
-    const index_t per_run = tbit / seg;
-    const index_t total = (size >> (target + 1)) * per_run;
-    T* p = real_imag_planes(a.data());
-#pragma omp parallel for schedule(static) if (worth_parallelizing(size))
-    for (index_t s = 0; s < total; ++s) {
-      const index_t base = (s / per_run) * (tbit << 1) + (s % per_run) * seg;
-      mk.dense2(p + 2 * base, p + 2 * (base + tbit), seg, coef.data());
-    }
+    with_mode(parallel, [&](auto mode) {
+      for_each_run(mode, n, pos,
+                   [p = real_imag_planes(a.data()), tbit, c = coef.data(),
+                    dense2 = active_microkernels<T>().dense2](index_t base, index_t len) {
+                     dense2(p + 2 * base, p + 2 * (base + tbit), len, c);
+                   });
+    });
     return;
   }
   const auto pos = sorted_bit_positions(cmask, {target});
-  const BitExpander expand{pos};
-  const index_t count = dim(n) >> pos.size();
-#pragma omp parallel for schedule(static) if (worth_parallelizing(count))
-  for (index_t j = 0; j < count; ++j) {
-    const index_t i0 = expand(j) | cmask;
-    const index_t i1 = i0 | tbit;
-    const C x0 = a[i0], x1 = a[i1];
-    a[i0] = u.m00 * x0 + u.m01 * x1;
-    a[i1] = u.m10 * x0 + u.m11 * x1;
-  }
+  with_mode(parallel, [&](auto mode) {
+    for_each_index(mode, n, pos,
+                   [p = real_imag_planes(a.data()), coef = u2_coef(u), cmask, tbit](index_t i) {
+                     apply_u2(p + 2 * (i | cmask), p + 2 * (i | cmask | tbit), coef);
+                   });
+  });
 }
 
 template <typename T>
 void apply_diagonal(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
-                    basic_complex_t<T> d0, basic_complex_t<T> d1, index_t cmask) {
-  using C = basic_complex_t<T>;
-  const index_t tbit = index_t{1} << target;
+                    basic_complex_t<T> d0, basic_complex_t<T> d1, index_t cmask, bool parallel) {
+  const index_t tbit = bits::bit(target);
+  // Phase-type gates (d0 == 1: Z, S, T, R(theta)/CR) leave target=0
+  // alone, so a controlled one touches a quarter of the vector (the
+  // paper's CR gate).
+  const bool skip0 = d0 == basic_complex_t<T>{T{1}};
   if (cmask == 0) {
-    // Uncontrolled: every touched amplitude lies in a contiguous
-    // 2^target run — run-scale them through the dispatched microkernel,
-    // with the same (run, segment) flattening as apply_folded.
-    const index_t size = dim(n);
-    const auto& mk = active_microkernels<T>();
-    const bool skip0 = d0 == C{T{1}};
-    const index_t seg = std::min(tbit, kParSegment);
-    const index_t per_run = tbit / seg;
-    const index_t total = (size >> target) * per_run;
-    T* p = real_imag_planes(a.data());
-#pragma omp parallel for schedule(static) if (worth_parallelizing(size))
-    for (index_t s = 0; s < total; ++s) {
-      const index_t run = s / per_run;
-      const bool one = (run & 1) != 0;
-      if (skip0 && !one) continue;
-      const C d = one ? d1 : d0;
-      const index_t base = run * tbit + (s % per_run) * seg;
-      mk.scale(p + 2 * base, seg, d.real(), d.imag());
-    }
+    // Uncontrolled: run-scale the target=0 / target=1 halves of each run
+    // through the dispatched microkernel.
+    const qubit_t pos[] = {target};
+    with_mode(parallel, [&](auto mode) {
+      for_each_run(mode, n, pos,
+                   [p = real_imag_planes(a.data()), tbit, d0, d1, skip0,
+                    scale_run = active_microkernels<T>().scale](index_t base, index_t len) {
+                     if (!skip0) scale_run(p + 2 * base, len, d0.real(), d0.imag());
+                     scale_run(p + 2 * (base + tbit), len, d1.real(), d1.imag());
+                   });
+    });
     return;
   }
-  if (d0 == C{T{1}}) {
-    // Phase-type gate: only amplitudes with target=1 and controls=1
-    // change — a quarter of the vector for the paper's CR gate.
-    const auto pos = sorted_bit_positions(cmask, {target});
-    const BitExpander expand{pos};
-    const index_t count = dim(n) >> pos.size();
-    const index_t set_mask = cmask | tbit;
-#pragma omp parallel for schedule(static) if (worth_parallelizing(count))
-    for (index_t j = 0; j < count; ++j) a[expand(j) | set_mask] *= d1;
-    return;
-  }
-  // General diagonal (e.g. Rz): one in-place sweep over the controls=1
-  // part, choosing d0/d1 by the target bit.
-  const auto pos = sorted_bit_positions(cmask, {});
-  const BitExpander expand{pos};
-  const index_t count = dim(n) >> pos.size();
-#pragma omp parallel for schedule(static) if (worth_parallelizing(count))
-  for (index_t j = 0; j < count; ++j) {
-    const index_t i = expand(j) | cmask;
-    a[i] *= (i & tbit) ? d1 : d0;
-  }
+  const auto pos = sorted_bit_positions(cmask, {target});
+  with_mode(parallel, [&](auto mode) {
+    for_each_index(mode, n, pos,
+                   [p = real_imag_planes(a.data()), cmask, tbit, d0, d1, skip0](index_t i) {
+                     if (!skip0) scale(p + 2 * (i | cmask), d0);
+                     scale(p + 2 * (i | cmask | tbit), d1);
+                   });
+  });
 }
 
 template <typename T>
-void apply_x(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask) {
-  const auto pos = sorted_bit_positions(cmask, {target});
-  const BitExpander expand{pos};
-  const index_t count = dim(n) >> pos.size();
-  const index_t tbit = index_t{1} << target;
-#pragma omp parallel for schedule(static) if (worth_parallelizing(count))
-  for (index_t j = 0; j < count; ++j) {
-    const index_t i0 = expand(j) | cmask;
-    std::swap(a[i0], a[i0 | tbit]);
+void apply_x(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask,
+             bool parallel) {
+  const index_t tbit = bits::bit(target);
+  if (cmask == 0) {
+    // Uncontrolled NOT: exchange the contiguous target=0 / target=1 runs.
+    const qubit_t pos[] = {target};
+    with_mode(parallel, [&](auto mode) {
+      for_each_run(mode, n, pos,
+                   [p = real_imag_planes(a.data()), tbit](index_t base, index_t len) {
+                     for (index_t i = base; i < base + len; ++i)
+                       swap_amplitudes(p + 2 * i, p + 2 * (i + tbit));
+                   });
+    });
+    return;
   }
+  const auto pos = sorted_bit_positions(cmask, {target});
+  with_mode(parallel, [&](auto mode) {
+    for_each_index(mode, n, pos, [p = real_imag_planes(a.data()), cmask, tbit](index_t i) {
+      swap_amplitudes(p + 2 * (i | cmask), p + 2 * (i | cmask | tbit));
+    });
+  });
 }
 
 template <typename T>
 void apply_swap(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t qa, qubit_t qb,
-                index_t cmask) {
+                index_t cmask, bool parallel) {
   // Touches only indices where the two bits differ: enumerate with both
   // bits removed, swap (qa=1,qb=0) with (qa=0,qb=1).
+  const index_t abit = bits::bit(qa);
+  const index_t bbit = bits::bit(qb);
   const auto pos = sorted_bit_positions(cmask, {qa, qb});
-  const BitExpander expand{pos};
-  const index_t count = dim(n) >> pos.size();
-  const index_t abit = index_t{1} << qa;
-  const index_t bbit = index_t{1} << qb;
-#pragma omp parallel for schedule(static) if (worth_parallelizing(count))
-  for (index_t j = 0; j < count; ++j) {
-    const index_t base = expand(j) | cmask;
-    std::swap(a[base | abit], a[base | bbit]);
-  }
-}
-
-namespace {
-
-// The serial kernels below are the per-chunk inner loops of the
-// cache-blocked executor: they run inside an outer cross-chunk parallel
-// region, so unlike the kernels above they cannot lean on OpenMP. Their
-// uncontrolled fast paths hand the contiguous (target=0, target=1) runs
-// to the runtime-dispatched microkernels (kernels_dispatch.hpp) through
-// raw scalar planes (std::complex guarantees the {re, im} array
-// layout); the generic masked loops stay scalar.
-
-/// Serial enumeration of expanded indices: j in [0, count) visits every
-/// index with 0 bits at `pos`. The 1/2/3-position cases (one target plus
-/// up to two controls — nearly every gate) inline the insert_bit chain
-/// so the compiler keeps the loop tight; BitExpander's runtime position
-/// loop costs ~2x on these serial sweeps (measured at 22 qubits).
-template <typename F>
-inline void expanded_loop(std::span<const qubit_t> pos, index_t count, F&& f) {
-  switch (pos.size()) {
-    case 1: {
-      const qubit_t p0 = pos[0];
-      for (index_t j = 0; j < count; ++j) f(bits::insert_bit(j, p0));
-      return;
-    }
-    case 2: {
-      const qubit_t p0 = pos[0], p1 = pos[1];
-      for (index_t j = 0; j < count; ++j) f(bits::insert_bit(bits::insert_bit(j, p0), p1));
-      return;
-    }
-    case 3: {
-      const qubit_t p0 = pos[0], p1 = pos[1], p2 = pos[2];
-      for (index_t j = 0; j < count; ++j)
-        f(bits::insert_bit(bits::insert_bit(bits::insert_bit(j, p0), p1), p2));
-      return;
-    }
-    default: {
-      const BitExpander expand{pos};
-      for (index_t j = 0; j < count; ++j) f(expand(j));
-      return;
-    }
-  }
-}
-
-}  // namespace
-
-template <typename T>
-void apply_folded_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
-                         index_t cmask, const U2T<T>& u) {
-  using C = basic_complex_t<T>;
-  const index_t tbit = index_t{1} << target;
   if (cmask == 0) {
-    // Uncontrolled: the (target=0, target=1) partners form contiguous
-    // runs of 2^target amplitudes; process them through the dispatched
-    // dense2 microkernel.
-    const index_t size = dim(n);
-    const auto& mk = active_microkernels<T>();
-    const std::array<T, 8> coef = u2_coef(u);
-    T* p = real_imag_planes(a.data());
-    for (index_t g = 0; g < size; g += tbit << 1)
-      mk.dense2(p + 2 * g, p + 2 * (g + tbit), tbit, coef.data());
+    // Uncontrolled: the two partners are contiguous runs below the lower
+    // of the two bits.
+    with_mode(parallel, [&](auto mode) {
+      for_each_run(mode, n, pos,
+                   [p = real_imag_planes(a.data()), abit, bbit](index_t base, index_t len) {
+                     for (index_t i = base; i < base + len; ++i)
+                       swap_amplitudes(p + 2 * (i + abit), p + 2 * (i + bbit));
+                   });
+    });
     return;
   }
-  const auto pos = sorted_bit_positions(cmask, {target});
-  const index_t count = dim(n) >> pos.size();
-  expanded_loop(pos, count, [&](index_t expanded) {
-    const index_t i0 = expanded | cmask;
-    const index_t i1 = i0 | tbit;
-    const C x0 = a[i0], x1 = a[i1];
-    a[i0] = u.m00 * x0 + u.m01 * x1;
-    a[i1] = u.m10 * x0 + u.m11 * x1;
-  });
-}
-
-template <typename T>
-void apply_diagonal_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
-                           basic_complex_t<T> d0, basic_complex_t<T> d1, index_t cmask) {
-  using C = basic_complex_t<T>;
-  const index_t tbit = index_t{1} << target;
-  if (cmask == 0) {
-    // Uncontrolled: the target=1 (and, unless d0 == 1, target=0)
-    // amplitudes form contiguous runs — scale them through the
-    // dispatched run-scale microkernel.
-    const index_t size = dim(n);
-    const auto& mk = active_microkernels<T>();
-    const bool skip0 = d0 == C{T{1}};
-    T* p = real_imag_planes(a.data());
-    for (index_t g = 0; g < size; g += tbit << 1) {
-      if (!skip0) mk.scale(p + 2 * g, tbit, d0.real(), d0.imag());
-      mk.scale(p + 2 * (g + tbit), tbit, d1.real(), d1.imag());
-    }
-    return;
-  }
-  if (d0 == C{T{1}}) {
-    const auto pos = sorted_bit_positions(cmask, {target});
-    const index_t count = dim(n) >> pos.size();
-    const index_t set_mask = cmask | tbit;
-    expanded_loop(pos, count, [&](index_t expanded) { a[expanded | set_mask] *= d1; });
-    return;
-  }
-  const auto pos = sorted_bit_positions(cmask, {});
-  const index_t count = dim(n) >> pos.size();
-  expanded_loop(pos, count, [&](index_t expanded) {
-    const index_t i = expanded | cmask;
-    a[i] *= (i & tbit) ? d1 : d0;
-  });
-}
-
-template <typename T>
-void apply_x_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask) {
-  const index_t tbit = index_t{1} << target;
-  if (cmask == 0) {
-    // Uncontrolled NOT: exchange the contiguous target=0 / target=1 runs.
-    const index_t size = dim(n);
-    for (index_t g = 0; g < size; g += tbit << 1)
-      std::swap_ranges(a.begin() + static_cast<std::ptrdiff_t>(g),
-                       a.begin() + static_cast<std::ptrdiff_t>(g + tbit),
-                       a.begin() + static_cast<std::ptrdiff_t>(g + tbit));
-    return;
-  }
-  const auto pos = sorted_bit_positions(cmask, {target});
-  const index_t count = dim(n) >> pos.size();
-  expanded_loop(pos, count, [&](index_t expanded) {
-    const index_t i0 = expanded | cmask;
-    std::swap(a[i0], a[i0 | tbit]);
-  });
-}
-
-template <typename T>
-void apply_swap_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t qa, qubit_t qb,
-                       index_t cmask) {
-  const auto pos = sorted_bit_positions(cmask, {qa, qb});
-  const index_t count = dim(n) >> pos.size();
-  const index_t abit = index_t{1} << qa;
-  const index_t bbit = index_t{1} << qb;
-  expanded_loop(pos, count, [&](index_t expanded) {
-    const index_t base = expanded | cmask;
-    std::swap(a[base | abit], a[base | bbit]);
+  with_mode(parallel, [&](auto mode) {
+    for_each_index(mode, n, pos, [p = real_imag_planes(a.data()), cmask, abit, bbit](index_t i) {
+      swap_amplitudes(p + 2 * (i | cmask | abit), p + 2 * (i | cmask | bbit));
+    });
   });
 }
 
@@ -337,25 +296,20 @@ std::array<index_t, B> block_offsets(std::span<const qubit_t> targets) {
 /// Width-templated block apply: the compile-time block size lets the
 /// compiler fully unroll / FMA-vectorize the mat-vec, and the unitary is
 /// split once into real/imag planes so the hot loop is plain scalar
-/// arithmetic (std::complex products inhibit vectorization). `Par`
-/// selects the OpenMP sweep vs the serial chunk-local form used inside
-/// the cache-blocked executor's cross-chunk parallel region.
+/// arithmetic (std::complex products inhibit vectorization).
 template <typename T, unsigned K, bool Par>
-void apply_multi_t(std::span<basic_complex_t<T>> a, qubit_t n, std::span<const qubit_t> targets,
-                   std::span<const basic_complex_t<T>> u) {
+void apply_multi_t(Mode<Par> mode, std::span<basic_complex_t<T>> a, qubit_t n,
+                   std::span<const qubit_t> targets, std::span<const basic_complex_t<T>> u) {
   using C = basic_complex_t<T>;
   constexpr index_t B = index_t{1} << K;
-  const BitExpander expand{targets};
   const std::array<index_t, B> offs = block_offsets<B>(targets);
   alignas(64) std::array<T, B * B> ur, ui;
   for (index_t i = 0; i < B * B; ++i) {
     ur[i] = u[i].real();
     ui[i] = u[i].imag();
   }
-  const index_t count = dim(n) >> K;
-  const auto body = [&](index_t j, std::array<T, B>& xr, std::array<T, B>& xi,
-                        std::array<T, B>& yr, std::array<T, B>& yi) {
-    const index_t base = expand(j);
+  for_each_index(mode, n, targets, [a, &offs, &ur, &ui](index_t base) {
+    alignas(64) std::array<T, B> xr, xi, yr, yi;
     for (index_t b = 0; b < B; ++b) {
       const C v = a[base | offs[b]];
       xr[b] = v.real();
@@ -373,168 +327,93 @@ void apply_multi_t(std::span<basic_complex_t<T>> a, qubit_t n, std::span<const q
       yi[r] = acci;
     }
     for (index_t b = 0; b < B; ++b) a[base | offs[b]] = C{yr[b], yi[b]};
-  };
-  if constexpr (Par) {
-#pragma omp parallel if (worth_parallelizing(count))
-    {
-      alignas(64) std::array<T, B> xr, xi, yr, yi;
-#pragma omp for schedule(static)
-      for (index_t j = 0; j < count; ++j) body(j, xr, xi, yr, yi);
-    }
-  } else {
-    alignas(64) std::array<T, B> xr, xi, yr, yi;
-    for (index_t j = 0; j < count; ++j) body(j, xr, xi, yr, yi);
-  }
+  });
 }
 
-/// Generic fallback for the widest blocks (heap-sized scratch).
+/// Generic fallback for the widest blocks.
 template <typename T, bool Par>
-void apply_multi_generic(std::span<basic_complex_t<T>> a, qubit_t n,
+void apply_multi_generic(Mode<Par> mode, std::span<basic_complex_t<T>> a, qubit_t n,
                          std::span<const qubit_t> targets,
                          std::span<const basic_complex_t<T>> u) {
   using C = basic_complex_t<T>;
-  const auto k = static_cast<qubit_t>(targets.size());
-  const index_t block = dim(k);
-  const BitExpander expand{targets};
+  const index_t block = dim(static_cast<qubit_t>(targets.size()));
   const auto offs = block_offsets<dim(kMaxFusedWidth)>(targets);
-  const C* um = u.data();
-  const index_t count = dim(n) >> k;
-  const auto body = [&](index_t j, std::vector<C>& x, std::vector<C>& y) {
-    const index_t base = expand(j);
+  for_each_index(mode, n, targets, [a, u, block, &offs](index_t base) {
+    std::array<C, dim(kMaxFusedWidth)> x, y;
     for (index_t b = 0; b < block; ++b) x[b] = a[base | offs[b]];
     for (index_t r = 0; r < block; ++r) {
-      const C* row = um + r * block;
+      const C* row = u.data() + r * block;
       C acc{};
       for (index_t c = 0; c < block; ++c) acc += row[c] * x[c];
       y[r] = acc;
     }
     for (index_t b = 0; b < block; ++b) a[base | offs[b]] = y[b];
-  };
-  if constexpr (Par) {
-#pragma omp parallel if (worth_parallelizing(count))
-    {
-      std::vector<C> x(block), y(block);
-#pragma omp for schedule(static)
-      for (index_t j = 0; j < count; ++j) body(j, x, y);
-    }
-  } else {
-    std::vector<C> x(block), y(block);
-    for (index_t j = 0; j < count; ++j) body(j, x, y);
-  }
+  });
 }
 
 /// 2-qubit dense apply through the dispatched 4x4 microkernel: the
 /// generic gather kernel pays per-block staging (~2x at B = 4); this
 /// walks the four target-bit runs {00, 01, 10, 11} directly so the
-/// contiguous low-bit run vectorizes. Parallel form flattens (group,
-/// segment) pairs like apply_folded so high targets still load-balance.
+/// contiguous low-bit run vectorizes.
 template <typename T, bool Par>
-void apply_multi2_impl(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t t0, qubit_t t1,
-                       std::span<const basic_complex_t<T>> u) {
-  const index_t size = dim(n);
-  const index_t b0 = index_t{1} << t0;
-  const index_t b1 = index_t{1} << t1;
-  // Unitary coefficient planes, row-major 4x4 (local bit 0 <-> t0).
-  alignas(64) T ur[16], ui[16];
+void apply_multi2(Mode<Par> mode, std::span<basic_complex_t<T>> a, qubit_t n,
+                  std::span<const qubit_t> targets, std::span<const basic_complex_t<T>> u) {
+  const index_t b0 = bits::bit(targets[0]);
+  const index_t b1 = bits::bit(targets[1]);
+  // Unitary coefficient planes, row-major 4x4 (local bit 0 <-> targets[0]).
+  std::array<T, 16> ur, ui;
   for (int i = 0; i < 16; ++i) {
     ur[i] = u[i].real();
     ui[i] = u[i].imag();
   }
-  const auto& mk = active_microkernels<T>();
-  T* p = real_imag_planes(a.data());
-  const index_t inner = b1 / (b0 << 1);  // g0 groups per g1 group
-  if constexpr (Par) {
-    const index_t seg = std::min(b0, kParSegment);
-    const index_t per_run = b0 / seg;
-    const index_t total = (size / (b1 << 1)) * inner * per_run;
-#pragma omp parallel for schedule(static) if (worth_parallelizing(size))
-    for (index_t s = 0; s < total; ++s) {
-      const index_t o = s / (inner * per_run);
-      const index_t rem = s % (inner * per_run);
-      const index_t base =
-          o * (b1 << 1) + (rem / per_run) * (b0 << 1) + (rem % per_run) * seg;
-      mk.dense4(p + 2 * base, p + 2 * (base + b0), p + 2 * (base + b1),
-                p + 2 * (base + b0 + b1), seg, ur, ui);
-    }
-  } else {
-    for (index_t g1 = 0; g1 < size; g1 += b1 << 1)
-      for (index_t g0 = g1; g0 < g1 + b1; g0 += b0 << 1)
-        mk.dense4(p + 2 * g0, p + 2 * (g0 + b0), p + 2 * (g0 + b1), p + 2 * (g0 + b0 + b1),
-                  b0, ur, ui);
-  }
-}
-
-template <typename T, bool Par>
-void apply_multi_dispatch(std::span<basic_complex_t<T>> a, qubit_t n,
-                          std::span<const qubit_t> targets,
-                          std::span<const basic_complex_t<T>> u) {
-  const auto k = static_cast<qubit_t>(targets.size());
-  assert(k >= 1 && k <= kMaxFusedWidth && k <= n);
-  assert(u.size() == dim(k) * dim(k));
-  assert(std::is_sorted(targets.begin(), targets.end()));
-  switch (k) {
-    case 1: {
-      // Route through the folded 2x2 path so fused single-qubit blocks
-      // hit the dispatched dense2 microkernel.
-      const U2T<T> u2{u[0], u[1], u[2], u[3]};
-      if constexpr (Par)
-        return apply_folded<T>(a, n, targets[0], 0, u2);
-      else
-        return apply_folded_serial<T>(a, n, targets[0], 0, u2);
-    }
-    case 2: return apply_multi2_impl<T, Par>(a, n, targets[0], targets[1], u);
-    case 3: return apply_multi_t<T, 3, Par>(a, n, targets, u);
-    case 4: return apply_multi_t<T, 4, Par>(a, n, targets, u);
-    case 5: return apply_multi_t<T, 5, Par>(a, n, targets, u);
-    case 6: return apply_multi_t<T, 6, Par>(a, n, targets, u);
-    default: return apply_multi_generic<T, Par>(a, n, targets, u);
-  }
+  for_each_run(mode, n, targets,
+               [p = real_imag_planes(a.data()), b0, b1, ur = ur.data(), ui = ui.data(),
+                dense4 = active_microkernels<T>().dense4](index_t base, index_t len) {
+                 dense4(p + 2 * base, p + 2 * (base + b0), p + 2 * (base + b1),
+                        p + 2 * (base + b0 + b1), len, ur, ui);
+               });
 }
 
 }  // namespace
 
 template <typename T>
 void apply_multi(std::span<basic_complex_t<T>> a, qubit_t n, std::span<const qubit_t> targets,
-                 std::span<const basic_complex_t<T>> u) {
-  apply_multi_dispatch<T, true>(a, n, targets, u);
-}
-
-template <typename T>
-void apply_multi_serial(std::span<basic_complex_t<T>> a, qubit_t n,
-                        std::span<const qubit_t> targets,
-                        std::span<const basic_complex_t<T>> u) {
-  apply_multi_dispatch<T, false>(a, n, targets, u);
+                 std::span<const basic_complex_t<T>> u, bool parallel) {
+  const auto k = static_cast<qubit_t>(targets.size());
+  assert(k >= 1 && k <= kMaxFusedWidth && k <= n);
+  assert(u.size() == dim(k) * dim(k));
+  assert(std::is_sorted(targets.begin(), targets.end()));
+  if (k == 1) {
+    // Route through the folded 2x2 path so fused single-qubit blocks
+    // hit the dispatched dense2 microkernel.
+    return apply_folded<T>(a, n, targets[0], 0, U2T<T>{u[0], u[1], u[2], u[3]}, parallel);
+  }
+  with_mode(parallel, [&](auto mode) {
+    switch (k) {
+      case 2: return apply_multi2<T>(mode, a, n, targets, u);
+      case 3: return apply_multi_t<T, 3>(mode, a, n, targets, u);
+      case 4: return apply_multi_t<T, 4>(mode, a, n, targets, u);
+      case 5: return apply_multi_t<T, 5>(mode, a, n, targets, u);
+      case 6: return apply_multi_t<T, 6>(mode, a, n, targets, u);
+      default: return apply_multi_generic<T>(mode, a, n, targets, u);
+    }
+  });
 }
 
 template <typename T>
 void apply_multi_diagonal(std::span<basic_complex_t<T>> a, qubit_t n,
                           std::span<const qubit_t> targets,
-                          std::span<const basic_complex_t<T>> d) {
+                          std::span<const basic_complex_t<T>> d, bool parallel) {
   const auto k = static_cast<qubit_t>(targets.size());
   assert(k >= 1 && k <= kMaxFusedWidth && k <= n);
   assert(d.size() == dim(k));
-  const index_t size = dim(n);
-#pragma omp parallel for schedule(static) if (worth_parallelizing(size))
-  for (index_t i = 0; i < size; ++i) {
-    index_t b = 0;
-    for (qubit_t l = 0; l < k; ++l) b |= bits::get(i, targets[l]) << l;
-    a[i] *= d[b];
-  }
-}
-
-template <typename T>
-void apply_multi_diagonal_serial(std::span<basic_complex_t<T>> a, qubit_t n,
-                                 std::span<const qubit_t> targets,
-                                 std::span<const basic_complex_t<T>> d) {
-  const auto k = static_cast<qubit_t>(targets.size());
-  assert(k >= 1 && k <= kMaxFusedWidth && k <= n);
-  assert(d.size() == dim(k));
-  const index_t size = dim(n);
-  for (index_t i = 0; i < size; ++i) {
-    index_t b = 0;
-    for (qubit_t l = 0; l < k; ++l) b |= bits::get(i, targets[l]) << l;
-    a[i] *= d[b];
-  }
+  with_mode(parallel, [&](auto mode) {
+    for_each_index(mode, n, {}, [p = real_imag_planes(a.data()), targets, d, k](index_t i) {
+      index_t b = 0;
+      for (qubit_t l = 0; l < k; ++l) b |= bits::get(i, targets[l]) << l;
+      scale(p + 2 * i, d[b]);
+    });
+  });
 }
 
 template <typename T>
@@ -565,35 +444,23 @@ void apply_qubit_swaps(std::span<basic_complex_t<T>> a, qubit_t n,
 // two amplitude precisions the engine exposes (Precision::kF64/kF32).
 // ---------------------------------------------------------------------
 
-#define QC_INSTANTIATE_KERNELS(T)                                                             \
-  template void apply_generic_masked<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,      \
-                                        index_t, const U2T<T>&, bool);                        \
-  template void apply_folded<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, index_t,     \
-                                const U2T<T>&);                                               \
-  template void apply_diagonal<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,            \
-                                  basic_complex_t<T>, basic_complex_t<T>, index_t);           \
-  template void apply_x<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, index_t);         \
-  template void apply_swap<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, qubit_t,       \
-                              index_t);                                                       \
-  template void apply_folded_serial<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,       \
-                                       index_t, const U2T<T>&);                               \
-  template void apply_diagonal_serial<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,     \
-                                         basic_complex_t<T>, basic_complex_t<T>, index_t);    \
-  template void apply_x_serial<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, index_t);  \
-  template void apply_swap_serial<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,         \
-                                     qubit_t, index_t);                                       \
-  template void apply_multi<T>(std::span<basic_complex_t<T>>, qubit_t,                        \
-                               std::span<const qubit_t>, std::span<const basic_complex_t<T>>); \
-  template void apply_multi_serial<T>(std::span<basic_complex_t<T>>, qubit_t,                 \
-                                      std::span<const qubit_t>,                               \
-                                      std::span<const basic_complex_t<T>>);                   \
-  template void apply_multi_diagonal<T>(std::span<basic_complex_t<T>>, qubit_t,               \
-                                        std::span<const qubit_t>,                             \
-                                        std::span<const basic_complex_t<T>>);                 \
-  template void apply_multi_diagonal_serial<T>(std::span<basic_complex_t<T>>, qubit_t,        \
-                                               std::span<const qubit_t>,                      \
-                                               std::span<const basic_complex_t<T>>);          \
-  template void apply_qubit_swaps<T>(std::span<basic_complex_t<T>>, qubit_t,                  \
+#define QC_INSTANTIATE_KERNELS(T)                                                              \
+  template void apply_generic_masked<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,       \
+                                        index_t, const U2T<T>&, bool);                         \
+  template void apply_folded<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, index_t,      \
+                                const U2T<T>&, bool);                                          \
+  template void apply_diagonal<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,             \
+                                  basic_complex_t<T>, basic_complex_t<T>, index_t, bool);      \
+  template void apply_x<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, index_t, bool);    \
+  template void apply_swap<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, qubit_t,        \
+                              index_t, bool);                                                  \
+  template void apply_multi<T>(std::span<basic_complex_t<T>>, qubit_t,                         \
+                               std::span<const qubit_t>, std::span<const basic_complex_t<T>>,  \
+                               bool);                                                          \
+  template void apply_multi_diagonal<T>(std::span<basic_complex_t<T>>, qubit_t,                \
+                                        std::span<const qubit_t>,                              \
+                                        std::span<const basic_complex_t<T>>, bool);            \
+  template void apply_qubit_swaps<T>(std::span<basic_complex_t<T>>, qubit_t,                   \
                                      std::span<const std::array<qubit_t, 2>>);
 
 QC_INSTANTIATE_KERNELS(float)

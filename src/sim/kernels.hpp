@@ -8,14 +8,22 @@
 //    or permutation gates. "liquid-like" uses it single-threaded,
 //    "qhipster-like" with OpenMP (the paper's §4.5 baselines).
 //
-//  * folded / diagonal / x fast paths — "our simulator": enumerate only
-//    the amplitudes a gate actually changes. A controlled phase shift
-//    touches a quarter of the state vector (the paper's §3.2 counts
-//    exactly this), a NOT is a pure swap with zero flops, and controls
-//    fold into the index enumeration instead of a per-pair branch.
+//  * folded / diagonal / x / swap fast paths — "our simulator":
+//    enumerate only the amplitudes a gate actually changes. A controlled
+//    phase shift touches a quarter of the state vector (the paper's §3.2
+//    counts exactly this), a NOT is a pure swap with zero flops, and
+//    controls fold into the index enumeration instead of a per-pair
+//    branch.
 //
 //  * k-qubit dense / diagonal blocks — the executors of fuse/'s fused
 //    blocks: one memory sweep for a whole run of gates.
+//
+// Every kernel has one body and takes its mode as `bool parallel`:
+// true opens an OpenMP region (full-vector callers: the per-gate
+// backends, a plan's Global items, a rank's local gates); false runs
+// serially, for the cache-blocked sweep (qc::sched), which parallelizes
+// across chunks and calls the kernels on one cache-resident chunk
+// (a, n = chunk width) from inside that region.
 //
 // Every kernel is templated on the real amplitude scalar T in
 // {float, double}: fp64 is the reference, fp32 halves the bytes each
@@ -121,7 +129,7 @@ std::vector<qubit_t> sorted_bit_positions(index_t mask, std::initializer_list<qu
 // ---------------------------------------------------------------------
 
 /// Full pair traversal with per-pair control check and dense 2x2 math.
-/// `parallel` selects OpenMP (QhipsterLike) vs serial (LiquidLike).
+/// `parallel` selects OpenMP (qhipster-like) vs serial (liquid-like).
 template <typename T>
 void apply_generic_masked(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
                           index_t cmask, const U2T<T>& u, bool parallel);
@@ -134,44 +142,24 @@ void apply_generic_masked(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t ta
 /// satisfied (2^{n-1-c} pairs instead of 2^{n-1}).
 template <typename T>
 void apply_folded(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask,
-                  const U2T<T>& u);
+                  const U2T<T>& u, bool parallel);
 
 /// Diagonal gate diag(d0, d1) on `target`, controls folded. If d0 == 1
 /// (Z, S, T, R(theta)/CR) only the target=1, controls=1 quarter/half is
 /// touched; otherwise a single in-place sweep of the controls=1 part.
 template <typename T>
 void apply_diagonal(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
-                    basic_complex_t<T> d0, basic_complex_t<T> d1, index_t cmask);
+                    basic_complex_t<T> d0, basic_complex_t<T> d1, index_t cmask, bool parallel);
 
 /// NOT/CNOT/Toffoli as a pure amplitude swap (no flops), controls folded.
 template <typename T>
-void apply_x(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask);
+void apply_x(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask,
+             bool parallel);
 
 /// SWAP gate: exchanges amplitudes where the two target bits differ.
 template <typename T>
 void apply_swap(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t qa, qubit_t qb,
-                index_t cmask);
-
-// ---------------------------------------------------------------------
-// Serial chunk-local variants (cache-blocked execution, qc::sched).
-//
-// Same math as the parallel kernels above, with no OpenMP region: the
-// cache-blocked executor parallelizes *across* chunks and calls these on
-// one cache-resident chunk (a, n = chunk width) from inside that outer
-// parallel loop, so the inner kernels must stay serial.
-// ---------------------------------------------------------------------
-
-template <typename T>
-void apply_folded_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
-                         index_t cmask, const U2T<T>& u);
-template <typename T>
-void apply_diagonal_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
-                           basic_complex_t<T> d0, basic_complex_t<T> d1, index_t cmask);
-template <typename T>
-void apply_x_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask);
-template <typename T>
-void apply_swap_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t qa, qubit_t qb,
-                       index_t cmask);
+                index_t cmask, bool parallel);
 
 // ---------------------------------------------------------------------
 // k-qubit dense tier (gate fusion).
@@ -191,7 +179,7 @@ inline constexpr qubit_t kMaxFusedWidth = 8;
 /// memory pass replaces one pass per original gate.
 template <typename T>
 void apply_multi(std::span<basic_complex_t<T>> a, qubit_t n, std::span<const qubit_t> targets,
-                 std::span<const basic_complex_t<T>> u);
+                 std::span<const basic_complex_t<T>> u, bool parallel);
 
 /// Diagonal specialization of apply_multi: multiplies each amplitude by
 /// the diagonal entry `d[b]` selected by its k target bits (d has 2^k
@@ -199,18 +187,7 @@ void apply_multi(std::span<basic_complex_t<T>> a, qubit_t n, std::span<const qub
 template <typename T>
 void apply_multi_diagonal(std::span<basic_complex_t<T>> a, qubit_t n,
                           std::span<const qubit_t> targets,
-                          std::span<const basic_complex_t<T>> d);
-
-/// Serial chunk-local variants of the k-qubit tier (see the serial
-/// single-gate variants above for the calling convention).
-template <typename T>
-void apply_multi_serial(std::span<basic_complex_t<T>> a, qubit_t n,
-                        std::span<const qubit_t> targets,
-                        std::span<const basic_complex_t<T>> u);
-template <typename T>
-void apply_multi_diagonal_serial(std::span<basic_complex_t<T>> a, qubit_t n,
-                                 std::span<const qubit_t> targets,
-                                 std::span<const basic_complex_t<T>> d);
+                          std::span<const basic_complex_t<T>> d, bool parallel);
 
 // ---------------------------------------------------------------------
 // Qubit remapping (cache-blocked scheduler's local/global relocation).

@@ -50,28 +50,30 @@ template void apply_gate_generic<double>(std::span<basic_complex_t<double>>, qub
                                          const Gate&, bool);
 
 template <typename T>
-void apply_gate_hpc(std::span<basic_complex_t<T>> a, qubit_t n, const Gate& g) {
+void apply_gate_hpc(std::span<basic_complex_t<T>> a, qubit_t n, const Gate& g, bool parallel) {
   using C = basic_complex_t<T>;
   const index_t cmask = control_mask(g);
   if (g.kind == GateKind::Swap) {
-    kernels::apply_swap<T>(a, n, g.targets[0], g.targets[1], cmask);
+    kernels::apply_swap<T>(a, n, g.targets[0], g.targets[1], cmask, parallel);
     return;
   }
   const qubit_t t = g.targets[0];
   if (g.kind == GateKind::X) {
-    kernels::apply_x<T>(a, n, t, cmask);
+    kernels::apply_x<T>(a, n, t, cmask, parallel);
     return;
   }
   if (g.diagonal()) {
     const auto [d0, d1] = diagonal_entries(g);
-    kernels::apply_diagonal<T>(a, n, t, static_cast<C>(d0), static_cast<C>(d1), cmask);
+    kernels::apply_diagonal<T>(a, n, t, static_cast<C>(d0), static_cast<C>(d1), cmask, parallel);
     return;
   }
-  kernels::apply_folded<T>(a, n, t, cmask, kernels::u2_cast<T>(target_block(g)));
+  kernels::apply_folded<T>(a, n, t, cmask, kernels::u2_cast<T>(target_block(g)), parallel);
 }
 
-template void apply_gate_hpc<float>(std::span<basic_complex_t<float>>, qubit_t, const Gate&);
-template void apply_gate_hpc<double>(std::span<basic_complex_t<double>>, qubit_t, const Gate&);
+template void apply_gate_hpc<float>(std::span<basic_complex_t<float>>, qubit_t, const Gate&,
+                                    bool);
+template void apply_gate_hpc<double>(std::span<basic_complex_t<double>>, qubit_t, const Gate&,
+                                     bool);
 
 template <typename T>
 void apply_circuit_hpc(std::span<basic_complex_t<T>> a, const circuit::Circuit& c) {

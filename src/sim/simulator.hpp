@@ -42,12 +42,16 @@ namespace qc::sim {
 [[nodiscard]] std::pair<complex_t, complex_t> diagonal_entries(const circuit::Gate& g);
 
 /// The "hpc" specialized single-gate dispatch on a raw amplitude array
-/// (2^n amplitudes) — also how a blocked plan's Global gate items run,
-/// on the full vector or a rank's local chunk. Templated on the amplitude scalar;
-/// the (double-precision) gate block is narrowed once per gate, not per
+/// (2^n amplitudes): the one per-gate dispatch of the specialized tier.
+/// It runs the "hpc" backend and a plan's Global gate items on the full
+/// vector or a rank's local chunk (`parallel`, the default), and a
+/// sweep's gate ops on one cache-resident chunk (`parallel` = false; see
+/// kernels.hpp for the mode). Templated on the amplitude scalar; the
+/// (double-precision) gate block is narrowed once per gate, not per
 /// amplitude. No width check: `g` must act within n qubits.
 template <typename T>
-void apply_gate_hpc(std::span<basic_complex_t<T>> a, qubit_t n, const circuit::Gate& g);
+void apply_gate_hpc(std::span<basic_complex_t<T>> a, qubit_t n, const circuit::Gate& g,
+                    bool parallel = true);
 
 /// Applies every gate of `c`, in order, through apply_gate_hpc: "apply
 /// this circuit to my state", and the executor behind the "hpc" backend.

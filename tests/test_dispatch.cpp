@@ -84,17 +84,17 @@ void sweep_gate_classes() {
     for (qubit_t t = 0; t < n; t += (n > 4 ? 3 : 1)) {
       // Dense 2x2, uncontrolled + controlled (folded path).
       expect_isa_agreement<T>(n, [&](BasicStateVector<T>& sv) {
-        apply_folded<T>(sv.amplitudes(), n, t, 0, u2_cast<T>(g));
+        apply_folded<T>(sv.amplitudes(), n, t, 0, u2_cast<T>(g), true);
       });
       const index_t cmask = t == 0 ? index_t{1} << (n - 1) : index_t{1};
       expect_isa_agreement<T>(n, [&](BasicStateVector<T>& sv) {
-        apply_folded<T>(sv.amplitudes(), n, t, cmask, u2_cast<T>(h));
+        apply_folded<T>(sv.amplitudes(), n, t, cmask, u2_cast<T>(h), true);
       });
       // Run-scaled diagonal, controlled.
       expect_isa_agreement<T>(n, [&](BasicStateVector<T>& sv) {
         apply_diagonal<T>(sv.amplitudes(), n, t,
                           static_cast<basic_complex_t<T>>(std::polar(1.0, 0.4)),
-                          static_cast<basic_complex_t<T>>(std::polar(1.0, -0.7)), cmask);
+                          static_cast<basic_complex_t<T>>(std::polar(1.0, -0.7)), cmask, true);
       });
     }
     // Dense 4x4 fused block over adjacent and strided target pairs.
@@ -108,7 +108,7 @@ void sweep_gate_classes() {
               gm[2 * (i >> 1) + (j >> 1)] * gm[2 * (i & 1) + (j & 1)]);
       expect_isa_agreement<T>(n, [&](BasicStateVector<T>& sv) {
         apply_multi<T>(sv.amplitudes(), n, {targets.data(), targets.size()},
-                       {u.data(), u.size()});
+                       {u.data(), u.size()}, true);
       });
     }
   }

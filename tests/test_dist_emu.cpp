@@ -3,7 +3,9 @@
 // emulator / serial gate-level results.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "circuit/builders.hpp"
 #include "emu/dist_emu.hpp"
@@ -145,6 +147,31 @@ TEST(DistEmulator, MapOutOfRangeThrows) {
                  demu.apply_permutation([](index_t i) { return i + 1000; });
                }),
                std::invalid_argument);
+}
+
+TEST(DistEmulator, InvalidRegistersThrow) {
+  // Overlapping and out-of-range registers are rejected as Emulator
+  // rejects them, before any rank routes an amplitude.
+  const RegRef lo{0, 3}, hi{3, 3}, past_end{4, 3};
+  const std::vector<std::function<void(DistEmulator&)>> ops{
+      [&](DistEmulator& e) { e.add(lo, lo); },
+      [&](DistEmulator& e) { e.add(lo, past_end); },
+      [&](DistEmulator& e) { e.multiply(lo, hi, lo); },
+      [&](DistEmulator& e) { e.multiply(lo, hi, past_end); },
+      [&](DistEmulator& e) { e.divide(lo, lo, hi); },
+      [&](DistEmulator& e) { e.divide(past_end, lo, hi); },
+  };
+  for (const int ranks : {1, 4})
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+      cluster::Cluster cluster(ranks, 1);
+      EXPECT_THROW(cluster.run([&](cluster::Comm& comm) {
+                     DistStateVector dsv(comm, 6);
+                     DistEmulator demu(dsv);
+                     ops[k](demu);
+                   }),
+                   std::invalid_argument)
+          << "ranks=" << ranks << " op=" << k;
+    }
 }
 
 TEST(DistEmulator, QftMatchesSerialCircuit) {

@@ -133,7 +133,8 @@ TEST(ApplyMulti, MatchesDenseOperatorOnStridedQubits) {
   full.matvec(in.amplitudes(), expected.amplitudes());
 
   sim::StateVector got = copy_state(in);
-  sim::kernels::apply_multi<double>(got.amplitudes(), n, targets, {u.data(), u.rows() * u.cols()});
+  sim::kernels::apply_multi<double>(got.amplitudes(), n, targets, {u.data(), u.rows() * u.cols()},
+                                    true);
   EXPECT_LT(got.max_abs_diff(expected), 1e-13);
 }
 
@@ -152,7 +153,7 @@ TEST(ApplyMultiDiagonal, MatchesDenseDiagonal) {
   full.matvec(in.amplitudes(), expected.amplitudes());
 
   sim::StateVector got = copy_state(in);
-  sim::kernels::apply_multi_diagonal<double>(got.amplitudes(), n, targets, d);
+  sim::kernels::apply_multi_diagonal<double>(got.amplitudes(), n, targets, d, true);
   EXPECT_LT(got.max_abs_diff(expected), 1e-13);
 }
 
@@ -334,7 +335,7 @@ TEST(FusedBackend, MatchesHpcOnRandom500GateCircuit) {
 
 TEST(FusedBackend, MatchesHpcOnDenseCircuitAcrossWidths) {
   // cost_gate off so wide blocks really form and execute — k = 7, 8 pin
-  // the heap-scratch generic kernel behind apply_multi's switch.
+  // the generic kernel behind apply_multi's switch.
   Rng rng(60);
   const Circuit c = circuit::random_dense_circuit(10, 200, rng);
   for (qubit_t k = 1; k <= sim::kernels::kMaxFusedWidth; ++k) {
@@ -346,7 +347,7 @@ TEST(FusedBackend, MatchesHpcOnDenseCircuitAcrossWidths) {
 }
 
 TEST(ApplyMulti, GenericWidePathMatchesDenseOracle) {
-  // k = 7 exceeds the stack-templated widths and takes apply_multi's
+  // k = 7 exceeds the width-templated kernels and takes apply_multi's
   // generic fallback.
   const qubit_t n = 8;
   Rng rng(87);
@@ -361,7 +362,8 @@ TEST(ApplyMulti, GenericWidePathMatchesDenseOracle) {
   full.matvec(in.amplitudes(), expected.amplitudes());
 
   sim::StateVector got = copy_state(in);
-  sim::kernels::apply_multi<double>(got.amplitudes(), n, targets, {u.data(), u.rows() * u.cols()});
+  sim::kernels::apply_multi<double>(got.amplitudes(), n, targets, {u.data(), u.rows() * u.cols()},
+                                    true);
   EXPECT_LT(got.max_abs_diff(expected), 1e-12);
 }
 

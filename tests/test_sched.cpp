@@ -198,45 +198,73 @@ TEST(QubitSwapKernel, InvolutionRoundTrips) {
   EXPECT_LT(a.max_abs_diff(orig), 1e-15);
 }
 
-TEST(SerialKernels, MatchParallelOnRandomGates) {
-  const qubit_t n = 8;
-  Rng rng(21);
-  const Circuit c = circuit::random_circuit(n, 60, rng);
-  sim::StateVector a = random_state(n, 22);
-  sim::StateVector b = copy_state(a);
-  for (const Gate& g : c.gates()) {
-    sim::apply_gate_hpc<double>(a.amplitudes(), n, g);
-    // Serial chunk-local dispatch with the whole state as one chunk.
-    const auto span = b.amplitudes();
-    const index_t cmask = sim::control_mask(g);
-    if (g.kind == GateKind::Swap) {
-      sim::kernels::apply_swap_serial(span, n, g.targets[0], g.targets[1], cmask);
-    } else if (g.kind == GateKind::X) {
-      sim::kernels::apply_x_serial(span, n, g.targets[0], cmask);
-    } else if (g.diagonal()) {
-      const auto [d0, d1] = sim::diagonal_entries(g);
-      sim::kernels::apply_diagonal_serial(span, n, g.targets[0], d0, d1, cmask);
-    } else {
-      sim::kernels::apply_folded_serial(span, n, g.targets[0], cmask, sim::target_block(g));
+/// Runs a random program through apply_gate_hpc in both modes, with an
+/// extra control folded into about half the gates so the controlled
+/// dense, SWAP and doubly-controlled paths run too. The two modes must
+/// agree, and both must match the unspecialized tier. (Agree to
+/// rounding, not bit for bit: the compiler may fuse a complex product's
+/// multiply-add differently in the OpenMP loop and the plain one.)
+template <typename T>
+void expect_gate_modes_agree(qubit_t n, std::uint64_t seed, double tol) {
+  Rng rng(seed);
+  const Circuit c = circuit::random_circuit(n, 80, rng);
+  sim::BasicStateVector<T> par(n);
+  par.randomize_deterministic(seed);
+  sim::BasicStateVector<T> ser = par, ref = par;
+  for (Gate g : c.gates()) {
+    if (rng.uniform_u64(2) == 0) {
+      const auto q = static_cast<qubit_t>(rng.uniform_u64(n));
+      if (std::find(g.targets.begin(), g.targets.end(), q) == g.targets.end() &&
+          std::find(g.controls.begin(), g.controls.end(), q) == g.controls.end())
+        g.controls.push_back(q);
     }
+    sim::apply_gate_hpc<T>(par.amplitudes(), n, g, /*parallel=*/true);
+    sim::apply_gate_hpc<T>(ser.amplitudes(), n, g, /*parallel=*/false);
+    sim::apply_gate_generic<T>(ref.amplitudes(), n, g, /*parallel=*/false);
   }
-  EXPECT_LT(a.max_abs_diff(b), 1e-12);
+  EXPECT_LT(par.max_abs_diff(ser), tol) << "n=" << n << " fp" << 8 * sizeof(T);
+  EXPECT_LT(par.max_abs_diff(ref), tol) << "n=" << n << " fp" << 8 * sizeof(T);
+}
+
+TEST(SerialKernels, MatchParallelOnRandomGates) {
+  // n = 16 forks every kernel's parallel loop and puts targets above the
+  // 2^12-amplitude run segments.
+  for (const qubit_t n : {8u, 16u}) {
+    expect_gate_modes_agree<double>(n, 21 + n, 1e-12);
+    expect_gate_modes_agree<float>(n, 21 + n, 1e-5);
+  }
+}
+
+/// apply_multi and apply_multi_diagonal in both modes, k = 1..7, on
+/// n = 12 + k qubits so the parallel mode really forks.
+template <typename T>
+void expect_multi_modes_agree(double tol) {
+  using C = basic_complex_t<T>;
+  Rng rng(31);
+  for (qubit_t k = 1; k <= 7; ++k) {
+    const qubit_t n = 12 + k;
+    const linalg::Matrix um = linalg::Matrix::random_unitary(dim(k), rng);
+    std::vector<C> u(um.rows() * um.cols()), d(dim(k));
+    for (std::size_t i = 0; i < u.size(); ++i) u[i] = static_cast<C>(um.data()[i]);
+    for (std::size_t i = 0; i < d.size(); ++i)
+      d[i] = static_cast<C>(std::polar(1.0, 0.7 * static_cast<double>(i)));
+    std::vector<qubit_t> targets;
+    for (qubit_t q = 0; q < k; ++q) targets.push_back(2 * q + (k % 2));
+    sim::BasicStateVector<T> a(n);
+    a.randomize_deterministic(40 + k);
+    sim::BasicStateVector<T> b = a;
+    for (const bool parallel : {true, false}) {
+      auto& sv = parallel ? a : b;
+      sim::kernels::apply_multi<T>(sv.amplitudes(), n, targets, u, parallel);
+      sim::kernels::apply_multi_diagonal<T>(sv.amplitudes(), n, targets, d, parallel);
+    }
+    EXPECT_LT(a.max_abs_diff(b), tol) << "k=" << k << " fp" << 8 * sizeof(T);
+  }
 }
 
 TEST(SerialKernels, MultiSerialMatchesParallel) {
-  const qubit_t n = 9;
-  Rng rng(31);
-  for (qubit_t k = 1; k <= 7; ++k) {
-    const linalg::Matrix u = linalg::Matrix::random_unitary(dim(k), rng);
-    std::vector<qubit_t> targets;
-    for (qubit_t q = 0; q < k; ++q) targets.push_back(q + (k % 2));
-    sim::StateVector a = random_state(n, 40 + k);
-    sim::StateVector b = copy_state(a);
-    const std::span<const complex_t> us{u.data(), u.rows() * u.cols()};
-    sim::kernels::apply_multi(a.amplitudes(), n, targets, us);
-    sim::kernels::apply_multi_serial(b.amplitudes(), n, targets, us);
-    EXPECT_LT(a.max_abs_diff(b), 1e-13) << "k=" << k;
-  }
+  expect_multi_modes_agree<double>(1e-13);
+  expect_multi_modes_agree<float>(1e-5);
 }
 
 // --- fused-plan diagonal hoist (satellite: no alloc in execute) --------
