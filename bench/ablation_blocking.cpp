@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
   table.print("chunk-width x fusion-width sweep (plans built once, execution timed)");
 
   std::printf("\nreading: 'passes' counts full state-vector traversals (sweeps +\n"
-              "remaps + globals). The fused path pays %zu; blocking collapses all\n"
+              "globals). The fused path pays %zu; blocking collapses all\n"
               "chunk-local ops of a sweep into one pass, so the speedup tracks the\n"
               "pass reduction until chunks outgrow the cache.\n",
               fused_passes_ref);

@@ -12,7 +12,7 @@ namespace qc::emu {
 void check_regs(std::initializer_list<RegRef> regs, qubit_t n) {
   index_t seen = 0;
   for (const RegRef& r : regs) {
-    if (r.width == 0 || r.offset + r.width > n)
+    if (r.width == 0 || r.width > n || r.offset > n - r.width)
       throw std::invalid_argument("check_regs: register out of range");
     const index_t mask = bits::low_mask(r.width) << r.offset;
     if (seen & mask) throw std::invalid_argument("check_regs: registers overlap");

@@ -102,8 +102,9 @@ double t_blocked_execution_seconds(qubit_t n, std::size_t passes, const MachineP
   return static_cast<double>(passes) * t_state_pass_seconds(n, m, amp_bytes);
 }
 
-bool remap_profitable(std::size_t saved, double cost) {
-  return static_cast<double>(saved) > cost;
+bool remap_profitable(std::size_t saved) {
+  constexpr std::size_t kExchangePassCost = 2;
+  return saved > kExchangePassCost;
 }
 
 double t_chunk_exchange_seconds(qubit_t local_qubits, const MachineParams& m,

@@ -90,17 +90,14 @@ double asymptotic_crossover_gemm(qubit_t n);
 double asymptotic_crossover_strassen(qubit_t n);
 double asymptotic_crossover_eig_coherent(qubit_t n);
 
-// --- §4 locality cost model (sched/locality, both schedulers) ----------
+// --- §4 locality cost model (sched/schedule, cache level) --------------
 //
 // The §3.2/§4 bandwidth argument at the cache level: every op executed
 // un-blocked pays one full read+write memory pass over the state vector
 // (the 4N·16/B_mem term of Eq. 6 with the gate count set to 1), while a
 // cache-blocked *sweep* pays a single pass for all of its chunk-local
-// ops together. Relocating a "high" qubit into the chunk-local low block
-// (the cache-level analogue of qHiPSTER's local/global rank exchange)
-// is itself one transposition pass now plus a share of the final
-// restore pass — so remapping is a pass-count trade, decided by
-// remap_profitable below exactly as the rank-level exchange is.
+// ops together. An op on a qubit above the chunk runs as one such
+// un-blocked pass; the cache level never relocates qubits.
 
 /// Seconds for one full read+write memory pass over a 2^n state vector
 /// (2 * amp_bytes of DRAM traffic per amplitude; 32 at fp64, 16 at
@@ -109,19 +106,9 @@ double t_state_pass_seconds(qubit_t n, const MachineParams& m,
                             std::size_t amp_bytes = sizeof(complex_t));
 
 /// Predicted seconds for a blocked execution: `passes` full-vector
-/// passes (sweeps + remaps + un-blocked ops), bandwidth-bound.
+/// passes (sweeps + un-blocked ops), bandwidth-bound.
 double t_blocked_execution_seconds(qubit_t n, std::size_t passes, const MachineParams& m,
                                    std::size_t amp_bytes = sizeof(complex_t));
-
-/// The remap decision rule of both locality levels: a remap costs
-/// ~`cost` units — the permutation now plus its share of the eventual
-/// restore — and pays off when the units it `saved` strictly exceed
-/// that. Units are full memory passes at the cache level, where the
-/// saving of making k upcoming ops chunk-local is k - 1 (they then share
-/// one sweep pass), and chunk exchanges at the rank level, where it is
-/// the per-gate exchanges avoided. With the default cost of 2 the first
-/// paying counts are 4 made-local ops and 3 avoided exchanges.
-bool remap_profitable(std::size_t saved, double cost = 2.0);
 
 // --- Eq. 6 communication term (distributed scheduler, sched/dist) ------
 //
@@ -130,9 +117,7 @@ bool remap_profitable(std::size_t saved, double cost = 2.0);
 // amplitude across the network, the 16N/B_net term. A global<->local
 // qubit exchange pass (one all-to-all chunk permutation) moves the same
 // ~16 bytes per amplitude ONCE and then lets an entire run of
-// global-qubit gates execute rank-locally — the cluster-level analogue
-// of the cache scheduler's remap, with chunk exchanges instead of
-// memory passes as the unit cost (same rule: remap_profitable).
+// global-qubit gates execute rank-locally (sched/locality).
 
 /// Seconds for one pairwise exchange of a rank's full 2^local_qubits
 /// chunk (the 16N/B_net term of Eq. 6, N = the chunk's amplitudes).
@@ -140,6 +125,13 @@ bool remap_profitable(std::size_t saved, double cost = 2.0);
 /// state moves 8 bytes per amplitude, halving the exchange term.
 double t_chunk_exchange_seconds(qubit_t local_qubits, const MachineParams& m,
                                 std::size_t amp_bytes = sizeof(complex_t));
+
+/// The rank-level remap decision rule: an exchange pass costs ~2 chunk
+/// exchanges — the permutation now plus its share of the eventual
+/// restore — and pays off when the per-gate exchanges it `saved`
+/// strictly exceed that, so 3 avoided exchanges is the first count
+/// that pays.
+bool remap_profitable(std::size_t saved);
 
 // --- ranks->host staging term (resident sessions, engine/backend) -----
 //

@@ -104,7 +104,7 @@ void execute_blocked(std::span<basic_complex_t<T>> a, const BlockedPlan& plan) {
 #if QC_ENABLE_CHECKS
   // Debug/sanitizer builds re-verify every plan at the execution
   // boundary: anything that reaches the kernels has proven coverage,
-  // bijective remaps and in-budget chunks (see sched/verify_plan.hpp).
+  // chunk-local sweeps and in-budget chunks (see sched/verify_plan.hpp).
   verify_plan(plan);
 #endif
   // Each plan item is priced at (multiples of) one full memory pass —
@@ -126,15 +126,6 @@ void execute_blocked(std::span<basic_complex_t<T>> a, const BlockedPlan& plan) {
         typed.reserve(item.ops.size());
         for (const ChunkOp& op : item.ops) typed.emplace_back(op);
         run_sweep<T>(a, plan.n, plan.chunk_width, {typed.data(), typed.size()});
-        break;
-      }
-      case PlanItem::Kind::Remap: {
-        obs::Span span("sched.remap");
-        if (obs::enabled()) {
-          span.arg("swaps", static_cast<double>(item.swaps.size()));
-          span.arg("pred_s", pass_pred);
-        }
-        sim::kernels::apply_qubit_swaps<T>(a, plan.n, item.swaps);
         break;
       }
       case PlanItem::Kind::Global: {

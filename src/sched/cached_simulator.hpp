@@ -14,11 +14,9 @@
 //    one-full-DRAM-pass-per-block of an unblocked plan with one pass per
 //    sweep (paper §4: the simulation is bandwidth bound, so fewer state
 //    traversals is the whole game).
-//  * Remap items relocate high qubits into the low block in one
-//    transposition pass (kernels::apply_qubit_swaps).
-//  * Global items (ops wider than a chunk, or not worth remapping) run
-//    the kernels in parallel mode on the full vector. A plan of Globals
-//    only (sched::global_plan) is the "fused" backend.
+//  * Global items (ops on any qubit at or above L) run the kernels in
+//    parallel mode on the full vector. A plan of Globals only
+//    (sched::global_plan) is the "fused" backend.
 //
 // Iterative callers pay fusion + scheduling once: plan() then
 // execute_blocked() as often as needed.

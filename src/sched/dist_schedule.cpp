@@ -99,8 +99,7 @@ DistPlan dist_schedule(const Circuit& c, qubit_t local_qubits,
   // A caller-carried permutation seeds the plan mid-stream.
   if (perm_io != nullptr && perm_io->size() != static_cast<std::size_t>(n))
     throw std::invalid_argument("dist_schedule: perm_io size must equal qubit count");
-  LocalityPlanner planner(nl, std::move(masks), perm_io != nullptr ? *perm_io : identity_perm(n),
-                          "sched.exchange_decision");
+  LocalityPlanner planner(nl, std::move(masks), perm_io != nullptr ? *perm_io : identity_perm(n));
 #if QC_ENABLE_CHECKS
   const std::vector<qubit_t> initial_perm = planner.perm();
 #endif

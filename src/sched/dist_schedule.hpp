@@ -7,9 +7,8 @@
 // on local qubits never communicate; a gate targeting a global qubit
 // normally pays one pairwise exchange of the whole chunk — the
 // 16N/B_net term of Eq. 6, per gate. dist_schedule() plans around that
-// cost with the same LocalityPlanner (sched/locality.hpp) the cache
-// scheduler uses around DRAM passes, here with the nl local qubits as
-// boundary and chunk exchanges as unit:
+// cost with the LocalityPlanner (sched/locality.hpp), with the nl local
+// qubits as boundary and chunk exchanges as unit:
 //
 //  * maximal runs of gates whose (remapped) support lies below nl
 //    become Local items — an nl-qubit sub-circuit pushed through the
@@ -27,14 +26,14 @@
 //    global controls.
 //
 // Every exchange is undone by plan end (restore_rounds): the state
-// leaves in logical qubit order, exactly like the cache scheduler's
-// restore pass.
+// leaves in logical qubit order.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "models/perf_model.hpp"
+#include "sched/locality.hpp"
 #include "sched/schedule.hpp"
 #include "sim/dist_sv.hpp"
 

@@ -82,12 +82,8 @@ std::vector<Swaps> restore_rounds(std::vector<qubit_t> perm) {
 }
 
 LocalityPlanner::LocalityPlanner(qubit_t boundary, std::vector<index_t> masks,
-                                 std::vector<qubit_t> perm, std::string_view decision)
-    : boundary_(boundary),
-      masks_(std::move(masks)),
-      perm_(std::move(perm)),
-      inv_(inverse(perm_)),
-      decision_(decision) {}
+                                 std::vector<qubit_t> perm)
+    : boundary_(boundary), masks_(std::move(masks)), perm_(std::move(perm)), inv_(inverse(perm_)) {}
 
 bool LocalityPlanner::local(std::size_t j, const std::vector<qubit_t>& p) const {
   const index_t mask = masks_[j];
@@ -148,9 +144,9 @@ Swaps LocalityPlanner::remap(std::size_t i, const OpCost& cost) {
   const bool taken = saved > 0 && models::remap_profitable(static_cast<std::size_t>(saved));
   // The cost-model decision with its inputs, as a trace marker: "why
   // did/didn't it remap here?" is answerable from a trace alone.
-  obs::instant(decision_, {{"op", static_cast<double>(i)},
-                           {"saved", static_cast<double>(saved)},
-                           {"taken", taken ? 1.0 : 0.0}});
+  obs::instant("sched.exchange_decision", {{"op", static_cast<double>(i)},
+                                           {"saved", static_cast<double>(saved)},
+                                           {"taken", taken ? 1.0 : 0.0}});
   if (!taken) return {};
   commit(swaps, perm_, inv_);
   return swaps;

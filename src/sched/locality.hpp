@@ -1,33 +1,30 @@
-// The locality planner both schedulers share: the paper's rule for
-// keeping the qubits the next run of gates touches inside the fast
-// block, stated once for any boundary.
+// The rank-level locality planner behind dist_schedule()
+// (sched/dist_schedule.hpp): the paper's rule for keeping the qubits
+// the next run of gates touches inside each rank's chunk.
 //
 // qHiPSTER's local/global split charges every gate on a global qubit
-// one chunk exchange (Eq. 6's 16N/B_net term); the cache scheduler
-// charges every op above the chunk width one full memory pass. Both
-// answer with the same move — one permutation of disjoint qubit
-// transpositions that brings an upcoming run's qubits below the
-// boundary — and decide it the same way:
+// one chunk exchange (Eq. 6's 16N/B_net term). The answer is one
+// permutation of disjoint qubit transpositions that brings an upcoming
+// run's qubits below the boundary of nl rank-local qubits, decided as
+// follows:
 //
-//  * a 64-op next-use window from the op being decided;
-//  * imports: that op's qubits above the boundary (mandatory), then the
-//    window's other non-local qubits, soonest used first;
-//  * victims: the local qubits the op does not touch, farthest next use
-//    first; an optional import only displaces a qubit used later;
-//  * the trial permutation is scored in the level's own unit (its cost
-//    summed over the window, before minus after) and taken when
-//    models::remap_profitable says the saving pays for the remap.
+//  * a 64-op next-use window from the gate being decided;
+//  * imports: that gate's qubits above the boundary (mandatory), then
+//    the window's other non-local qubits, soonest used first;
+//  * victims: the local qubits the gate does not touch, farthest next
+//    use first; an optional import only displaces a qubit used later;
+//  * the trial permutation is scored in chunk exchanges (the caller's
+//    per-gate cost summed over the window, before minus after) and taken
+//    when models::remap_profitable says the saving pays for the remap.
+//    Each scored decision is the "sched.exchange_decision" trace
+//    instant.
 //
-// Each level passes in its per-op cost and the name of the trace
-// instant recording the decision: schedule() (sched/schedule.hpp) with
-// the chunk width as boundary, memory passes as unit and fused items as
-// ops; dist_schedule() (sched/dist_schedule.hpp) with the nl rank-local
-// qubits, chunk exchanges and gates.
+// The cache level has no counterpart: schedule() (sched/schedule.hpp)
+// never moves a qubit.
 #pragma once
 
 #include <array>
 #include <functional>
-#include <string_view>
 #include <vector>
 
 #include "circuit/gate.hpp"
@@ -47,25 +44,22 @@ using Swaps = std::vector<std::array<qubit_t, 2>>;
 [[nodiscard]] std::vector<qubit_t> identity_perm(qubit_t n);
 
 /// Disjoint-transposition rounds returning a state to logical qubit
-/// order from `perm` (logical->physical); each round is one pass (a
-/// remap, or one chunk permutation via DistStateVector::apply_qubit_swaps).
+/// order from `perm` (logical->physical); each round is one chunk
+/// permutation (DistStateVector::apply_qubit_swaps).
 /// Identity permutations yield zero rounds. Throws std::invalid_argument
 /// when `perm` is not a permutation.
 [[nodiscard]] std::vector<Swaps> restore_rounds(std::vector<qubit_t> perm);
 
 class LocalityPlanner {
  public:
-  /// Cost of op j under a logical->physical permutation, in the level's
-  /// unit (memory passes, chunk exchanges).
+  /// Chunk exchanges op j pays under a logical->physical permutation.
   using OpCost = std::function<std::size_t(std::size_t j, const std::vector<qubit_t>& perm)>;
 
   /// `masks[j]` is op j's logical support; physical positions below
   /// `boundary` are local. Planning starts from `perm` (logical ->
-  /// physical) and records every scored remap as the `decision` trace
-  /// instant (a name that outlives the planner, e.g. a literal). Throws
-  /// std::invalid_argument when `perm` is not a permutation.
-  LocalityPlanner(qubit_t boundary, std::vector<index_t> masks, std::vector<qubit_t> perm,
-                  std::string_view decision);
+  /// physical). Throws std::invalid_argument when `perm` is not a
+  /// permutation.
+  LocalityPlanner(qubit_t boundary, std::vector<index_t> masks, std::vector<qubit_t> perm);
 
   /// The current logical->physical permutation.
   [[nodiscard]] const std::vector<qubit_t>& perm() const { return perm_; }
@@ -82,7 +76,6 @@ class LocalityPlanner {
   qubit_t boundary_;
   std::vector<index_t> masks_;
   std::vector<qubit_t> perm_, inv_;  ///< Logical->physical and its inverse.
-  std::string_view decision_;
 };
 
 }  // namespace qc::sched

@@ -4,31 +4,27 @@
 // The §3.2 bandwidth model says gate-level simulation is memory bound:
 // the "fused" backend (global_plan below) still pays one full 2^n DRAM
 // pass per fused block, so at 20+ qubits every block streams the whole
-// state through the memory bus. qHiPSTER (and our dist_sv) fixes the
-// *network* analogue of this by splitting qubits into local/global and
-// remapping so most gates touch only rank-local memory; this module
-// applies the identical trick to the cache: qubits below the chunk width L are "local" (all their
-// amplitude pairs live inside one 2^L-amplitude, cache-resident chunk),
-// qubits at or above L are "global".
+// state through the memory bus. qHiPSTER (and our dist_sv) splits
+// qubits into local/global so most gates touch only rank-local memory;
+// this module applies the same split to the cache: qubits below the
+// chunk width L are "local" (all their amplitude pairs live inside one
+// 2^L-amplitude, cache-resident chunk), qubits at or above L are
+// "global".
 //
 // schedule() partitions a FusedCircuit into *sweeps* — maximal in-order
-// runs of ops whose (remapped) support lies entirely below L. The
-// executor (execute_blocked, sched/cached_simulator.hpp) then walks the
-// state vector chunk by chunk, applying EVERY op of the sweep to a chunk
-// while it is cache resident: one DRAM pass per sweep instead of one per
-// op, with parallelism moved from "inside one op" to "across chunks"
-// (one omp region per sweep instead of per op).
+// runs of ops whose support lies entirely below L. The executor
+// (execute_blocked, sched/cached_simulator.hpp) then walks the state
+// vector chunk by chunk, applying EVERY op of the sweep to a chunk while
+// it is cache resident: one DRAM pass per sweep instead of one per op,
+// with parallelism moved from "inside one op" to "across chunks" (one
+// omp region per sweep instead of per op).
 //
-// When a run's qubits are not all local, the scheduler may insert an
-// explicit qubit-remap item — disjoint bit transpositions applied in
-// one pass (kernels::apply_qubit_swaps) — relocating high qubits into
-// the low block, exactly dist_sv's local/global exchange at cache
-// level. The decision is the shared LocalityPlanner's
-// (sched/locality.hpp, also behind dist_schedule) with the chunk width
-// as boundary and full memory passes as unit: a remap pays one pass now
-// plus a share of the final restore, and must be earned back by the
-// upcoming ops it makes chunk-local (models::remap_profitable). Ops
-// that stay global execute as ordinary full-vector passes.
+// Any other op closes the open sweep and executes as an ordinary
+// full-vector pass (a Global item) at the qubits it names. No qubit
+// ever changes position, so a plan needs no restore pass: a
+// transposition pass relocating high qubits into the chunk (the cache
+// twin of dist_sv's exchange) costs more than the Global passes it
+// would save (README, "Cache-blocked execution").
 #pragma once
 
 #include <string>
@@ -36,14 +32,10 @@
 
 #include "circuit/gate.hpp"
 #include "fuse/fusion.hpp"
-#include "sched/locality.hpp"
 
 namespace qc::sched {
 
-/// One op of the blocked program, with qubit labels already rewritten to
-/// *physical* bit positions (the scheduler's remaps permute which
-/// logical qubit lives at which index bit; unitaries/diagonals are
-/// re-permuted at plan time whenever the relative order changed).
+/// One op of the blocked program: a fused item's qubits and payload.
 struct ChunkOp {
   enum class Kind {
     Dense,     ///< k-qubit dense unitary (kernels::apply_multi).
@@ -51,10 +43,10 @@ struct ChunkOp {
     Gate,      ///< Passthrough gate (specialized single-gate fast paths).
   };
   Kind kind = Kind::Gate;
-  std::vector<qubit_t> qubits;   ///< Dense/Diagonal targets, ascending physical.
+  std::vector<qubit_t> qubits;   ///< Dense/Diagonal targets, ascending.
   linalg::Matrix unitary;        ///< Dense payload.
   std::vector<complex_t> diag;   ///< Diagonal payload (2^k entries).
-  circuit::Gate gate;            ///< Gate payload (physical labels).
+  circuit::Gate gate;            ///< Gate payload.
   std::size_t gate_count = 1;    ///< Source gates folded into this op.
   std::size_t source_index = 0;  ///< Index of the originating FusedItem.
 };
@@ -63,13 +55,11 @@ struct ChunkOp {
 struct PlanItem {
   enum class Kind {
     Sweep,   ///< Chunk-local run: executed chunk by chunk, cache resident.
-    Remap,   ///< Disjoint qubit transpositions (one full pass).
     Global,  ///< Single op executed as an ordinary full-vector pass.
   };
   Kind kind = Kind::Sweep;
-  std::vector<ChunkOp> ops;                  ///< Sweep payload.
-  Swaps swaps;                               ///< Remap payload (physical positions).
-  ChunkOp global;                            ///< Global payload.
+  std::vector<ChunkOp> ops;  ///< Sweep payload.
+  ChunkOp global;            ///< Global payload.
 };
 
 /// The blocked program plus bookkeeping for benches and tests.
@@ -80,12 +70,11 @@ struct BlockedPlan {
   std::size_t source_ops = 0;  ///< FusedItems consumed by the schedule.
 
   [[nodiscard]] std::size_t sweeps() const;
-  [[nodiscard]] std::size_t remaps() const;
   [[nodiscard]] std::size_t globals() const;
   /// Ops placed inside sweeps (chunk-local).
   [[nodiscard]] std::size_t chunk_ops() const;
-  /// Full state-vector passes the plan performs: one per sweep, remap,
-  /// and global item — the quantity the scheduler minimizes (the fused
+  /// Full state-vector passes the plan performs: one per sweep and one
+  /// per global item — the quantity the scheduler minimizes (the fused
   /// path would pay source_ops passes).
   [[nodiscard]] std::size_t passes() const { return items.size(); }
 
@@ -116,10 +105,10 @@ struct ScheduleOptions {
 /// 4 x max_threads() chunks to balance, and clamped to n.
 [[nodiscard]] qubit_t choose_chunk_width(qubit_t n, const ScheduleOptions& opts);
 
-/// Builds the blocked plan for a fused circuit. The plan applies the
-/// exact same unitary (to rounding): sweeps/globals preserve the fused
-/// op order, and every remap is undone by plan end (the state returns
-/// to logical qubit order).
+/// Builds the blocked plan for a fused circuit: each op whose qubits all
+/// lie below the chunk width joins the open sweep, any other op closes
+/// it and becomes a Global item. The plan applies the exact same unitary
+/// (to rounding), in the fused op order.
 [[nodiscard]] BlockedPlan schedule(const fuse::FusedCircuit& fc,
                                    const ScheduleOptions& opts = {});
 

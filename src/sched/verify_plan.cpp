@@ -149,11 +149,6 @@ void verify_plan(const BlockedPlan& plan, std::size_t cache_bytes) {
     fail("chunk of 2^" + std::to_string(plan.chunk_width) +
          " amplitudes exceeds the cache budget of " + std::to_string(cache_bytes) + " B");
 
-  // phys2log[p] = logical qubit currently at physical bit p. Remaps
-  // permute it; the plan must return to logical order by its end.
-  std::vector<qubit_t> phys2log(plan.n);
-  std::iota(phys2log.begin(), phys2log.end(), qubit_t{0});
-
   // Source coverage: chunk ops in plan order must consume source ops
   // 0, 1, ..., source_ops-1 exactly once each, in order. Together with
   // sweep locality below, this is the executor's correctness argument:
@@ -179,10 +174,6 @@ void verify_plan(const BlockedPlan& plan, std::size_t cache_bytes) {
         }
         break;
       }
-      case PlanItem::Kind::Remap:
-        if (item.swaps.empty()) fail("empty remap" + at_item(i));
-        apply_checked_swaps(item.swaps, phys2log, plan.n, "remap" + at_item(i));
-        break;
       case PlanItem::Kind::Global:
         check_chunk_op(item.global, plan.n, "global" + at_item(i));
         consume(item.global, "global" + at_item(i));
@@ -192,10 +183,6 @@ void verify_plan(const BlockedPlan& plan, std::size_t cache_bytes) {
   if (next_source != plan.source_ops)
     fail("plan covers " + std::to_string(next_source) + " of " +
          std::to_string(plan.source_ops) + " source ops");
-  for (qubit_t p = 0; p < plan.n; ++p)
-    if (phys2log[p] != p)
-      fail("plan ends with qubits permuted (physical " + std::to_string(p) + " holds logical " +
-           std::to_string(phys2log[p]) + "); every remap must be undone");
 }
 
 void verify_plan(const DistPlan& plan, std::span<const qubit_t> initial_perm,
@@ -232,7 +219,7 @@ void verify_plan(const DistPlan& plan, std::span<const qubit_t> initial_perm,
         if (item.local.n != nl)
           fail("local segment not planned on the " + std::to_string(nl) +
                "-qubit local block" + at_item(i));
-        verify_plan(item.local);  // recursively: coverage, remaps, widths
+        verify_plan(item.local);  // recursively: coverage, widths
         for (const PlanItem& it : item.local.items) {
           if (it.kind == PlanItem::Kind::Sweep)
             for (const ChunkOp& op : it.ops) gates_covered += op.gate_count;

@@ -11,7 +11,7 @@
 //    below the chunk width) this is the proof that the chunk-partition
 //    execution applies every op to every amplitude exactly once, in
 //    order;
-//  * remaps/exchanges are sets of disjoint transpositions (hence
+//  * a dist plan's exchanges are sets of disjoint transpositions (hence
 //    bijections on the index space), and the composed permutation
 //    returns to the expected order by plan end;
 //  * chunk widths stay within the cache budget they were chosen for;

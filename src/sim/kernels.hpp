@@ -190,16 +190,15 @@ void apply_multi_diagonal(std::span<basic_complex_t<T>> a, qubit_t n,
                           std::span<const basic_complex_t<T>> d, bool parallel);
 
 // ---------------------------------------------------------------------
-// Qubit remapping (cache-blocked scheduler's local/global relocation).
+// Qubit transpositions (the rank-local half of dist_sv's exchange).
 // ---------------------------------------------------------------------
 
 /// Applies a set of disjoint qubit transpositions in ONE full pass:
 /// amplitude i exchanges with the index obtained by swapping, for every
 /// pair {a, b}, bits a and b of i. Because the pairs are disjoint the
 /// index map is an involution, so the sweep is race-free in place (the
-/// iteration owning min(i, image) performs the swap) — this is how the
-/// sched layer relocates "high" qubits into the cache-local low block,
-/// the cache-level analogue of dist_sv's rank exchange. All pair
+/// iteration owning min(i, image) performs the swap). DistStateVector
+/// runs the local-local pairs of an exchange pass through it. All pair
 /// members must be distinct qubits below n.
 template <typename T>
 void apply_qubit_swaps(std::span<basic_complex_t<T>> a, qubit_t n,

@@ -78,6 +78,10 @@ TEST(Emulator, CheckRegsValidatesBoundsAndOverlap) {
   EXPECT_THROW(check_regs({{6, 1}}, 6), std::invalid_argument);        // off the end
   EXPECT_THROW(check_regs({{0, 3}, {2, 3}}, 6), std::invalid_argument);  // overlap
   EXPECT_THROW(check_regs({{0, 2}, {2, 2}, {1, 1}}, 6), std::invalid_argument);
+  // offset + width wraps around qubit_t: still out of range.
+  EXPECT_THROW(check_regs({{0xFFFFFFFF, 2}}, 8), std::invalid_argument);
+  EXPECT_THROW(check_regs({{4, 0xFFFFFFFE}}, 8), std::invalid_argument);
+  EXPECT_THROW(check_regs({{0xFFFFFFF0, 0x11}}, 8), std::invalid_argument);
 }
 
 class MulEquivalence : public ::testing::TestWithParam<qubit_t> {};

@@ -77,6 +77,7 @@ TEST(Program, BuildersValidateRegisters) {
   EXPECT_THROW(p.add({0, 3}, {2, 3}), std::invalid_argument);       // overlap
   EXPECT_THROW(p.add({0, 3}, {3, 2}), std::invalid_argument);       // width mismatch
   EXPECT_THROW(p.qft({4, 3}), std::invalid_argument);               // out of range
+  EXPECT_THROW(p.qft({0xFFFFFFFF, 2}), std::invalid_argument);      // offset + width wraps
   EXPECT_THROW(p.measure({0, 0}), std::invalid_argument);           // empty
   EXPECT_THROW(p.multiply({0, 2}, {2, 2}, {3, 2}), std::invalid_argument);
   EXPECT_THROW(p.multiply_mod({0, 3}, 3, 9), std::invalid_argument);   // gcd != 1

@@ -1,9 +1,8 @@
 // Tests for the cache-blocked execution layer (src/sched): the sweep
-// scheduler's partitioning/coverage invariants, the qubit-remap
-// machinery (swap kernel, unitary re-permutation, restore-to-identity),
+// scheduler's partitioning/coverage invariants, the qubit-swap kernel,
 // the serial chunk-local kernels, and randomized agreement between the
-// "cached" and "hpc" backends across qubit counts, chunk widths,
-// and remap-triggering workloads.
+// "cached" and "hpc" backends across qubit counts, chunk widths, and
+// high-qubit workloads that plan as Global items.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,16 +48,19 @@ double backend_divergence(const Circuit& c, const engine::RunOptions& opts,
   return a.max_abs_diff(b);
 }
 
-/// A QFT acting only on the TOP `k` qubits of an n-qubit register: every
-/// gate has all-high support, so no op is chunk-local until the
-/// scheduler remaps the high qubits into the low block.
-Circuit high_qubit_qft(qubit_t n, qubit_t k) {
+/// `sub` (on k qubits) placed on the TOP k qubits of an n-qubit register.
+Circuit on_top_qubits(const Circuit& sub, qubit_t n) {
+  const qubit_t k = sub.qubits();
   std::vector<qubit_t> mapping(k);
   for (qubit_t i = 0; i < k; ++i) mapping[i] = n - k + i;
   Circuit c(n);
-  c.compose_mapped(circuit::qft(k), mapping);
+  c.compose_mapped(sub, mapping);
   return c;
 }
+
+/// A QFT acting only on the TOP `k` qubits of an n-qubit register: with
+/// a chunk of at most n - k qubits every op is global.
+Circuit high_qubit_qft(qubit_t n, qubit_t k) { return on_top_qubits(circuit::qft(k), n); }
 
 // --- chunk width selection ---------------------------------------------
 
@@ -98,14 +100,13 @@ TEST(Schedule, CoversEveryFusedOpExactlyOnceInOrder) {
   EXPECT_EQ(plan.source_ops, fc.items.size());
 }
 
-TEST(Schedule, AllLowCircuitIsOneSweepNoRemaps) {
+TEST(Schedule, AllLowCircuitIsOneSweep) {
   Rng rng(3);
   // Gates confined to qubits [0, 6) of a 12-qubit register, chunk 2^8.
   const Circuit c = circuit::random_dense_circuit(6, 60, rng).widened(12);
   ScheduleOptions opts;
   opts.chunk_width = 8;
   const BlockedPlan plan = schedule(fuse::fuse_circuit(c, {}), opts);
-  EXPECT_EQ(plan.remaps(), 0u);
   EXPECT_EQ(plan.globals(), 0u);
   EXPECT_EQ(plan.sweeps(), 1u);
   EXPECT_EQ(plan.passes(), 1u) << plan.to_string();
@@ -119,23 +120,33 @@ TEST(Schedule, ChunkAtLeastStateIsOneSweep) {
   const BlockedPlan plan = schedule(fuse::fuse_circuit(c, {}), opts);
   EXPECT_EQ(plan.chunk_width, 9u);
   EXPECT_EQ(plan.sweeps(), 1u);
-  EXPECT_EQ(plan.remaps(), 0u);
+  EXPECT_EQ(plan.globals(), 0u);
 }
 
-TEST(Schedule, HighQubitRunTriggersRemapAndRestores) {
-  const Circuit c = high_qubit_qft(12, 6);
+TEST(Schedule, HighQubitRunBecomesGlobalsAtItsQubits) {
+  // Every op of a run on the top 6 of 12 qubits lies above a 6-qubit
+  // chunk: each becomes one Global item, at the qubits it names.
+  const fuse::FusedCircuit fc = fuse::fuse_circuit(high_qubit_qft(12, 6), {});
   ScheduleOptions opts;
   opts.chunk_width = 6;
-  const BlockedPlan plan = schedule(fuse::fuse_circuit(c, {}), opts);
-  EXPECT_GE(plan.remaps(), 2u) << plan.to_string();  // remap in + restore
-  // Far fewer passes than one per op: the remapped ops share sweeps.
-  EXPECT_LT(plan.passes(), plan.source_ops + 2);
+  const BlockedPlan plan = schedule(fc, opts);
+  EXPECT_EQ(plan.sweeps(), 0u) << plan.to_string();
+  ASSERT_EQ(plan.globals(), fc.items.size());
+  for (std::size_t i = 0; i < fc.items.size(); ++i) {
+    const ChunkOp& op = plan.items[i].global;
+    EXPECT_EQ(op.source_index, i);
+    if (fc.items[i].kind == fuse::FusedItem::Kind::Block) {
+      EXPECT_EQ(op.qubits, fc.items[i].block.qubits) << "op " << i;
+    } else {
+      EXPECT_EQ(op.gate.targets, fc.items[i].gate.targets) << "op " << i;
+      EXPECT_EQ(op.gate.controls, fc.items[i].gate.controls) << "op " << i;
+    }
+  }
 }
 
 TEST(Schedule, LoneHighOpStaysGlobalInsteadOfRemapping) {
-  // One high-qubit gate amid a long already-low run: a remap would add
-  // passes (remap + restore) without making anything new chunk-local,
-  // so the scheduler must emit the high op as a single global pass.
+  // One high-qubit gate amid a long already-low run: the scheduler must
+  // emit the high op as a single global pass and sweep the rest.
   Rng rng(13);
   Circuit c(12);
   c.h(11);
@@ -143,8 +154,7 @@ TEST(Schedule, LoneHighOpStaysGlobalInsteadOfRemapping) {
   ScheduleOptions opts;
   opts.chunk_width = 6;
   const BlockedPlan plan = schedule(fuse::fuse_circuit(c, {}), opts);
-  EXPECT_EQ(plan.remaps(), 0u) << plan.to_string();
-  EXPECT_EQ(plan.globals(), 1u);
+  EXPECT_EQ(plan.globals(), 1u) << plan.to_string();
 }
 
 TEST(Schedule, WideGateStaysGlobal) {
@@ -287,31 +297,21 @@ TEST(FusedPlan, DiagonalExtractedAtPlanTime) {
 
 // --- cost model --------------------------------------------------------
 
-TEST(PerfModel, RemapProfitableAtBothLevels) {
-  // One rule: a remap (~2 units: itself plus its share of the restore)
-  // pays when the units it saves strictly exceed that.
+TEST(PerfModel, RemapProfitableAtRankLevel) {
+  // An exchange pass (~2 chunk exchanges: itself plus its share of the
+  // restore) pays when the exchanges it saves strictly exceed that.
   EXPECT_FALSE(models::remap_profitable(0));
   EXPECT_FALSE(models::remap_profitable(2));
   EXPECT_TRUE(models::remap_profitable(3));
   EXPECT_TRUE(models::remap_profitable(100));
-  EXPECT_FALSE(models::remap_profitable(3, 4.0));
-  // The thresholds it sets, through both planners: k unfused gates on
-  // the top qubit of a 9-qubit state, all non-local at the start.
+  // The threshold it sets through the planner: k gates on the top qubit
+  // of a 9-qubit state, all non-local at the start. Each gate moved
+  // local avoids one chunk exchange, so 3 is the first count that pays.
   const auto top_run = [](std::size_t k) {
     Circuit c(9);
     for (std::size_t r = 0; r < k; ++r) c.rx(8, 0.1 * static_cast<double>(r + 1));
     return c;
   };
-  fuse::FusionOptions unfused;
-  unfused.max_width = 0;
-  ScheduleOptions chunk4;
-  chunk4.chunk_width = 4;
-  // Cache level: the made-local ops share one sweep pass, so the saving
-  // is (made-local - 1) passes and 4 ops is the first count that pays.
-  EXPECT_EQ(plan(top_run(3), unfused, chunk4).remaps(), 0u);
-  EXPECT_EQ(plan(top_run(4), unfused, chunk4).remaps(), 2u);  // in + restore
-  // Rank level: each gate moved local avoids one chunk exchange, so 3
-  // avoided exchanges is the first count that pays.
   EXPECT_EQ(dist_schedule(top_run(2), 8, {}).exchanges(), 0u);
   EXPECT_EQ(dist_schedule(top_run(3), 8, {}).exchanges(), 2u);
 }
@@ -329,12 +329,18 @@ TEST(BlockingModel, PassSecondsScaleWithSizeAndBandwidth) {
 TEST(CachedBackend, AgreesWithHpcAcrossSizesAndChunkWidths) {
   for (qubit_t n = 4; n <= 16; n += 3) {
     Rng rng(100 + n);
-    const Circuit c = circuit::random_circuit(n, 20 * n, rng);
-    for (qubit_t chunk : {qubit_t{5}, qubit_t{8}, static_cast<qubit_t>(n + 4)}) {
-      engine::RunOptions opts;
-      opts.sched.chunk_width = chunk;
-      EXPECT_LT(backend_divergence(c, opts, 200 + n), 1e-12)
-          << "n=" << n << " chunk=" << chunk;
+    // A random circuit, a random run on the top 4 qubits and the full
+    // QFT cascade: sweep-heavy and Global-heavy plans at each width.
+    const Circuit circuits[] = {circuit::random_circuit(n, 20 * n, rng),
+                                on_top_qubits(circuit::random_circuit(4, 40, rng), n),
+                                circuit::qft(n)};
+    for (const Circuit& c : circuits) {
+      for (qubit_t chunk : {qubit_t{5}, qubit_t{8}, static_cast<qubit_t>(n + 4)}) {
+        engine::RunOptions opts;
+        opts.sched.chunk_width = chunk;
+        EXPECT_LT(backend_divergence(c, opts, 200 + n), 1e-12)
+            << "n=" << n << " chunk=" << chunk << " circuit " << (&c - circuits);
+      }
     }
   }
 }
@@ -351,12 +357,10 @@ TEST(CachedBackend, AgreesAtChunkEqualToOpWidth) {
   EXPECT_LT(backend_divergence(c, opts, 10), 1e-12);
 }
 
-TEST(CachedBackend, AgreesOnHighQubitQftWithRemaps) {
+TEST(CachedBackend, AgreesOnHighQubitQft) {
   const Circuit c = high_qubit_qft(13, 6);
   engine::RunOptions opts;
   opts.sched.chunk_width = 6;
-  const BlockedPlan plan = sched::plan(c, opts.fusion, opts.sched);
-  ASSERT_GE(plan.remaps(), 2u) << plan.to_string();
   EXPECT_LT(backend_divergence(c, opts, 77), 1e-12);
 }
 

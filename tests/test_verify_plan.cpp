@@ -2,8 +2,9 @@
 //
 // Positive direction: every plan the real schedulers emit (blocked and
 // distributed, self-contained and perm_io-chained) verifies clean.
-// Negative direction: a deliberately corrupted plan — dropped op,
-// duplicated swap position, blown chunk budget, un-restored permutation,
+// Negative direction: a deliberately corrupted plan — dropped or
+// reordered op, sweep op outside its chunk, blown chunk budget, and in
+// a dist plan overlapping exchange pairs, an un-restored exchange or
 // inconsistent gate accounting — is caught with a PlanError. The same
 // corruptions are reachable manually through tools/verify_plan.cpp.
 #include <gtest/gtest.h>
@@ -30,14 +31,15 @@ BlockedPlan blocked_plan(const Circuit& c, sched::ScheduleOptions opts = {}) {
   return sched::schedule(fuse::fuse_circuit(c, {}), opts);
 }
 
-/// A workload whose blocked plan actually contains remap items: force a
-/// small chunk so high-qubit gates must be relocated.
-BlockedPlan plan_with_remaps() {
+/// A workload whose blocked plan holds both sweeps and Global items: a
+/// small chunk leaves half the qubits above it.
+BlockedPlan mixed_plan() {
   Rng rng(11);
   sched::ScheduleOptions opts;
   opts.chunk_width = 6;
   const BlockedPlan plan = blocked_plan(circuit::random_circuit(12, 200, rng), opts);
-  EXPECT_GT(plan.remaps(), 0u);
+  EXPECT_GT(plan.sweeps(), 0u);
+  EXPECT_GT(plan.globals(), 0u);
   return plan;
 }
 
@@ -45,8 +47,8 @@ TEST(VerifyBlockedPlan, SchedulerOutputPassesQft) {
   verify_plan(blocked_plan(circuit::qft(14)));
 }
 
-TEST(VerifyBlockedPlan, SchedulerOutputPassesRandomWithRemaps) {
-  verify_plan(plan_with_remaps());
+TEST(VerifyBlockedPlan, SchedulerOutputPassesSweepsAndGlobals) {
+  verify_plan(mixed_plan());
 }
 
 TEST(VerifyBlockedPlan, RespectsCacheBudget) {
@@ -57,7 +59,7 @@ TEST(VerifyBlockedPlan, RespectsCacheBudget) {
 }
 
 TEST(VerifyBlockedPlan, CatchesDroppedOp) {
-  BlockedPlan plan = plan_with_remaps();
+  BlockedPlan plan = mixed_plan();
   for (auto& item : plan.items) {
     if (item.kind == PlanItem::Kind::Sweep && !item.ops.empty()) {
       item.ops.pop_back();
@@ -68,35 +70,13 @@ TEST(VerifyBlockedPlan, CatchesDroppedOp) {
 }
 
 TEST(VerifyBlockedPlan, CatchesReorderedOps) {
-  BlockedPlan plan = plan_with_remaps();
+  BlockedPlan plan = mixed_plan();
   for (auto& item : plan.items) {
     if (item.kind == PlanItem::Kind::Sweep && item.ops.size() >= 2) {
       std::swap(item.ops.front(), item.ops.back());
       break;
     }
   }
-  EXPECT_THROW(verify_plan(plan), PlanError);
-}
-
-TEST(VerifyBlockedPlan, CatchesNonBijectiveRemap) {
-  BlockedPlan plan = plan_with_remaps();
-  for (auto& item : plan.items) {
-    if (item.kind == PlanItem::Kind::Remap && !item.swaps.empty()) {
-      // Reuse a position already swapped: not disjoint, not a bijection.
-      item.swaps.push_back({item.swaps.front()[0],
-                            static_cast<qubit_t>(plan.n - 1)});
-      break;
-    }
-  }
-  EXPECT_THROW(verify_plan(plan), PlanError);
-}
-
-TEST(VerifyBlockedPlan, CatchesUnrestoredPermutation) {
-  BlockedPlan plan = blocked_plan(circuit::qft(12));
-  PlanItem item;
-  item.kind = PlanItem::Kind::Remap;
-  item.swaps = {{qubit_t{0}, static_cast<qubit_t>(plan.n - 1)}};
-  plan.items.push_back(std::move(item));
   EXPECT_THROW(verify_plan(plan), PlanError);
 }
 
@@ -107,7 +87,7 @@ TEST(VerifyBlockedPlan, CatchesChunkWiderThanRegister) {
 }
 
 TEST(VerifyBlockedPlan, CatchesSweepOpOutsideChunk) {
-  BlockedPlan plan = plan_with_remaps();
+  BlockedPlan plan = mixed_plan();
   for (auto& item : plan.items) {
     if (item.kind == PlanItem::Kind::Sweep && !item.ops.empty()) {
       // Point a sweep op at a qubit above the chunk: no longer local.

@@ -2,18 +2,22 @@
 //
 // Builds a workload circuit, runs it through the cache-blocked and/or
 // distributed scheduler, and verifies every invariant the debug builds
-// check automatically (coverage, bijective remaps, chunk budgets, byte
-// conservation — see src/sched/verify_plan.hpp). Works in ANY build
-// type: verification is unconditional here, so a Release tree can still
-// audit the plans it would execute.
+// check automatically (coverage, chunk-local sweeps, chunk budgets,
+// bijective exchanges, byte conservation — see
+// src/sched/verify_plan.hpp). Works in ANY build type: verification is
+// unconditional here, so a Release tree can still audit the plans it
+// would execute.
 //
 // --corrupt deliberately breaks the plan after scheduling and expects
 // verification to FAIL — the same negative paths test_verify_plan.cpp
-// pins down, exposed for manual poking:
+// pins down, exposed for manual poking. drop-op and width break a
+// blocked plan (on a dist plan, its first local segment); dup-swap and
+// perm break a dist plan's exchanges, so they run the dist leg only:
 //
 //   verify_plan --circuit qft --qubits 20
 //   verify_plan --mode dist --qubits 16 --local-qubits 12
 //   verify_plan --corrupt drop-op          # must report CAUGHT
+//   verify_plan --corrupt dup-swap --mode dist
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -50,7 +54,8 @@ struct Args {
                "  --local-qubits NL               dist local qubits, 0 = N - 3\n"
                "  --seed S                        random-circuit seed\n"
                "  --corrupt none|drop-op|dup-swap|width|perm\n"
-               "                                  break the plan; verification must catch it\n");
+               "                                  break the plan; verification must catch it\n"
+               "                                  (dup-swap and perm: dist plans only)\n");
   std::exit(code);
 }
 
@@ -97,31 +102,48 @@ void corrupt_blocked(qc::sched::BlockedPlan& plan, const std::string& kind) {
     std::fprintf(stderr, "verify_plan: no sweep op to drop\n");
     std::exit(2);
   }
-  if (kind == "dup-swap") {
-    // Repeat a position inside a remap: no longer a bijection.
-    for (auto& item : plan.items) {
-      if (item.kind == PlanItem::Kind::Remap && !item.swaps.empty()) {
-        item.swaps.push_back({item.swaps.front()[0], static_cast<qc::qubit_t>(plan.n - 1)});
-        return;
-      }
-    }
-    std::fprintf(stderr, "verify_plan: plan has no remap to corrupt (try --chunk-width 4)\n");
-    std::exit(2);
-  }
   if (kind == "width") {
     plan.chunk_width = static_cast<qc::qubit_t>(plan.n + 1);
     return;
   }
+  usage(2);
+}
+
+/// The corruptions that break a dist plan's exchanges; a blocked plan
+/// has none.
+bool breaks_exchanges(const std::string& kind) { return kind == "dup-swap" || kind == "perm"; }
+
+void corrupt_dist(qc::sched::DistPlan& plan, const std::string& kind) {
+  using qc::sched::DistPlanItem;
+  if (kind == "dup-swap") {
+    // Repeat a position inside an exchange: no longer a bijection.
+    for (auto& item : plan.items) {
+      if (item.kind == DistPlanItem::Kind::Exchange && !item.swaps.empty()) {
+        item.swaps.push_back({item.swaps.front()[0], static_cast<qc::qubit_t>(plan.n - 1)});
+        return;
+      }
+    }
+    std::fprintf(stderr, "verify_plan: dist plan has no exchange to corrupt\n");
+    std::exit(2);
+  }
   if (kind == "perm") {
     // Append an un-restored exchange: the plan no longer ends in
     // logical qubit order.
-    PlanItem item;
-    item.kind = PlanItem::Kind::Remap;
+    DistPlanItem item;
+    item.kind = DistPlanItem::Kind::Exchange;
     item.swaps = {{qc::qubit_t{0}, static_cast<qc::qubit_t>(plan.n - 1)}};
     plan.items.push_back(std::move(item));
     return;
   }
-  usage(2);
+  // The blocked corruptions break the first local segment.
+  for (auto& item : plan.items) {
+    if (item.kind == DistPlanItem::Kind::Local) {
+      corrupt_blocked(item.local, kind);
+      return;
+    }
+  }
+  std::fprintf(stderr, "verify_plan: dist plan has no local segment to corrupt\n");
+  std::exit(2);
 }
 
 /// Runs one verification, reporting PASS/FAIL (or CAUGHT when a
@@ -154,7 +176,14 @@ int main(int argc, char** argv) {
   const bool corrupted = a.corrupt != "none";
   int rc = 0;
 
-  if (a.mode == "blocked" || a.mode == "both") {
+  if (a.mode == "blocked" && breaks_exchanges(a.corrupt)) {
+    std::fprintf(stderr,
+                 "verify_plan: --corrupt %s breaks a dist plan's exchanges; a blocked plan has "
+                 "none (use --mode dist)\n",
+                 a.corrupt.c_str());
+    return 2;
+  }
+  if ((a.mode == "blocked" || a.mode == "both") && !breaks_exchanges(a.corrupt)) {
     qc::sched::ScheduleOptions opts;
     opts.chunk_width = a.chunk_width;
     auto plan = qc::sched::schedule(qc::fuse::fuse_circuit(c, {}), opts);
@@ -170,31 +199,8 @@ int main(int argc, char** argv) {
                             : static_cast<qc::qubit_t>(a.qubits > 3 ? a.qubits - 3 : 1);
     auto plan = qc::sched::dist_schedule(c, nl, {});
     std::printf("%s\n", plan.to_string().c_str());
-    if (corrupted && a.corrupt == "perm" && !plan.items.empty()) {
-      // Same corruption at cluster level: an extra, never-undone exchange.
-      qc::sched::DistPlanItem item;
-      item.kind = qc::sched::DistPlanItem::Kind::Exchange;
-      item.swaps = {{qc::qubit_t{0}, static_cast<qc::qubit_t>(plan.n - 1)}};
-      plan.items.push_back(std::move(item));
-      rc |= report("dist", true, [&] { qc::sched::verify_plan(plan); });
-    } else if (corrupted) {
-      // Corrupt the first local segment through the blocked corruptors.
-      bool done = false;
-      for (auto& item : plan.items) {
-        if (item.kind == qc::sched::DistPlanItem::Kind::Local) {
-          corrupt_blocked(item.local, a.corrupt);
-          done = true;
-          break;
-        }
-      }
-      if (!done) {
-        std::fprintf(stderr, "verify_plan: dist plan has no local segment to corrupt\n");
-        return 2;
-      }
-      rc |= report("dist", true, [&] { qc::sched::verify_plan(plan); });
-    } else {
-      rc |= report("dist", false, [&] { qc::sched::verify_plan(plan); });
-    }
+    if (corrupted) corrupt_dist(plan, a.corrupt);
+    rc |= report("dist", corrupted, [&] { qc::sched::verify_plan(plan); });
   }
 
   return rc;
