@@ -4,16 +4,22 @@
 // reduced per-rank size (measured series), and evaluates the paper's own
 // performance models Eq. 5 / Eq. 6 at paper scale (modeled series).
 //
+// Both measured series go through Engine::run on the "dist" backend:
+// the emulated one runs Program(n).qft(), which dist executes as the
+// in-place distributed FFT; the simulated one runs the same program
+// passed through engine::lower() first, i.e. the O(n^2) gate cascade
+// under the distributed scheduler. Each time is the QFT op's row of the
+// engine trace (the chunks' setup and gather excluded), after one
+// warm-up run.
+//
 // Usage: fig3_qft_weak [--local-qubits L] [--max-ranks P] [--full]
 //   defaults: L = 20 qubits/rank, P up to 8
 //   --full:   L = 22, P up to 16
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "circuit/builders.hpp"
-#include "fft/dist_fft.hpp"
+#include "engine/engine.hpp"
 #include "models/perf_model.hpp"
-#include "sim/dist_sv.hpp"
 
 namespace {
 
@@ -26,38 +32,22 @@ struct Row {
   double t_emu;
 };
 
+/// Seconds the program's one unitary op took on `ranks` dist ranks,
+/// from the second of two runs.
+double op_seconds(const engine::Program& p, int ranks) {
+  engine::RunOptions opts;
+  opts.backend = "dist";
+  opts.dist_ranks = ranks;
+  const engine::Engine eng;
+  (void)eng.run(p, opts);
+  return eng.run(p, opts).trace.front().seconds;
+}
+
 Row run_point(qubit_t local_qubits, int ranks) {
   const qubit_t n = local_qubits + bits::log2_floor(static_cast<index_t>(ranks));
-  Row row{n, ranks, 0, 0};
-  cluster::Cluster cluster(ranks);
-  const circuit::Circuit qft_circuit = circuit::qft(n);
-  cluster.run([&](cluster::Comm& comm) {
-    // Warm-up pass first: touches every page of the state and the
-    // scratch/transpose buffers so neither side pays first-fault costs.
-    sim::DistStateVector dsv(comm, n);
-    dsv.randomize(n);
-    dsv.run(qft_circuit, sim::CommPolicy::Specialized);
-    fft::dist_fft(comm, dsv.local(), n, fft::Sign::Positive, fft::Norm::Unitary);
-
-    // Simulation: gate-level distributed QFT with our simulator.
-    dsv.randomize(n);
-    comm.barrier();
-    WallTimer t;
-    dsv.run(qft_circuit, sim::CommPolicy::Specialized);
-    const double t_sim = comm.allreduce_max(t.seconds());
-
-    // Emulation: distributed FFT (natural order, Eq. 4 convention).
-    dsv.randomize(n + 1);
-    comm.barrier();
-    t.reset();
-    fft::dist_fft(comm, dsv.local(), n, fft::Sign::Positive, fft::Norm::Unitary);
-    const double t_emu = comm.allreduce_max(t.seconds());
-    if (comm.rank() == 0) {
-      row.t_sim = t_sim;
-      row.t_emu = t_emu;
-    }
-  });
-  return row;
+  engine::Program qft(n);
+  qft.qft();
+  return {n, ranks, op_seconds(engine::lower(qft), ranks), op_seconds(qft, ranks)};
 }
 
 /// Paper's Fig. 3 speedups, eyeballed: 15x on one node, dip to ~11x at

@@ -4,9 +4,10 @@
 //     (arithmetic, QFT, measurement — the paper's §3 shortcuts);
 //  2. run it on the "auto" backend: high-level ops execute at their
 //     mathematical description, gate segments on the fused simulator;
-//  3. run the *same program* on a gate-level backend (default "hpc"):
-//     the engine lowers every shortcut to a reversible network first —
-//     and the states agree to 1e-12 (the paper's core contract);
+//  3. run the *same program* on a comparison backend (default "hpc"):
+//     a gate-level backend gets every shortcut lowered to a reversible
+//     network first, "dist" emulates them on its rank chunks — and the
+//     states agree to 1e-12 (the paper's core contract);
 //  4. read the per-op wall-clock trace that makes the emulation-vs-
 //     simulation gap visible.
 //
@@ -14,12 +15,12 @@
 //      ./quickstart --backend dist --ranks 4 --trace trace.json
 //
 // Options:
-//   --backend NAME   gate-level comparison backend (default hpc)
+//   --backend NAME   comparison backend (default hpc)
 //   --ranks N        rank count for --backend dist (default 4)
-//   --precision P    amplitude precision of the gate-level run: f64
+//   --precision P    amplitude precision of the comparison run: f64
 //                    (default) or f32 — fp32 runs the float kernels and
 //                    loosens the agreement check to the 1e-6 drift bound
-//   --trace FILE     write a Chrome trace_event JSON of the gate-level
+//   --trace FILE     write a Chrome trace_event JSON of the comparison
 //                    run (open in about:tracing / Perfetto) and print
 //                    the span summary + model-drift report
 //   --metrics FILE   write the flat metrics JSON of the same run
@@ -78,10 +79,12 @@ int main(int argc, char** argv) {
               emulated.expectations[0],
               static_cast<unsigned long long>(emulated.measurements[0]));
 
-  // --- 3. same program, gate-level backend -----------------------------
-  // The engine lowers multiply to the Cuccaro shift-and-add network
-  // (plus a carry ancilla it appends and projects away) and the QFTs to
-  // the O(n^2) gate cascade. Same seed, same outcomes, same state.
+  // --- 3. same program, comparison backend -----------------------------
+  // For a gate-level backend the engine lowers multiply to the Cuccaro
+  // shift-and-add network (plus a carry ancilla it appends and projects
+  // away) and the QFTs to the O(n^2) gate cascade; "dist" routes the
+  // multiply as one all-to-all permutation over its ranks. Same seed,
+  // same outcomes, same state.
   opts.backend = backend;
   opts.precision = precision == "f32" ? Precision::kF32 : Precision::kF64;
   opts.dist_ranks = static_cast<int>(cli.get_int("ranks", 4));

@@ -185,6 +185,9 @@ class Comm {
   /// of `in` comes from rank r. All blocks have out.size()/size()
   /// elements. This is the communication primitive of the distributed
   /// FFT's three transposition steps (paper Eq. 5 charges 3 all-to-alls).
+  /// `out` and `in` may be the same buffer (in place): every outgoing
+  /// block is copied into its message before any block is received, and
+  /// the self block stays where it is. Any other overlap is undefined.
   template <typename T>
   void alltoall(std::span<const T> out, std::span<T> in) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -198,7 +201,7 @@ class Comm {
                               kCollectiveTag);
     // The explicit bound check keeps GCC's -Wstringop-overflow inliner
     // analysis from inventing a huge copy size on impossible paths.
-    if (block > 0 && block <= out.size()) {
+    if (out.data() != in.data() && block > 0 && block <= out.size()) {
       std::memcpy(in.data() + static_cast<std::size_t>(rank_) * block,
                   out.data() + static_cast<std::size_t>(rank_) * block, block * sizeof(T));
     }

@@ -44,7 +44,9 @@
 //   cluster.job         rank worker, before the job closure runs
 //   dist.alloc          DistStateVector chunk allocation
 //   dist.exchange       combine-with-paired-chunk exchange
-//   dist.exchange_pass  global-swap chunk permutation pass
+//   dist.exchange_pass  global-swap chunk permutation pass, and each
+//                       all-to-all of distributed emulation (an FFT
+//                       transpose, an arithmetic permutation)
 //   dist.scatter        chunk initialization job at begin() (DistBackend)
 //   dist.gather         gather job at take_state() (DistBackend)
 #pragma once

@@ -4,22 +4,22 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "emu/index_maps.hpp"
+#include "fft/dist_fft.hpp"
+#include "models/perf_model.hpp"
+#include "obs/trace.hpp"
 
 namespace qc::emu {
 
 namespace {
 
 /// One routed amplitude: destination global index + value.
+template <typename T>
 struct Parcel {
   index_t index;
-  complex_t amplitude;
+  basic_complex_t<T> amplitude;
 };
-static_assert(std::is_trivially_copyable_v<Parcel>);
-
-void check_widths(RegRef a, RegRef b, RegRef c) {
-  if (a.width != b.width || a.width != c.width)
-    throw std::invalid_argument("DistEmulator: register widths must match");
-}
+static_assert(std::is_trivially_copyable_v<Parcel<double>>);
 
 }  // namespace
 
@@ -41,8 +41,10 @@ template double expectation_z_string<float>(const sim::BasicDistStateVector<floa
 template double expectation_z_string<double>(const sim::BasicDistStateVector<double>&,
                                              index_t);
 
-void DistEmulator::route(const std::function<index_t(index_t)>& f, bool partial) {
-  sim::DistStateVector& dsv = *dsv_;
+template <typename T>
+void BasicDistEmulator<T>::route(const std::function<index_t(index_t)>& f, bool partial) {
+  using value_type = basic_complex_t<T>;
+  sim::BasicDistStateVector<T>& dsv = *dsv_;
   cluster::Comm& comm = dsv.comm();
   const int p = comm.size();
   const index_t chunk = dim(dsv.local_qubits());
@@ -54,7 +56,7 @@ void DistEmulator::route(const std::function<index_t(index_t)>& f, bool partial)
   // then fill — keeps the send buffer contiguous in rank order).
   std::vector<std::size_t> counts(static_cast<std::size_t>(p), 0);
   for (index_t i = 0; i < chunk; ++i) {
-    if (partial && local[i] == complex_t{}) continue;
+    if (partial && local[i] == value_type{}) continue;
     const index_t j = f(base + i);
     if (j >= total) throw std::invalid_argument("DistEmulator: map leaves index space");
     ++counts[static_cast<std::size_t>(j / chunk)];
@@ -63,88 +65,84 @@ void DistEmulator::route(const std::function<index_t(index_t)>& f, bool partial)
   for (int r = 1; r < p; ++r)
     offsets[static_cast<std::size_t>(r)] =
         offsets[static_cast<std::size_t>(r - 1)] + counts[static_cast<std::size_t>(r - 1)];
-  std::vector<Parcel> sendbuf(offsets.back() + counts.back());
+  std::vector<Parcel<T>> sendbuf(offsets.back() + counts.back());
   {
     std::vector<std::size_t> cursor = offsets;
     for (index_t i = 0; i < chunk; ++i) {
-      if (partial && local[i] == complex_t{}) continue;
+      if (partial && local[i] == value_type{}) continue;
       const index_t j = f(base + i);
       sendbuf[cursor[static_cast<std::size_t>(j / chunk)]++] = {j, local[i]};
     }
   }
 
-  // One all-to-all, then scatter into the (zeroed) local chunk.
+  // One all-to-all — the one exchange pass of the permutation — then
+  // scatter into the (zeroed) local chunk.
+  obs::Span span("dist.exchange_pass");
+  cluster::fault_point("dist.exchange_pass", comm.rank());
   std::vector<std::size_t> recv_counts;
-  const std::vector<Parcel> received =
-      comm.alltoallv<Parcel>(sendbuf, counts, recv_counts);
-  std::fill(local.begin(), local.end(), complex_t{});
+  const std::vector<Parcel<T>> received =
+      comm.alltoallv<Parcel<T>>(sendbuf, counts, recv_counts);
+  const std::uint64_t bytes =
+      (sendbuf.size() - counts[static_cast<std::size_t>(comm.rank())]) * sizeof(Parcel<T>);
+  dsv.bytes_counter() += bytes;
+  if (obs::enabled()) {
+    span.arg("bytes", static_cast<double>(bytes));
+    span.arg("pred_s",
+             models::t_chunk_exchange_seconds(dsv.local_qubits(), {}, sizeof(Parcel<T>)));
+  }
+  std::fill(local.begin(), local.end(), value_type{});
   bool collision = false;
-  for (const Parcel& parcel : received) {
+  for (const Parcel<T>& parcel : received) {
     const index_t i = parcel.index - base;
-    if (partial && local[i] != complex_t{}) collision = true;
+    if (partial && local[i] != value_type{}) collision = true;
     local[i] = parcel.amplitude;
   }
   if (collision)
     throw std::logic_error("DistEmulator: partial map not injective on support");
 }
 
-void DistEmulator::apply_permutation(const std::function<index_t(index_t)>& f) {
+template <typename T>
+void BasicDistEmulator<T>::apply_permutation(const std::function<index_t(index_t)>& f) {
   route(f, /*partial=*/false);
 }
 
-void DistEmulator::apply_partial_map(const std::function<index_t(index_t)>& f) {
+template <typename T>
+void BasicDistEmulator<T>::apply_partial_map(const std::function<index_t(index_t)>& f) {
   route(f, /*partial=*/true);
 }
 
-void DistEmulator::multiply(RegRef a, RegRef b, RegRef c) {
-  check_widths(a, b, c);
-  check_regs({a, b, c}, dsv_->qubits());
-  const index_t mask = bits::low_mask(c.width);
-  route(
-      [=](index_t i) {
-        const index_t va = reg_value(i, a);
-        const index_t vb = reg_value(i, b);
-        const index_t vc = reg_value(i, c);
-        return reg_replace(i, c, (vc + va * vb) & mask);
-      },
-      /*partial=*/false);
+template <typename T>
+void BasicDistEmulator<T>::multiply(RegRef a, RegRef b, RegRef c) {
+  route(multiply_map(a, b, c, dsv_->qubits()), /*partial=*/false);
 }
 
-void DistEmulator::divide(RegRef a, RegRef b, RegRef c) {
-  check_widths(a, b, c);
-  check_regs({a, b, c}, dsv_->qubits());
-  const index_t mask = bits::low_mask(c.width);
-  route(
-      [=](index_t i) {
-        const index_t va = reg_value(i, a);
-        const index_t vb = reg_value(i, b);
-        const index_t q = vb == 0 ? mask : va / vb;
-        const index_t r = vb == 0 ? va : va % vb;
-        index_t j = reg_replace(i, a, r);
-        return reg_replace(j, c, (reg_value(i, c) + q) & mask);
-      },
-      /*partial=*/true);
+template <typename T>
+void BasicDistEmulator<T>::divide(RegRef a, RegRef b, RegRef c) {
+  route(divide_map(a, b, c, dsv_->qubits()), /*partial=*/true);
 }
 
-void DistEmulator::add(RegRef a, RegRef b) {
-  if (a.width != b.width) throw std::invalid_argument("DistEmulator::add: widths");
-  check_regs({a, b}, dsv_->qubits());
-  const index_t mask = bits::low_mask(b.width);
-  route(
-      [=](index_t i) {
-        return reg_replace(i, b, (reg_value(i, b) + reg_value(i, a)) & mask);
-      },
-      /*partial=*/false);
+template <typename T>
+void BasicDistEmulator<T>::add(RegRef a, RegRef b) {
+  route(add_map(a, b, dsv_->qubits()), /*partial=*/false);
 }
 
-fft::DistFftStats DistEmulator::qft() {
-  return fft::dist_fft(dsv_->comm(), dsv_->local(), dsv_->qubits(), fft::Sign::Positive,
-                       fft::Norm::Unitary);
+template <typename T>
+void BasicDistEmulator<T>::transform(fft::Sign sign) {
+  fft::dist_fft<T>(dsv_->comm(), dsv_->local(), dsv_->scratch(), dsv_->qubits(), sign,
+                   fft::Norm::Unitary, dsv_->bytes_counter());
 }
 
-fft::DistFftStats DistEmulator::inverse_qft() {
-  return fft::dist_fft(dsv_->comm(), dsv_->local(), dsv_->qubits(), fft::Sign::Negative,
-                       fft::Norm::Unitary);
+template <typename T>
+void BasicDistEmulator<T>::qft() {
+  transform(fft::Sign::Positive);
 }
+
+template <typename T>
+void BasicDistEmulator<T>::inverse_qft() {
+  transform(fft::Sign::Negative);
+}
+
+template class BasicDistEmulator<float>;
+template class BasicDistEmulator<double>;
 
 }  // namespace qc::emu

@@ -9,8 +9,16 @@
 // basis indices, buckets the (destination index, amplitude) pairs by
 // owner rank, exchanges them with one variable-size all-to-all, and
 // scatters the received amplitudes — one communication phase regardless
-// of the function's complexity. The distributed QFT shortcut delegates
-// to the six-step distributed FFT (Eq. 5's three all-to-alls).
+// of the function's complexity. The distributed QFT shortcut is the
+// six-step distributed FFT (Eq. 5's three all-to-alls), run in place
+// over the chunk and the chunk-sized scratch the DistStateVector
+// already holds. Each all-to-all is one "dist.exchange_pass" span and
+// fault site, and its bytes count into the state's bytes_communicated().
+//
+// Templated on the amplitude scalar T like sim::BasicDistStateVector:
+// at fp32 the chunks, the routed amplitudes and the transposes are all
+// float (the FFT's row transforms run at fp64, see fft/dist_fft.hpp).
+// The engine's "dist" backend runs every high-level op through it.
 //
 // Every method is collective over the wrapped state's communicator and
 // runs equally well inside a one-shot Cluster::run or as a submitted
@@ -23,7 +31,6 @@
 #include <functional>
 
 #include "emu/emulator.hpp"
-#include "fft/dist_fft.hpp"
 #include "sim/dist_sv.hpp"
 
 namespace qc::emu {
@@ -36,14 +43,15 @@ namespace qc::emu {
 template <typename T>
 double expectation_z_string(const sim::BasicDistStateVector<T>& dsv, index_t mask);
 
-class DistEmulator {
+template <typename T>
+class BasicDistEmulator {
  public:
   /// Wraps (does not own) a distributed state vector. All methods are
   /// collective: every rank of the underlying communicator must call
   /// them in the same order.
-  explicit DistEmulator(sim::DistStateVector& dsv) : dsv_(&dsv) {}
+  explicit BasicDistEmulator(sim::BasicDistStateVector<T>& dsv) : dsv_(&dsv) {}
 
-  [[nodiscard]] sim::DistStateVector& state() noexcept { return *dsv_; }
+  [[nodiscard]] sim::BasicDistStateVector<T>& state() noexcept { return *dsv_; }
 
   /// Applies a bijection f of global basis indices — emulated classical
   /// arithmetic at cluster scale. One all-to-all exchange.
@@ -54,9 +62,9 @@ class DistEmulator {
   /// std::logic_error.
   void apply_partial_map(const std::function<index_t(index_t)>& f);
 
-  /// The register ops below validate like Emulator's before routing:
-  /// mismatched widths and out-of-range or overlapping registers
-  /// (check_regs) throw std::invalid_argument on every rank alike, before
+  /// The register ops below validate like Emulator's (emu/index_maps.hpp)
+  /// before routing: mismatched widths and out-of-range or overlapping
+  /// registers throw std::invalid_argument on every rank alike, before
   /// any communication.
 
   /// c += a*b (mod 2^w) across the distributed register (§3.1 at scale).
@@ -68,15 +76,18 @@ class DistEmulator {
   /// b += a (mod 2^w).
   void add(RegRef a, RegRef b);
 
-  /// Whole-register QFT (paper Eq. 4) as a distributed FFT; returns the
-  /// communication/computation breakdown (3 transposes, Eq. 5).
-  fft::DistFftStats qft();
-  fft::DistFftStats inverse_qft();
+  /// Whole-register QFT (paper Eq. 4) as an in-place distributed FFT.
+  void qft();
+  void inverse_qft();
 
  private:
   void route(const std::function<index_t(index_t)>& f, bool partial);
+  void transform(fft::Sign sign);
 
-  sim::DistStateVector* dsv_;
+  sim::BasicDistStateVector<T>* dsv_;
 };
+
+/// Double-precision alias — the default across the non-templated API.
+using DistEmulator = BasicDistEmulator<double>;
 
 }  // namespace qc::emu

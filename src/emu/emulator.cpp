@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "common/parallel.hpp"
+#include "emu/index_maps.hpp"
 
 namespace qc::emu {
 
@@ -25,10 +25,7 @@ void Emulator::ensure_scratch() {
   if (scratch_.size() != sv_->size()) scratch_ = uninit_aligned_vector<complex_t>(sv_->size());
 }
 
-void Emulator::apply_permutation(const std::function<index_t(index_t)>& f) {
-  ensure_scratch();
-  sim::kernels::apply_permutation(sv_->amplitudes(), {scratch_.data(), scratch_.size()}, f);
-}
+void Emulator::apply_permutation(const std::function<index_t(index_t)>& f) { permute(f); }
 
 void Emulator::apply_partial_map(const std::function<index_t(index_t)>& f) {
   ensure_scratch();
@@ -51,77 +48,26 @@ void Emulator::apply_partial_map(const std::function<index_t(index_t)>& f) {
 }
 
 void Emulator::multiply(RegRef a, RegRef b, RegRef c) {
-  if (a.width != b.width || a.width != c.width)
-    throw std::invalid_argument("multiply: widths must match");
-  check_regs({a, b, c}, sv_->qubits());
-  const index_t mask = bits::low_mask(c.width);
-  ensure_scratch();
-  // (va, vb, vc) -> (va, vb, vc + va*vb mod 2^w) is bijective for all vc.
-  sim::kernels::apply_permutation(sv_->amplitudes(), {scratch_.data(), scratch_.size()},
-                             [=](index_t i) {
-                               const index_t va = reg_value(i, a);
-                               const index_t vb = reg_value(i, b);
-                               const index_t vc = reg_value(i, c);
-                               return reg_replace(i, c, (vc + va * vb) & mask);
-                             });
+  permute(multiply_map(a, b, c, sv_->qubits()));
 }
 
 void Emulator::divide(RegRef a, RegRef b, RegRef c) {
-  if (a.width != b.width || a.width != c.width)
-    throw std::invalid_argument("divide: widths must match");
-  check_regs({a, b, c}, sv_->qubits());
-  const index_t mask = bits::low_mask(c.width);
-  apply_partial_map([=](index_t i) {
-    const index_t va = reg_value(i, a);
-    const index_t vb = reg_value(i, b);
-    // b = 0 convention matching the restoring divider: every trial
-    // subtraction "succeeds", so q = 2^w - 1 and the remainder is a.
-    const index_t q = vb == 0 ? mask : va / vb;
-    const index_t r = vb == 0 ? va : va % vb;
-    const index_t vc = reg_value(i, c);
-    index_t j = reg_replace(i, a, r);
-    j = reg_replace(j, c, (vc + q) & mask);
-    return j;
-  });
+  apply_partial_map(divide_map(a, b, c, sv_->qubits()));
 }
 
-void Emulator::add(RegRef a, RegRef b) {
-  if (a.width != b.width) throw std::invalid_argument("add: widths must match");
-  check_regs({a, b}, sv_->qubits());
-  const index_t mask = bits::low_mask(b.width);
-  apply_permutation([=](index_t i) {
-    return reg_replace(i, b, (reg_value(i, b) + reg_value(i, a)) & mask);
-  });
-}
+void Emulator::add(RegRef a, RegRef b) { permute(add_map(a, b, sv_->qubits())); }
 
 void Emulator::add_constant(RegRef r, index_t k) {
-  check_regs({r}, sv_->qubits());
-  const index_t mask = bits::low_mask(r.width);
-  apply_permutation(
-      [=](index_t i) { return reg_replace(i, r, (reg_value(i, r) + k) & mask); });
+  permute(add_constant_map(r, k, sv_->qubits()));
 }
 
 void Emulator::apply_function(RegRef in, RegRef out,
                               const std::function<index_t(index_t)>& f) {
-  check_regs({in, out}, sv_->qubits());
-  const index_t mask = bits::low_mask(out.width);
-  apply_permutation([&, mask](index_t i) {
-    const index_t v = f(reg_value(i, in)) & mask;
-    return reg_replace(i, out, (reg_value(i, out) + v) & mask);
-  });
+  permute(function_map(in, out, f, sv_->qubits()));
 }
 
 void Emulator::multiply_mod(RegRef x, index_t k, index_t modulus) {
-  check_regs({x}, sv_->qubits());
-  if (modulus == 0 || modulus > dim(x.width))
-    throw std::invalid_argument("multiply_mod: modulus out of range");
-  if (std::gcd(k % modulus, modulus) != 1)
-    throw std::invalid_argument("multiply_mod: k not invertible mod modulus");
-  apply_permutation([=](index_t i) {
-    const index_t v = reg_value(i, x);
-    if (v >= modulus) return i;  // outside the modular domain: identity
-    return reg_replace(i, x, (v * k) % modulus);
-  });
+  permute(multiply_mod_map(x, k, modulus, sv_->qubits()));
 }
 
 void Emulator::apply_phase_function(const std::function<double(index_t)>& phase) {

@@ -114,6 +114,13 @@ class Emulator {
   void ensure_scratch();
   void qft_impl(RegRef r, fft::Sign sign);
 
+  /// apply_permutation for any index map, inlined into the kernel.
+  template <typename F>
+  void permute(const F& f) {
+    ensure_scratch();
+    sim::kernels::apply_permutation(sv_->amplitudes(), {scratch_.data(), scratch_.size()}, f);
+  }
+
   sim::StateVector* sv_;
   uninit_aligned_vector<complex_t> scratch_;
   std::unique_ptr<fft::FftPlan> plan_;  // cached (width, sign)

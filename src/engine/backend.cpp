@@ -17,9 +17,11 @@
 #include "cluster/fault.hpp"
 #include "common/check.hpp"
 #include "emu/dist_emu.hpp"
+#include "emu/index_maps.hpp"
 #include "emu/observables.hpp"
 #include "models/perf_model.hpp"
 #include "obs/trace.hpp"
+#include "revcirc/modular.hpp"
 #include "sched/cached_simulator.hpp"
 #include "sched/dist_schedule.hpp"
 #include "sim/sampling.hpp"
@@ -209,24 +211,30 @@ class AutoBackend final : public GateBackend<BlockedExec, T> {
 /// persistent cluster::ClusterSession. begin() opens the session (rank
 /// threads spawned once, parked on the job queue) and builds every
 /// rank's DistStateVector chunk at |initial_basis> in place. Every gate
-/// segment, exchange pass, Measure, ExpectationZ and collapse is then
-/// submitted as a job against those chunks: gate segments chain their
-/// logical->physical qubit permutation forward (dist_schedule's
-/// perm_io) instead of restoring logical order between segments, and
-/// the measurement surface reads straight through the live permutation.
-/// take_state() gathers once — the run's only host staging (counters()
-/// reports the bytes into the engine trace). Measurement ops still
-/// consume the engine's uniform draw, so recorded streams match the
-/// serial backends seed for seed.
+/// segment, high-level op, exchange pass, Measure, ExpectationZ and
+/// collapse is then submitted as a job against those chunks: gate
+/// segments chain their logical->physical qubit permutation forward
+/// (dist_schedule's perm_io) instead of restoring logical order between
+/// segments, and the measurement surface reads straight through the
+/// live permutation. take_state() gathers once — the run's only host
+/// staging (counters() reports the bytes into the engine trace).
+/// Measurement ops still consume the engine's uniform draw, so recorded
+/// streams match the serial backends seed for seed.
+///
+/// It emulates (the paper's §4.2): high-level ops run on the chunks
+/// through emu::BasicDistEmulator — a whole-register QFT as the in-place
+/// distributed FFT, arithmetic as one all-to-all permutation, phase ops
+/// as per-rank diagonals — and never see lower(). A caller who wants
+/// distributed gate-level simulation lowers the program first.
 ///
 /// Every job goes through run_job, the one retry primitive, under one
 /// of two recovery classes (Recovery).
 ///
 /// Templated on the chunk amplitude scalar T: under fp32 the ranks hold
 /// float chunks (widened at the gather), so every chunk exchange,
-/// checkpoint and the gather move exactly half the fp64 bytes on the
-/// same plan — Result.net_bytes and the model predictions both reflect
-/// sizeof(value_type).
+/// transpose, checkpoint and the gather move exactly half the fp64
+/// bytes on the same plan — Result.net_bytes and the model predictions
+/// both reflect sizeof(value_type).
 template <typename T>
 class DistBackendT final : public Backend {
  public:
@@ -248,6 +256,8 @@ class DistBackendT final : public Backend {
   ~DistBackendT() override { release_slots(); }
 
   [[nodiscard]] std::string name() const override { return "dist"; }
+
+  [[nodiscard]] bool emulates() const override { return true; }
 
   /// Opens (or reuses, at the same clamped rank count) the session and
   /// builds the chunks at |initial_basis> in one job — job 0 of the
@@ -298,6 +308,35 @@ class DistBackendT final : public Backend {
       replay_pred_s_ += sched::predicted_seconds(plan, {});
       ++segments_since_ckpt_;
       replay_log_.push_back({std::move(plan), perm_});
+    }
+  }
+
+  /// A whole-register QFT restores logical order and runs the in-place
+  /// distributed FFT, in one job. Arithmetic maps (emu/index_maps.hpp)
+  /// compose with perm_ — physical -> logical -> f -> physical — and
+  /// route as one all-to-all; phase ops multiply each rank's chunk by
+  /// the phase of each amplitude's logical index. Neither needs a
+  /// restore. A QFT on a sub-register, or on a register too narrow for
+  /// the rank count (dist_fft needs P <= 2^floor(n/2)), runs its gate
+  /// cascade through run_gates.
+  void run_highlevel(const Op& op) override {
+    switch (op.kind) {
+      case OpKind::Qft:
+      case OpKind::InverseQft: return qft(op.a, op.kind == OpKind::InverseQft);
+      case OpKind::Add: return permute(emu::add_map(op.a, op.b, n_), false);
+      case OpKind::Multiply: return permute(emu::multiply_map(op.a, op.b, op.c, n_), false);
+      case OpKind::MultiplyMod:
+        return permute(emu::multiply_mod_map(op.a, op.k, op.modulus, n_), false);
+      case OpKind::Divide: return permute(emu::divide_map(op.a, op.b, op.c, n_), true);
+      case OpKind::ApplyFunction:
+        return permute(emu::function_map(op.a, op.b, op.func, n_), false);
+      case OpKind::PhaseFunction:
+        return phase([&op](index_t i) { return std::polar(1.0, op.phase_fn(i)); });
+      case OpKind::PhaseOracle:
+        return phase(
+            [&op](index_t i) { return op.predicate(i) ? complex_t{-1.0} : complex_t{1.0}; });
+      default:
+        throw std::logic_error("dist backend: unexpected op '" + op.label() + "'");
     }
   }
 
@@ -435,6 +474,99 @@ class DistBackendT final : public Backend {
   [[nodiscard]] qubit_t session_global_qubits() const {
     return static_cast<qubit_t>(
         bits::log2_floor(static_cast<index_t>(session_->ranks())));
+  }
+
+  // --- emulated high-level ops -------------------------------------------
+
+  void qft(RegRef r, bool inverse) {
+    if (r.offset != 0 || r.width != n_ || session_global_qubits() > n_ / 2) {
+      circuit::Circuit c(n_);
+      const revcirc::Reg reg = revcirc::make_reg(r.offset, r.width);
+      if (inverse)
+        revcirc::inverse_qft_on_reg(c, reg);
+      else
+        revcirc::qft_on_reg(c, reg);
+      run_gates(c);
+      return;
+    }
+    // Restore and transform share one job: with two, a fault in the FFT
+    // would restore the pre-op checkpoint and transform its permuted
+    // layout.
+    const auto rounds = sched::restore_rounds(perm_);
+    run_emulated(
+        [this, &rounds, inverse](cluster::Comm& comm) {
+          auto& dsv = slot(comm);
+          for (const auto& swaps : rounds) dsv.apply_qubit_swaps(swaps);
+          emu::BasicDistEmulator<T> demu(dsv);
+          if (inverse)
+            demu.inverse_qft();
+          else
+            demu.qft();
+        },
+        sched::identity_perm(n_));
+  }
+
+  /// Routes the logical index map `f` (partial: a division) over the
+  /// chunks as one all-to-all permutation.
+  void permute(std::function<index_t(index_t)> f, bool partial) {
+    std::function<index_t(index_t)> g = std::move(f);
+    if (!in_order())
+      g = [f = std::move(g), perm = perm_](index_t p) {
+        return to_physical(perm, f(to_logical(perm, p)));
+      };
+    run_emulated(
+        [this, &g, partial](cluster::Comm& comm) {
+          emu::BasicDistEmulator<T> demu(slot(comm));
+          if (partial)
+            demu.apply_partial_map(g);
+          else
+            demu.apply_permutation(g);
+        },
+        perm_);
+  }
+
+  /// Multiplies every amplitude by `factor` of its logical index.
+  void phase(std::function<complex_t(index_t)> factor) {
+    if (!in_order())
+      factor = [f = std::move(factor), perm = perm_](index_t p) { return f(to_logical(perm, p)); };
+    run_emulated(
+        [this, &factor](cluster::Comm& comm) {
+          auto& dsv = slot(comm);
+          const index_t base = static_cast<index_t>(comm.rank()) << dsv.local_qubits();
+          sim::kernels::apply_phase_oracle(dsv.local(),
+                                           [&](index_t i) { return factor(base | i); });
+        },
+        perm_);
+  }
+
+  /// One emulated op's job, which leaves the chunks in `perm_after`
+  /// order. The replay log holds only gate plans, so it can neither
+  /// replay the op nor step over it: the job runs from a checkpoint of
+  /// the state before it, and the state after it is checkpointed in turn
+  /// (both only while checkpoints are armed).
+  void run_emulated(const std::function<void(cluster::Comm&)>& job,
+                    std::vector<qubit_t> perm_after) {
+    maybe_checkpoint(/*force=*/true);
+    run_job(Recovery::kReplay, job);
+    perm_ = std::move(perm_after);
+    if (checkpoints_enabled()) take_checkpoint();
+  }
+
+  [[nodiscard]] bool in_order() const { return perm_ == sched::identity_perm(n_); }
+
+  /// Bit q of the logical index is bit perm[q] of the physical one.
+  static index_t to_logical(const std::vector<qubit_t>& perm, index_t p) {
+    index_t l = 0;
+    for (qubit_t q = 0; q < perm.size(); ++q)
+      if (bits::test(p, perm[q])) l = bits::set(l, q);
+    return l;
+  }
+
+  static index_t to_physical(const std::vector<qubit_t>& perm, index_t l) {
+    index_t p = 0;
+    for (qubit_t q = 0; q < perm.size(); ++q)
+      if (bits::test(l, q)) p = bits::set(p, perm[q]);
+    return p;
   }
 
   // --- failure domain: checkpoint / restore / retry ---------------------

@@ -9,12 +9,15 @@
 // backend-independent for one seed. Two families:
 //
 //  * gate-level backends ("hpc", "fused", "cached", "qhipster-like",
-//    "liquid-like", and the distributed "dist") only ever see gate
-//    segments — Engine::run lowers high-level ops first;
-//  * emulating backends ("auto") report emulates() == true and execute
-//    high-level ops at their mathematical description (emu::Emulator),
-//    dispatching gate segments to the cache-blocked executor — the
-//    paper's §3 contract expressed as one dispatch rule.
+//    "liquid-like") only ever see gate segments — Engine::run lowers
+//    high-level ops first;
+//  * emulating backends report emulates() == true and execute
+//    high-level ops at their mathematical description — "auto" through
+//    emu::Emulator, dispatching gate segments to the cache-blocked
+//    executor, and the distributed "dist" through emu::BasicDistEmulator
+//    on its rank chunks (§4.2: the QFT as an in-place distributed FFT,
+//    arithmetic as one all-to-all permutation) — the paper's §3
+//    contract expressed as one dispatch rule.
 //
 // Every single-node backend holds a BasicStateVector<T> (T from
 // RunOptions::precision) and runs segments through a span-level
@@ -53,9 +56,10 @@ struct RunOptions {
   sched::ScheduleOptions sched;
   /// Amplitude precision the backend holds the state at. kF64 (default)
   /// is the reference. kF32 runs the float-instantiated kernels on a
-  /// float state (on the dist backend's ranks too, halving exchange
-  /// bytes); "auto" emulates high-level ops at fp64 on a widened copy,
-  /// and Result.state is widened once at the end. Measurement sampling
+  /// float state (on the dist backend's ranks too, halving exchange and
+  /// transpose bytes); "auto" emulates high-level ops at fp64 on a
+  /// widened copy, "dist" on its float chunks (the FFT's row transforms
+  /// at fp64), and Result.state is widened once at the end. Measurement sampling
   /// and reductions stay double either way. Accuracy is bounded by the
   /// precision-drift test gate (fp32 vs fp64 <= 1e-6 max amplitude
   /// error on deep QFT/random circuits).
@@ -66,7 +70,9 @@ struct RunOptions {
   /// Collapse the measured register after each Measure op (off: record
   /// the sampled outcome but leave the state untouched).
   bool collapse_measurements = true;
-  /// Lowering options used when the backend is gate-level.
+  /// Lowering options used when the backend is gate-level. Emulating
+  /// backends ("auto", "dist") never lower; to simulate a program gate
+  /// by gate on one of them, pass it through engine::lower() first.
   LowerOptions lower;
   /// Rank count for the "dist" backend — a power of two; the in-process
   /// cluster spawns this many rank threads (clamped so every rank holds
@@ -90,15 +96,20 @@ struct RunOptions {
   double dist_timeout_s = 0;
   /// Segment-granular checkpoint policy for the dist backend:
   ///   -1   off — a fault in a job that mutates the chunks (a gate
-  ///        segment, a collapsing measure, the gather's restore rounds)
-  ///        cannot replay, so the run degrades or fails instead; jobs
-  ///        that leave the chunks intact still retry;
+  ///        segment, a high-level op, a collapsing measure, the
+  ///        gather's restore rounds) cannot replay, so the run degrades
+  ///        or fails instead; jobs that leave the chunks intact still
+  ///        retry;
   ///    0   auto (default) — checkpoint when the predicted replay cost
   ///        of the uncheckpointed segment log exceeds a few checkpoints
   ///        (models::checkpoint_due), armed only while a fault source
   ///        exists (an installed FaultInjector or a timeout budget), so
   ///        fault-free runs pay nothing;
   ///    N>0 checkpoint every N gate segments, unconditionally.
+  /// Whenever checkpoints are on (auto with a fault source, or N > 0),
+  /// every high-level op also runs between two: one before it (unless
+  /// the last still holds) and one after, because the replay log holds
+  /// only gate plans and cannot replay an emulated op.
   int dist_checkpoint_interval = 0;
   /// Retry budget per cluster job for retryable faults (timeout,
   /// injected fault, allocation failure): each retry re-runs the job,

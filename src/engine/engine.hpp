@@ -10,7 +10,8 @@
 //
 // Dispatch rule (the paper's §3 contract as one API):
 //   * backend->emulates()  — high-level ops run at their mathematical
-//     description, gate segments on the cache-blocked executor;
+//     description ("auto" on one node, "dist" on its rank chunks), gate
+//     segments on the cache-blocked executor (per rank on "dist");
 //   * gate-level backend   — the program is lower()ed to elementary
 //     gates first (work ancillas appended above the program register and
 //     projected away again at the end).

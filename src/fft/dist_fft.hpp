@@ -7,7 +7,8 @@
 //
 //   1. distributed transpose            (all-to-all #1)
 //   2. local R-point FFTs along rows
-//   3. twiddle scaling by w_N^(g2*k1)
+//   3. twiddle scaling by w_N^(g2*k1), times the normalization — applied
+//      to each row of step 2 while it is still in cache
 //   4. distributed transpose            (all-to-all #2)
 //   5. local C-point FFTs along rows
 //   6. distributed transpose            (all-to-all #3, natural order out)
@@ -15,12 +16,25 @@
 // Exactly the three all-to-all transposition steps the paper's
 // performance model (Eq. 5) charges: T_FFT = 5Nn/(eff*FLOPS) + 3*16N/Bnet.
 //
+// The transform runs in place: each transpose packs the rank's chunk
+// into a caller-provided chunk-sized scratch, exchanges the scratch in
+// place and unpacks into the chunk, so no chunk-sized buffer is
+// allocated (the dist backend passes its DistStateVector's scratch).
+// Each transpose is one "dist.exchange_pass" span and fault site, with
+// its wire bytes and Eq. 5's per-transpose term as `pred_s`.
+//
+// Templated on the amplitude scalar T like sim::BasicDistStateVector:
+// the all-to-alls move T-sized amplitudes. The row FFTs always run at
+// fp64 (fft::FftPlan); at fp32 each row is widened into a per-thread
+// fp64 copy, transformed and twiddled there, and narrowed back.
+//
 // dist_fft is collective and stateless between calls: it can run as a
 // one-shot Cluster::run body or as successive jobs of a persistent
 // cluster::ClusterSession against rank-local chunks that stay resident
 // between submissions (tests/test_dist_fft.cpp exercises the latter).
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "cluster/cluster.hpp"
@@ -28,29 +42,30 @@
 
 namespace qc::fft {
 
-/// Per-rank wall-clock breakdown of one distributed transform (values
-/// are max-reduced over ranks so they reflect the critical path).
-struct DistFftStats {
-  double transpose_seconds = 0;  ///< Sum of the three all-to-all transposes.
-  double local_fft_seconds = 0;  ///< Both local row-FFT phases.
-  double twiddle_seconds = 0;    ///< Twiddle-scaling phase.
-  [[nodiscard]] double total() const noexcept {
-    return transpose_seconds + local_fft_seconds + twiddle_seconds;
-  }
-};
-
 /// Distributed transpose of an `rows` x `cols` row-major matrix whose
 /// rows are block-distributed over the ranks of `comm`. `local_in` holds
 /// rows/P rows of length cols; `local_out` receives cols/P rows of length
-/// rows. Requires P | rows and P | cols.
-void dist_transpose(cluster::Comm& comm, std::span<const complex_t> local_in,
-                    std::span<complex_t> local_out, index_t rows, index_t cols);
+/// rows. Both have rows*cols/P elements and may be the same buffer;
+/// `scratch` is a third one of that size, overwritten. Requires P | rows
+/// and P | cols. Adds the bytes this rank sent to `sent` once the
+/// exchange completed.
+template <typename T>
+void dist_transpose(cluster::Comm& comm, std::span<const basic_complex_t<T>> local_in,
+                    std::span<basic_complex_t<T>> local_out,
+                    std::span<basic_complex_t<T>> scratch, index_t rows, index_t cols,
+                    std::uint64_t& sent);
 
 /// In-place distributed FFT of 2^n_total points. Each rank passes its
-/// contiguous chunk (2^n_total / P elements, natural global order); the
-/// result is returned in natural order with the same distribution.
-/// Requires P to be a power of two with P <= 2^floor(n_total/2).
-DistFftStats dist_fft(cluster::Comm& comm, std::span<complex_t> local, qubit_t n_total,
-                      Sign sign, Norm norm = Norm::None);
+/// contiguous chunk (2^n_total / P elements, natural global order) and a
+/// chunk-sized scratch; the result is returned in natural order with the
+/// same distribution. Each completed transpose adds the bytes this rank
+/// sent to `sent` (3 (P-1)/P of the chunk in all), so a transform that
+/// aborts part-way has counted exactly what it moved. Requires P to be a
+/// power of two with P <= 2^floor(n_total/2); one rank runs the
+/// node-local plan (fft::FftPlan, in `scratch`) at fp64.
+template <typename T>
+void dist_fft(cluster::Comm& comm, std::span<basic_complex_t<T>> local,
+              std::span<basic_complex_t<T>> scratch, qubit_t n_total, Sign sign, Norm norm,
+              std::uint64_t& sent);
 
 }  // namespace qc::fft

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/parallel.hpp"
@@ -26,18 +27,6 @@ constexpr index_t kTile = 8;
 /// loops from vectorizing.
 inline complex_t mul(complex_t a, complex_t w) noexcept {
   return {a.real() * w.real() - a.imag() * w.imag(), a.real() * w.imag() + a.imag() * w.real()};
-}
-
-double norm_scale(Norm norm, index_t size) {
-  switch (norm) {
-    case Norm::None:
-      return 1.0;
-    case Norm::Unitary:
-      return 1.0 / std::sqrt(static_cast<double>(size));
-    case Norm::Inverse:
-      return 1.0 / static_cast<double>(size);
-  }
-  return 1.0;
 }
 
 void scale(std::span<complex_t> data, double factor) {
@@ -123,6 +112,18 @@ complex_t* stockham(complex_t* a, complex_t* b, const complex_t* tw, qubit_t p, 
 }
 
 }  // namespace
+
+double norm_scale(Norm norm, index_t size) {
+  switch (norm) {
+    case Norm::None:
+      return 1.0;
+    case Norm::Unitary:
+      return 1.0 / std::sqrt(static_cast<double>(size));
+    case Norm::Inverse:
+      return 1.0 / static_cast<double>(size);
+  }
+  return 1.0;
+}
 
 Twiddles::Twiddles(qubit_t n, Sign sign)
     : lo_bits_((n + 1) / 2),
@@ -299,11 +300,19 @@ void dft_naive(std::span<const complex_t> in, std::span<complex_t> out, Sign sig
   if (out.size() != size) throw std::invalid_argument("dft_naive: size mismatch");
   const double base = static_cast<double>(static_cast<int>(sign)) * 2.0 *
                       std::numbers::pi / static_cast<double>(size);
+  // Term (k, l) reads w[k*l mod N], the exponent reduced exactly in
+  // integers, so no angle passed to std::polar exceeds 2*pi.
+  std::vector<complex_t> w(size);
+  for (std::size_t j = 0; j < size; ++j) w[j] = std::polar(1.0, base * static_cast<double>(j));
 #pragma omp parallel for if (size >= 256)
   for (std::size_t k = 0; k < size; ++k) {
     complex_t acc{};
-    for (std::size_t l = 0; l < size; ++l)
-      acc += in[l] * std::polar(1.0, base * static_cast<double>(k) * static_cast<double>(l));
+    std::size_t j = 0;  // k*l mod N
+    for (std::size_t l = 0; l < size; ++l) {
+      acc += mul(in[l], w[j]);
+      j += k;
+      if (j >= size) j -= size;
+    }
     out[k] = acc;
   }
   scale(out, norm_scale(norm, size));

@@ -39,6 +39,10 @@ enum class Norm {
   Inverse,  ///< Scale by 1/N (classical inverse-transform convention).
 };
 
+/// The factor `norm` scales a `size`-point transform by: 1, 1/sqrt(size)
+/// or 1/size.
+[[nodiscard]] double norm_scale(Norm norm, index_t size);
+
 /// Opposite sign (used to build inverse transforms).
 constexpr Sign opposite(Sign s) noexcept {
   return s == Sign::Negative ? Sign::Positive : Sign::Negative;

@@ -121,6 +121,18 @@ class BasicDistStateVector {
   /// fp64 volume on the same plan.
   [[nodiscard]] std::uint64_t bytes_communicated() const noexcept { return bytes_comm_; }
 
+  /// The counter behind bytes_communicated(), for collective passes that
+  /// run outside this class (emu::BasicDistEmulator's transposes and
+  /// routing): each adds the bytes it sent once its exchange completed.
+  [[nodiscard]] std::uint64_t& bytes_counter() noexcept { return bytes_comm_; }
+
+  /// This rank's chunk-sized scratch: the exchanges here and
+  /// emu::BasicDistEmulator's in-place FFT work in it. Its contents are
+  /// undefined between calls.
+  [[nodiscard]] std::span<value_type> scratch() noexcept {
+    return {scratch_.data(), scratch_.size()};
+  }
+
  private:
   void exchange_and_combine(qubit_t rank_bit, const kernels::U2T<T>& u, index_t local_cmask);
 

@@ -154,6 +154,25 @@ TEST(Comm, AlltoallTransposesBlocks) {
   });
 }
 
+TEST(Comm, AlltoallInPlace) {
+  // One buffer as both sides: every outgoing block leaves before any
+  // block arrives, and the self block stays where it is.
+  for (const int p : {1, 2, 4, 8}) {
+    Cluster cluster(p);
+    cluster.run([p](Comm& comm) {
+      std::vector<int> buf(static_cast<std::size_t>(p) * 3);
+      for (int j = 0; j < p; ++j)
+        for (int e = 0; e < 3; ++e)
+          buf[static_cast<std::size_t>(3 * j + e)] = comm.rank() * 1000 + j * 10 + e;
+      comm.alltoall<int>(buf, buf);
+      for (int r = 0; r < p; ++r)
+        for (int e = 0; e < 3; ++e)
+          EXPECT_EQ(buf[static_cast<std::size_t>(3 * r + e)], r * 1000 + comm.rank() * 10 + e)
+              << "ranks=" << p;
+    });
+  }
+}
+
 TEST(Comm, AlltoallvVariableBlocks) {
   const int p = 4;
   Cluster cluster(p);

@@ -186,9 +186,8 @@ TEST(DistEmulator, QftMatchesSerialCircuit) {
       DistStateVector dsv(comm, n);
       dsv.randomize(404);
       DistEmulator demu(dsv);
-      const fft::DistFftStats stats = demu.qft();
+      demu.qft();
       EXPECT_LT(dsv.gather_all().max_abs_diff(serial), 1e-11) << "ranks=" << ranks;
-      EXPECT_GT(stats.total(), 0.0);
     });
   }
 }

@@ -1,5 +1,6 @@
 // Tests for the distributed FFT: the distributed transpose primitive and
-// the full six-step transform against the local FFT / naive DFT.
+// the full six-step transform, in place over a caller's scratch at fp32
+// and fp64, against the naive DFT.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -43,52 +44,96 @@ TEST_P(DistTranspose, MatchesLocalTranspose) {
     for (index_t c = 0; c < cols; ++c) expected[c * rows + r] = global[r * cols + c];
 
   aligned_vector<complex_t> gathered(rows * cols);
+  std::uint64_t rank0_sent = 0;
   cluster::Cluster cluster(p, 1);
   cluster.run([&](cluster::Comm& comm) {
-    const index_t in_chunk = rows / p * cols;
-    const index_t out_chunk = cols / p * rows;
+    const index_t chunk = rows / p * cols;
     aligned_vector<complex_t> local_in(
-        global.begin() + static_cast<std::ptrdiff_t>(comm.rank() * in_chunk),
-        global.begin() + static_cast<std::ptrdiff_t>((comm.rank() + 1) * in_chunk));
-    aligned_vector<complex_t> local_out(out_chunk);
-    dist_transpose(comm, local_in, local_out, rows, cols);
+        global.begin() + static_cast<std::ptrdiff_t>(comm.rank() * chunk),
+        global.begin() + static_cast<std::ptrdiff_t>((comm.rank() + 1) * chunk));
+    aligned_vector<complex_t> local_out(chunk), scratch(chunk);
+    std::uint64_t sent = 0;
+    dist_transpose<double>(comm, local_in, local_out, scratch, rows, cols, sent);
     // allgather output is per-caller: every rank receives the full
     // result, so each rank gathers into its own buffer and only rank 0
     // publishes to the shared one.
     aligned_vector<complex_t> mine(static_cast<std::size_t>(rows * cols));
     comm.allgather<complex_t>(local_out, mine);
-    if (comm.rank() == 0) gathered = std::move(mine);
+    if (comm.rank() == 0) {
+      gathered = std::move(mine);
+      rank0_sent = sent;
+    }
   });
   EXPECT_EQ(max_diff(gathered, expected), 0.0);
+  // Every block but the rank's own goes over the wire.
+  EXPECT_EQ(rank0_sent, (p - 1) * (rows / p * cols / p) * sizeof(complex_t));
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, DistTranspose,
                          ::testing::Values(Case{4, 1}, Case{4, 2}, Case{6, 2}, Case{6, 4},
                                            Case{8, 4}, Case{10, 8}, Case{12, 4}));
 
-class DistFft : public ::testing::TestWithParam<Case> {};
-
-TEST_P(DistFft, MatchesLocalFft) {
-  const auto [n, p] = GetParam();
+/// Runs the in-place transform at precision T on `signal` split over p
+/// ranks; returns the gathered fp64 result and checks the byte count:
+/// three transposes of (P-1)/P of the chunk each, nothing at one rank.
+template <typename T>
+aligned_vector<complex_t> run_dist_fft(std::span<const complex_t> signal, qubit_t n, int p,
+                                       Sign sign, Norm norm) {
+  using V = basic_complex_t<T>;
   const index_t size = dim(n);
-  const auto global = random_signal(size, 50 + n);
-
-  aligned_vector<complex_t> expected = global;
-  fft_inplace(expected, Sign::Positive, Norm::Unitary);
-
+  const index_t chunk = size / p;
   aligned_vector<complex_t> gathered(size);
+  std::uint64_t rank0_sent = 0;
   cluster::Cluster cluster(p, 1);
   cluster.run([&](cluster::Comm& comm) {
-    const index_t chunk = size / p;
-    aligned_vector<complex_t> local(
-        global.begin() + static_cast<std::ptrdiff_t>(comm.rank() * chunk),
-        global.begin() + static_cast<std::ptrdiff_t>((comm.rank() + 1) * chunk));
-    dist_fft(comm, local, n, Sign::Positive, Norm::Unitary);
-    aligned_vector<complex_t> mine(static_cast<std::size_t>(size));
-    comm.allgather<complex_t>(local, mine);
-    if (comm.rank() == 0) gathered = std::move(mine);
+    aligned_vector<V> local(chunk), scratch(chunk);
+    for (index_t i = 0; i < chunk; ++i)
+      local[i] = static_cast<V>(signal[static_cast<index_t>(comm.rank()) * chunk + i]);
+    std::uint64_t sent = 0;
+    dist_fft<T>(comm, local, scratch, n, sign, norm, sent);
+    aligned_vector<V> mine(size);
+    comm.allgather<V>(local, mine);
+    if (comm.rank() == 0) {
+      for (index_t i = 0; i < size; ++i) gathered[i] = static_cast<complex_t>(mine[i]);
+      rank0_sent = sent;
+    }
   });
-  EXPECT_LT(max_diff(gathered, expected), 1e-10 * std::sqrt(static_cast<double>(size)));
+  EXPECT_EQ(rank0_sent, 3 * (chunk - chunk / p) * sizeof(V)) << "fp" << 8 * sizeof(T);
+  return gathered;
+}
+
+class DistFft : public ::testing::TestWithParam<Case> {};
+
+TEST_P(DistFft, MatchesNaiveDftAtBothPrecisions) {
+  // One O(N^2) reference y = DFT+(x) checks both conventions: the
+  // unitary transform of x is y / sqrt(N), and DFT-(conj x) = conj(y).
+  // fp32 rounds the input, three transposes' worth of intermediates and
+  // the output to float: about 1e-7 relative, far inside its bound.
+  // Unnormalized outputs grow like sqrt(N), and so does their rounding.
+  const auto [n, p] = GetParam();
+  const index_t size = dim(n);
+  const double sqrt_size = std::sqrt(static_cast<double>(size));
+  const auto signal = random_signal(size, 50 + n);
+  aligned_vector<complex_t> y(size);
+  dft_naive(signal, y, Sign::Positive);
+  aligned_vector<complex_t> unitary(size), conj_signal(size), conj_y(size);
+  for (index_t i = 0; i < size; ++i) {
+    unitary[i] = y[i] / sqrt_size;
+    conj_signal[i] = std::conj(signal[i]);
+    conj_y[i] = std::conj(y[i]);
+  }
+  EXPECT_LT(max_diff(run_dist_fft<double>(signal, n, p, Sign::Positive, Norm::Unitary), unitary),
+            1e-10 * sqrt_size)
+      << "fp64 n=" << n << " ranks=" << p;
+  EXPECT_LT(max_diff(run_dist_fft<float>(signal, n, p, Sign::Positive, Norm::Unitary), unitary),
+            1e-5)
+      << "fp32 n=" << n << " ranks=" << p;
+  EXPECT_LT(max_diff(run_dist_fft<double>(conj_signal, n, p, Sign::Negative, Norm::None), conj_y),
+            1e-10 * sqrt_size)
+      << "fp64 n=" << n << " ranks=" << p;
+  EXPECT_LT(max_diff(run_dist_fft<float>(conj_signal, n, p, Sign::Negative, Norm::None), conj_y),
+            1e-5 * sqrt_size)
+      << "fp32 n=" << n << " ranks=" << p;
 }
 
 TEST_P(DistFft, RoundTripRestoresInput) {
@@ -102,8 +147,10 @@ TEST_P(DistFft, RoundTripRestoresInput) {
     aligned_vector<complex_t> local(
         global.begin() + static_cast<std::ptrdiff_t>(comm.rank() * chunk),
         global.begin() + static_cast<std::ptrdiff_t>((comm.rank() + 1) * chunk));
-    dist_fft(comm, local, n, Sign::Positive, Norm::None);
-    dist_fft(comm, local, n, Sign::Negative, Norm::Inverse);
+    aligned_vector<complex_t> scratch(chunk);
+    std::uint64_t sent = 0;
+    dist_fft<double>(comm, local, scratch, n, Sign::Positive, Norm::None, sent);
+    dist_fft<double>(comm, local, scratch, n, Sign::Negative, Norm::Inverse, sent);
     aligned_vector<complex_t> mine(static_cast<std::size_t>(size));
     comm.allgather<complex_t>(local, mine);
     if (comm.rank() == 0) gathered = std::move(mine);
@@ -115,26 +162,6 @@ INSTANTIATE_TEST_SUITE_P(Cases, DistFft,
                          ::testing::Values(Case{4, 1}, Case{4, 2}, Case{6, 4}, Case{8, 2},
                                            Case{10, 4}, Case{12, 8}, Case{14, 4},
                                            Case{16, 16}));
-
-TEST(DistFft, StatsArePopulated) {
-  const qubit_t n = 12;
-  const int p = 4;
-  const index_t size = dim(n);
-  const auto global = random_signal(size, 77);
-  DistFftStats stats;
-  cluster::Cluster cluster(p, 1);
-  cluster.run([&](cluster::Comm& comm) {
-    const index_t chunk = size / p;
-    aligned_vector<complex_t> local(
-        global.begin() + static_cast<std::ptrdiff_t>(comm.rank() * chunk),
-        global.begin() + static_cast<std::ptrdiff_t>((comm.rank() + 1) * chunk));
-    const DistFftStats s = dist_fft(comm, local, n, Sign::Positive, Norm::None);
-    if (comm.rank() == 0) stats = s;
-  });
-  EXPECT_GT(stats.transpose_seconds, 0.0);
-  EXPECT_GT(stats.local_fft_seconds, 0.0);
-  EXPECT_GT(stats.total(), 0.0);
-}
 
 TEST(DistFft, ResidentChunksAcrossSessionJobs) {
   // The six-step FFT run twice (forward then inverse) as two separate
@@ -148,19 +175,20 @@ TEST(DistFft, ResidentChunksAcrossSessionJobs) {
   cluster::ClusterSession session(p, 1);
   const index_t chunk = (index_t{1} << n) / p;
   std::vector<aligned_vector<complex_t>> locals(static_cast<std::size_t>(p));
+  std::vector<aligned_vector<complex_t>> scratches(static_cast<std::size_t>(p));
   session.submit([&](cluster::Comm& comm) {
     auto& local = locals[static_cast<std::size_t>(comm.rank())];
     local.assign(signal.begin() + static_cast<std::ptrdiff_t>(comm.rank() * chunk),
                  signal.begin() + static_cast<std::ptrdiff_t>((comm.rank() + 1) * chunk));
+    scratches[static_cast<std::size_t>(comm.rank())].resize(chunk);
   });
-  session.submit([&](cluster::Comm& comm) {
-    auto& local = locals[static_cast<std::size_t>(comm.rank())];
-    dist_fft(comm, {local.data(), local.size()}, n, Sign::Negative, Norm::Unitary);
-  });
-  session.submit([&](cluster::Comm& comm) {
-    auto& local = locals[static_cast<std::size_t>(comm.rank())];
-    dist_fft(comm, {local.data(), local.size()}, n, Sign::Positive, Norm::Unitary);
-  });
+  for (const Sign sign : {Sign::Negative, Sign::Positive})
+    session.submit([&, sign](cluster::Comm& comm) {
+      auto& local = locals[static_cast<std::size_t>(comm.rank())];
+      auto& scratch = scratches[static_cast<std::size_t>(comm.rank())];
+      std::uint64_t sent = 0;
+      dist_fft<double>(comm, local, scratch, n, sign, Norm::Unitary, sent);
+    });
   session.sync();
   for (int r = 0; r < p; ++r) {
     const auto& local = locals[static_cast<std::size_t>(r)];
@@ -174,8 +202,9 @@ TEST(DistFft, RejectsTooManyRanks) {
   // n = 4 -> C = 4; 8 ranks cannot divide the columns.
   cluster::Cluster cluster(8, 1);
   EXPECT_THROW(cluster.run([&](cluster::Comm& comm) {
-                 aligned_vector<complex_t> local(dim(4) / 8);
-                 dist_fft(comm, local, 4, Sign::Positive);
+                 aligned_vector<complex_t> local(dim(4) / 8), scratch(dim(4) / 8);
+                 std::uint64_t sent = 0;
+                 dist_fft<double>(comm, local, scratch, 4, Sign::Positive, Norm::None, sent);
                }),
                std::invalid_argument);
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <numbers>
 
 #include "emu/observables.hpp"
@@ -195,6 +196,7 @@ TEST(Agreement, Qft12) {
   EXPECT_EQ(lowered_ancillas(p), 0u);
   expect_backends_agree(p, "hpc");
   expect_backends_agree(p, "fused");
+  expect_backends_agree(p, "dist");
 }
 
 TEST(Agreement, ShorStyleModularMultiplication) {
@@ -217,6 +219,7 @@ TEST(Agreement, ShorStyleModularMultiplication) {
   EXPECT_EQ(lowered_ancillas(p), 4u + 3u);  // Beauregard accumulator + flags
   expect_backends_agree(p, "hpc");
   expect_backends_agree(p, "fused");
+  expect_backends_agree(p, "dist");
 }
 
 TEST(Agreement, GroverWithPhaseOracle) {
@@ -241,6 +244,7 @@ TEST(Agreement, GroverWithPhaseOracle) {
   }
   expect_backends_agree(p, "hpc");
   expect_backends_agree(p, "fused");
+  expect_backends_agree(p, "dist");
 
   // Sanity: six iterations amplify the marked item well above uniform.
   RunOptions opts;
@@ -255,12 +259,14 @@ TEST(Agreement, ArithmeticAddMultiplyDivide) {
   p.h(0).h(1).h(2).h(3).add({0, 2}, {2, 2}).multiply({0, 2}, {2, 2}, {4, 2});
   EXPECT_EQ(lowered_ancillas(p), 1u);
   expect_backends_agree(p, "hpc");
+  expect_backends_agree(p, "dist");
 
   // Division: (a=7, b=3, c=0) -> (a mod b, b, a div b); superposed b.
   Program q(9);
   q.x(0).x(1).x(2).h(3).h(4).divide({0, 3}, {3, 3}, {6, 3});
   EXPECT_EQ(lowered_ancillas(q), 3u + 4u);
   expect_backends_agree(q, "hpc");
+  expect_backends_agree(q, "dist");
 }
 
 TEST(Agreement, PhaseFunctionSmallRegister) {
@@ -269,6 +275,7 @@ TEST(Agreement, PhaseFunctionSmallRegister) {
     return 0.2 * static_cast<double>(i % 7);
   });
   expect_backends_agree(p, "hpc");
+  expect_backends_agree(p, "dist");
 }
 
 TEST(Agreement, CliffordTLoweringOfArithmetic) {
@@ -429,7 +436,7 @@ TEST(DistBackend, TinyRegisterClampsRanksAndStillAgrees) {
   }
 }
 
-TEST(DistBackend, LoweredHighLevelProgramRunsDistributed) {
+TEST(DistBackend, HighLevelProgramRunsDistributed) {
   Program p(6);
   p.h(0).h(1).h(2).h(3).add({0, 2}, {2, 2}).multiply({0, 2}, {2, 2}, {4, 2}).measure({4, 2});
   expect_backends_agree(p, "dist");
@@ -519,6 +526,133 @@ TEST(DistBackend, ResidentRunStagesHostStateExactlyOnce) {
   EXPECT_EQ(r.trace.back().op, "[finalize]");
   EXPECT_EQ(r.trace.back().host_bytes, staging);
   EXPECT_EQ(r.host_bytes, staging);
+}
+
+// --- dist emulates high-level ops on its chunks ------------------------
+
+/// H and Rz on qubits 0..3 and on the top two qubits, entangled, with
+/// qubits 4 and 5 left at |0> (divide's quotient register). Three
+/// exchanging gates on the top qubit alone pay for a remap at 2, 4 and 8
+/// ranks, so the op after this segment meets a permuted chunk layout.
+Circuit top_heavy_prep(qubit_t n) {
+  Circuit c(n);
+  const auto top = static_cast<qubit_t>(n - 1), next = static_cast<qubit_t>(n - 2);
+  for (const qubit_t q : {qubit_t{0}, qubit_t{1}, qubit_t{2}, qubit_t{3}, next, top}) {
+    c.h(q);
+    c.rz(q, 0.23 * static_cast<double>(q + 1));
+  }
+  c.cnot(top, 0).cnot(next, 2).rx(top, 0.4).cr(1, next, 0.7).ry(top, 0.9);
+  return c;
+}
+
+/// One program per high-level op kind, each after top_heavy_prep and
+/// followed by a measurement and an expectation. The two sub-register
+/// QFTs run as their gate cascades; the rest are emulated.
+std::vector<Program> one_program_per_op(qubit_t n) {
+  const std::vector<std::function<void(Program&)>> ops{
+      [](Program& p) { p.qft(); },
+      [](Program& p) { p.inverse_qft(); },
+      [](Program& p) { p.qft({2, 4}); },
+      [](Program& p) { p.inverse_qft({1, 3}); },
+      [](Program& p) { p.add({0, 3}, {3, 3}); },
+      [](Program& p) { p.multiply({0, 2}, {2, 2}, {4, 2}); },
+      [](Program& p) { p.multiply_mod({0, 4}, 7, 11); },
+      [](Program& p) { p.divide({0, 2}, {2, 2}, {4, 2}); },
+      [](Program& p) { p.apply_function({0, 3}, {5, 3}, [](index_t x) { return x * x + 1; }); },
+      [](Program& p) { p.phase_function([](index_t i) { return 0.3 * static_cast<double>(i); }); },
+      [](Program& p) { p.phase_oracle([](index_t i) { return i % 3 == 1; }); },
+  };
+  std::vector<Program> programs;
+  for (const auto& op : ops) {
+    Program p(n);
+    p.gates(top_heavy_prep(n));
+    op(p);
+    p.measure({0, 3}).expectation_z(0b1001);
+    programs.push_back(std::move(p));
+  }
+  return programs;
+}
+
+TEST(DistBackend, EveryHighLevelOpAgreesWithAutoAtEveryRankCountAndPrecision) {
+  EXPECT_TRUE(make_backend("dist")->emulates());
+  const qubit_t n = 8;
+  const Engine engine;
+  for (const Program& p : one_program_per_op(n)) {
+    RunOptions ref_opts;
+    ref_opts.seed = 19;
+    const Result ref = engine.run(p, ref_opts);
+    for (const Precision precision : {Precision::kF64, Precision::kF32})
+      for (const int ranks : {1, 2, 4, 8}) {
+        RunOptions opts = ref_opts;
+        opts.backend = "dist";
+        opts.precision = precision;
+        opts.dist_ranks = ranks;
+        const Result r = engine.run(p, opts);
+        const std::string where = p.ops()[1].label() + " ranks=" + std::to_string(ranks) +
+                                  " " + precision_name(precision);
+        EXPECT_EQ(r.run_qubits, n) << where;
+        EXPECT_LT(r.state.max_abs_diff(ref.state), precision == Precision::kF64 ? 1e-12 : 1e-6)
+            << where;
+        EXPECT_EQ(r.measurements, ref.measurements) << where;
+      }
+  }
+}
+
+TEST(DistBackend, RestoresLogicalOrderInsideTheFftJob) {
+  // After top_heavy_prep the chunks sit in a permuted layout, so the
+  // QFT's job runs restore rounds before its three transposes: the op
+  // moves more than the transposes' bytes.
+  const qubit_t n = 8;
+  Program p(n);
+  p.gates(top_heavy_prep(n)).qft();
+  for (const int ranks : {2, 4, 8}) {
+    RunOptions opts;
+    opts.backend = "dist";
+    opts.dist_ranks = ranks;
+    const Result r = Engine().run(p, opts);
+    const std::uint64_t transposes = 3u * (ranks - 1) * (dim(n) / ranks) * sizeof(complex_t);
+    ASSERT_EQ(r.trace[1].op, "qft(@0:8)");
+    EXPECT_GT(r.trace[1].net_bytes, transposes) << "ranks=" << ranks;
+  }
+}
+
+TEST(DistBackend, NarrowRegisterQftRunsItsCascade) {
+  // n = 3 on 8 requested ranks clamps to 4 ranks, more than the
+  // 2^floor(3/2) the distributed FFT allows: the QFT runs as gates.
+  Program p(3);
+  p.gates(prep_circuit(3)).qft().measure({0, 3});
+  for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+    RunOptions ref_opts;
+    ref_opts.seed = 4;
+    RunOptions opts = ref_opts;
+    opts.backend = "dist";
+    opts.dist_ranks = 8;
+    opts.precision = precision;
+    const Result ref = Engine().run(p, ref_opts);
+    const Result r = Engine().run(p, opts);
+    EXPECT_EQ(r.run_qubits, 3u);
+    EXPECT_LT(r.state.max_abs_diff(ref.state), precision == Precision::kF64 ? 1e-12 : 1e-6);
+    EXPECT_EQ(r.measurements, ref.measurements);
+  }
+}
+
+TEST(DistBackend, WholeRegisterQftMovesThreeTransposesOfBytes) {
+  // Eq. 5's communication term, exactly: each of the three all-to-alls
+  // sends (P-1)/P of every chunk, 3 (P-1)/P 2^n amplitudes in all.
+  const qubit_t n = 10;
+  Program p(n);
+  p.qft();
+  for (const Precision precision : {Precision::kF64, Precision::kF32})
+    for (const int ranks : {1, 2, 4, 8}) {
+      RunOptions opts;
+      opts.backend = "dist";
+      opts.dist_ranks = ranks;
+      opts.precision = precision;
+      const Result r = Engine().run(p, opts);
+      const std::uint64_t amp = amplitude_bytes(precision);
+      EXPECT_EQ(r.net_bytes, 3u * (ranks - 1) * (dim(n) / ranks) * amp)
+          << "ranks=" << ranks << " " << precision_name(precision);
+    }
 }
 
 TEST(DistBackend, RejectsNonPow2Ranks) {

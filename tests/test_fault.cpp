@@ -222,6 +222,9 @@ engine::Program failure_program(qubit_t n) {
   }
   p.cnot(0, static_cast<qubit_t>(n - 1));
   p.qft();
+  // One gate on each rank qubit (at 4 ranks): too few to pay for a
+  // remap, so each is a per-gate chunk exchange (dist.exchange).
+  p.h(static_cast<qubit_t>(n - 1)).h(static_cast<qubit_t>(n - 2));
   p.measure({0, 2});
   p.inverse_qft();
   p.expectation_z(index_t{0b11});
@@ -288,36 +291,47 @@ TEST(FaultRecovery, GatherAbortReplaysAndFlushes) {
   expect_recovers_identically("abort@dist.gather#0", /*expect_degraded=*/false);
 }
 
+TEST(FaultRecovery, TransposeAbortInsideTheFftRetriesBitIdentically) {
+  // The QFT's second all-to-all transpose fails: the FFT's job restores
+  // the checkpoint taken before the op and runs restore + FFT again.
+  expect_recovers_identically("abort@cluster.alltoall#1", /*expect_degraded=*/false);
+}
+
 TEST(FaultRecovery, FaultAtEveryClusterJobRecoversBitIdentically) {
   // abort@cluster.job#k fails the k-th job of the run. With auto
-  // checkpoints the failure program runs twelve: the initialization (0,
-  // begin()'s job under the dist.scatter span), three gate segments (1,
-  // 2, 6), the pre- and post-collapse checkpoints (3, 5, 8, 10), two
-  // collapsing measures (4, 9), the expectation (7) and the gather (11).
-  for (int k = 0; k < 12; ++k)
+  // checkpoints the failure program runs sixteen: the initialization (0,
+  // begin()'s job under the dist.scatter span), two gate segments (1,
+  // 5), the QFT's forced checkpoint (2), its restore + FFT (3) and the
+  // checkpoint after it (4), the pre- and post-collapse checkpoints (6,
+  // 8, 13), two collapsing measures (7, 12), the inverse QFT (9) and
+  // the checkpoint after it (10), the expectation (11) and the gather's
+  // restore rounds (14) and copy-out (15).
+  for (int k = 0; k < 16; ++k)
     expect_recovers_identically("abort@cluster.job#" + std::to_string(k),
                                 /*expect_degraded=*/false);
   // The segment's retry restores the state, and the restore faults too.
   expect_recovers_identically("abort@cluster.job#1;abort@cluster.job#2",
                               /*expect_degraded=*/false);
-  // Read-only measures: the initialization (0), segments (1, 2, 5),
-  // measures (3, 7), an auto checkpoint (4), the expectation (6), the
-  // gather (8).
-  for (int k = 0; k < 9; ++k)
+  // Read-only measures: the initialization (0), segments (1, 5), the
+  // QFT's checkpoint (2), FFT (3) and checkpoint (4), measures (6, 11),
+  // the inverse QFT's checkpoint (7), FFT (8) and checkpoint (9), the
+  // expectation (10), the gather (12, 13).
+  for (int k = 0; k < 14; ++k)
     expect_recovers_identically("abort@cluster.job#" + std::to_string(k),
                                 /*expect_degraded=*/false, /*collapse=*/false);
 }
 
 TEST(FaultRecovery, WithoutCheckpointsOnlyInPlaceJobsRecover) {
-  // Checkpoints off: the initialization (0), segments (1, 2, 4),
-  // measures (3, 6), the expectation (5), the gather (7). Jobs that
-  // leave the chunks intact (or rebuild them from scratch) still retry;
-  // a job that mutates them has no state to return to and throws.
+  // Checkpoints off: the initialization (0), segments (1, 3), the QFT
+  // (2), measures (4, 7), the inverse QFT (5), the expectation (6), the
+  // gather's restore rounds (8) and copy-out (9). Jobs that leave the
+  // chunks intact (or rebuild them from scratch) still retry; a job
+  // that mutates them has no state to return to and throws.
   const engine::Program p = failure_program(10);
   for (const bool collapse : {true, false})
-    for (int k = 0; k < 8; ++k) {
+    for (int k = 0; k < 10; ++k) {
       const std::string spec = "abort@cluster.job#" + std::to_string(k);
-      const bool in_place = k == 0 || k == 5 || (!collapse && (k == 3 || k == 6));
+      const bool in_place = k == 0 || k == 6 || k == 9 || (!collapse && (k == 4 || k == 7));
       if (in_place) {
         expect_recovers_identically(spec, /*expect_degraded=*/false, collapse,
                                     /*checkpoint_interval=*/-1);

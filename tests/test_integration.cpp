@@ -159,7 +159,9 @@ TEST(Integration, DistributedEmulatedQftMatchesSerialCircuit) {
   cluster.run([&](cluster::Comm& comm) {
     sim::DistStateVector dsv(comm, n);
     dsv.randomize(321);
-    fft::dist_fft(comm, dsv.local(), n, fft::Sign::Positive, fft::Norm::Unitary);
+    std::uint64_t sent = 0;
+    fft::dist_fft<double>(comm, dsv.local(), dsv.scratch(), n, fft::Sign::Positive,
+                          fft::Norm::Unitary, sent);
     const StateVector gathered = dsv.gather_all();
     if (comm.rank() == 0) diff = gathered.max_abs_diff(serial);
   });

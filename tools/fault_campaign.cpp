@@ -1,14 +1,15 @@
 // fault_campaign — seeded fault-injection matrix over the dist backend.
 //
-// Runs one mixed program (gate segments with global-qubit traffic, a
-// collapsing measurement, an expectation, a trailing measurement) on
-// the "hpc" backend as ground truth, then re-runs it on "dist" under a
-// matrix of deterministic fault schedules spanning every action
-// (delay / drop / abort / alloc-fail) across the instrumented sites
-// (send / sendrecv / barrier / job / alloc / exchange / scatter /
-// gather). Every run starts from one fixed non-zero basis state, so a
-// restore that re-initializes the wrong state shows. The campaign
-// contract, per schedule:
+// Runs one mixed program (gate segments with global-qubit traffic,
+// emulated high-level ops, a collapsing measurement, an expectation, a
+// trailing measurement) on the "hpc" backend as ground truth, then
+// re-runs it on "dist" under a matrix of deterministic fault schedules
+// spanning every action (delay / drop / abort / alloc-fail) across the
+// instrumented sites (send / sendrecv / barrier / alltoall / alltoallv
+// / job / alloc / exchange / exchange pass / scatter / gather), faults
+// inside the emulated ops included. Every run starts from one fixed
+// non-zero basis state, so a restore that re-initializes the wrong
+// state shows. The campaign contract, per schedule:
 //
 //   * the run completes and its final state is bit-identical to the hpc
 //     reference (max |amp diff| <= 1e-12, identical measurement
@@ -27,9 +28,13 @@
 // checkpoint overhead (forced every-segment checkpoints vs checkpoints
 // off, no faults) and recovery latency (one injected abort vs clean).
 //
-// Run: ./fault_campaign [--qubits 16] [--ranks 4] [--schedules 14]
+// --schedules N adds N seeded random schedules after the deterministic
+// core, which always runs in full.
+//
+// Run: ./fault_campaign [--qubits 16] [--ranks 4] [--schedules 16]
 //      [--seed 1] [--timeout 0.5] [--retries 2] [--no-degrade]
 //      [--json out.json] [--trace-out trace.json] [--verbose]
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -49,10 +54,11 @@ namespace {
 using namespace qc;
 
 /// The campaign program: every fault site gets traffic. Global-qubit
-/// gates force exchanges, the QFT pair forces long gate segments (and
-/// checkpoints between them), the collapsing measure exercises the
-/// forced pre-collapse checkpoint, the trailing measure the post-replay
-/// path.
+/// gates force exchanges; the add (one all-to-all permutation), the
+/// phase oracle and the QFT pair (three transposes each) run as
+/// emulated ops between checkpoints; the collapsing measure exercises
+/// the forced pre-collapse checkpoint, the trailing measure the
+/// post-replay path.
 engine::Program make_program(qubit_t n) {
   engine::Program p(n);
   for (qubit_t q = 0; q < n; ++q) {
@@ -61,6 +67,8 @@ engine::Program make_program(qubit_t n) {
   }
   p.cnot(0, static_cast<qubit_t>(n - 1));
   p.cnot(static_cast<qubit_t>(n - 1), 1);
+  p.add({0, 3}, {3, 3});
+  p.phase_oracle([](index_t i) { return (i & 0xff) == 0x5a; });
   p.qft();
   p.expectation_z(index_t{0b101});
   p.inverse_qft();
@@ -123,7 +131,7 @@ std::vector<std::string> core_schedules(double /*timeout_s*/) {
       "abort@cluster.barrier#2",        // barrier abort
       "abort@cluster.sendrecv#1",       // pairwise exchange abort
       "abort@dist.exchange#0",          // first chunk exchange
-      "abort@dist.exchange_pass#1",     // remap pass abort
+      "abort@dist.exchange_pass#0",     // remap pass abort
       "abort@dist.scatter#0/1",         // initialization abort on rank 1
       "abort@dist.gather#0",            // gather abort at finalize
       "drop@cluster.send#1",            // lost message -> peer timeout
@@ -133,6 +141,9 @@ std::vector<std::string> core_schedules(double /*timeout_s*/) {
       "abort@cluster.allgather#0",      // collective abort (measurement path)
       "delay@cluster.broadcast#0:100",  // slow outcome broadcast, inside deadline
       "allocfail@dist.alloc#0/1",       // rank 1 chunk allocation fails
+      "abort@cluster.alltoall#1",       // the first QFT's second transpose
+      "abort@cluster.alltoallv#0",      // the add's all-to-all permutation
+      "abort@dist.exchange_pass#3/2",   // rank 2, the first QFT's first transpose
       // Cascade: every recovery attempt is itself aborted until the
       // retry budget runs out — the degradation ladder's deterministic
       // demonstration (completes bit-identical on "cached").
@@ -146,7 +157,7 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const auto n = static_cast<qubit_t>(cli.get_int("qubits", 16));
   const int ranks = static_cast<int>(cli.get_int("ranks", 4));
-  const auto want = static_cast<std::size_t>(cli.get_int("schedules", 16));
+  const auto extra = static_cast<std::uint64_t>(std::max(0L, cli.get_int("schedules", 16)));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const double timeout_s = cli.get_double("timeout", 0.5);
   const int retries = static_cast<int>(cli.get_int("retries", 2));
@@ -185,13 +196,12 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The whole deterministic core, then `extra` seeded random schedules
+  // beyond it — same --seed, same matrix, forever.
   std::vector<std::string> schedules = core_schedules(timeout_s);
-  // Beyond the deterministic core, extend with seeded random schedules —
-  // same --seed, same matrix, forever.
-  for (std::uint64_t i = 0; schedules.size() < want; ++i)
+  for (std::uint64_t i = 0; i < extra; ++i)
     schedules.push_back(
         cluster::FaultInjector::seeded(seed + 1000 + i, 2, ranks, 0.1).to_string());
-  if (schedules.size() > want) schedules.resize(want);
 
   std::size_t completed = 0, degraded = 0, failed_typed = 0, violations = 0;
   double recovery_latency_s = 0;
