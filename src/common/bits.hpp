@@ -17,7 +17,8 @@ namespace qc::bits {
 /// sanctioned spelling for "one shifted by a runtime amount": a raw
 /// `1 << k` shifts at int width, which is undefined behaviour the moment
 /// k reaches 31 — and silently wrong long before an amplitude index
-/// needs it. tools/lint.py rejects raw `1 <<` on variable shift counts.
+/// needs it. qc-analyze's raw-shift rule rejects `1 <<` by a variable
+/// count.
 constexpr index_t bit(qubit_t k) noexcept {
   assert(k < 64);
   return index_t{1} << k;

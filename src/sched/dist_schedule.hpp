@@ -7,8 +7,8 @@
 // on local qubits never communicate; a gate targeting a global qubit
 // normally pays one pairwise exchange of the whole chunk — the
 // 16N/B_net term of Eq. 6, per gate. dist_schedule() plans around that
-// cost with the LocalityPlanner (sched/locality.hpp), with the nl local
-// qubits as boundary and chunk exchanges as unit:
+// cost with its locality planner (dist_schedule.cpp; the permutation
+// helpers are in sched/locality.hpp), in units of chunk exchanges:
 //
 //  * maximal runs of gates whose (remapped) support lies below nl
 //    become Local items — an nl-qubit sub-circuit pushed through the

@@ -1,30 +1,14 @@
-// The rank-level locality planner behind dist_schedule()
-// (sched/dist_schedule.hpp): the paper's rule for keeping the qubits
-// the next run of gates touches inside each rank's chunk.
-//
-// qHiPSTER's local/global split charges every gate on a global qubit
-// one chunk exchange (Eq. 6's 16N/B_net term). The answer is one
-// permutation of disjoint qubit transpositions that brings an upcoming
-// run's qubits below the boundary of nl rank-local qubits, decided as
-// follows:
-//
-//  * a 64-op next-use window from the gate being decided;
-//  * imports: that gate's qubits above the boundary (mandatory), then
-//    the window's other non-local qubits, soonest used first;
-//  * victims: the local qubits the gate does not touch, farthest next
-//    use first; an optional import only displaces a qubit used later;
-//  * the trial permutation is scored in chunk exchanges (the caller's
-//    per-gate cost summed over the window, before minus after) and taken
-//    when models::remap_profitable says the saving pays for the remap.
-//    Each scored decision is the "sched.exchange_decision" trace
-//    instant.
+// Qubit-permutation helpers for the rank level: dist_schedule()'s
+// locality planner (sched/dist_schedule.cpp), which moves the qubits
+// the next run of gates touches into each rank's chunk, and the dist
+// backend, which carries the reached permutation across segments and
+// restores logical order at the end (restore_rounds).
 //
 // The cache level has no counterpart: schedule() (sched/schedule.hpp)
 // never moves a qubit.
 #pragma once
 
 #include <array>
-#include <functional>
 #include <vector>
 
 #include "circuit/gate.hpp"
@@ -48,34 +32,6 @@ using Swaps = std::vector<std::array<qubit_t, 2>>;
 /// permutation (DistStateVector::apply_qubit_swaps).
 /// Identity permutations yield zero rounds. Throws std::invalid_argument
 /// when `perm` is not a permutation.
-[[nodiscard]] std::vector<Swaps> restore_rounds(std::vector<qubit_t> perm);
-
-class LocalityPlanner {
- public:
-  /// Chunk exchanges op j pays under a logical->physical permutation.
-  using OpCost = std::function<std::size_t(std::size_t j, const std::vector<qubit_t>& perm)>;
-
-  /// `masks[j]` is op j's logical support; physical positions below
-  /// `boundary` are local. Planning starts from `perm` (logical ->
-  /// physical). Throws std::invalid_argument when `perm` is not a
-  /// permutation.
-  LocalityPlanner(qubit_t boundary, std::vector<index_t> masks, std::vector<qubit_t> perm);
-
-  /// The current logical->physical permutation.
-  [[nodiscard]] const std::vector<qubit_t>& perm() const { return perm_; }
-  /// True when all of op j's qubits sit below the boundary under `p`.
-  [[nodiscard]] bool local(std::size_t j, const std::vector<qubit_t>& p) const;
-  [[nodiscard]] bool local(std::size_t j) const { return local(j, perm_); }
-
-  /// The remap decision for op i, which is not local: the swaps that
-  /// make it local, already committed to perm(), or none when it stays
-  /// where it is (too wide for the block, or the remap does not pay).
-  [[nodiscard]] Swaps remap(std::size_t i, const OpCost& cost);
-
- private:
-  qubit_t boundary_;
-  std::vector<index_t> masks_;
-  std::vector<qubit_t> perm_, inv_;  ///< Logical->physical and its inverse.
-};
+[[nodiscard]] std::vector<Swaps> restore_rounds(const std::vector<qubit_t>& perm);
 
 }  // namespace qc::sched

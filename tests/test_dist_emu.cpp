@@ -31,10 +31,8 @@ TEST_P(DistPermutation, MatchesSerialEmulator) {
   serial.randomize_deterministic(n * 31);
   Emulator semu(serial);
   const index_t mask = bits::low_mask(n);
-  const auto f = [mask](index_t i) { return (i ^ (i >> 3) ^ 0x2b) & mask ^ (i << 2 & mask); };
-  // Make an honest bijection instead: multiply by odd constant mod 2^n.
+  // A bijection: multiply by an odd constant mod 2^n.
   const auto g = [mask](index_t i) { return (i * 5 + 3) & mask; };
-  (void)f;
   semu.apply_permutation(g);
 
   cluster::Cluster cluster(ranks, 1);

@@ -285,7 +285,9 @@ TEST(FusionPass, WidthOneFusesOnlyUncontrolledRuns) {
   opts.max_width = 1;
   const FusedCircuit plan = fuse_circuit(c, opts);
   for (const FusedItem& item : plan.items)
-    if (item.kind == FusedItem::Kind::Block) EXPECT_EQ(item.block.width(), 1u);
+    if (item.kind == FusedItem::Kind::Block) {
+      EXPECT_EQ(item.block.width(), 1u);
+    }
   EXPECT_LT(backend_divergence(c, opts, 24), 1e-12);
 }
 

@@ -192,11 +192,28 @@ class CliContract(unittest.TestCase):
         self.assertEqual(len(lines), 3)
         self.assertTrue(all("[p2p-sendrecv]" in l for l in lines))
 
-    def test_libclang_frontend_is_gated(self):
-        proc = self.run_cli(
-            "--frontend", "libclang",
-            "--paths", os.path.join(FIXTURE_DIR, "waivers.cpp"))
-        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+    def test_compile_db_discovery_keeps_to_the_source_roots(self):
+        # A build's compile db also lists TUs outside src/, tools/,
+        # tests/, bench/ and examples/: the header-check TUs CMake
+        # generates in the build tree, and bench_suite/ when it is
+        # configured from the root. Discovery leaves them out.
+        src_tu = os.path.join(REPO, "src", "common", "cli.cpp")
+        outside = [os.path.join(REPO, "build", "header_check", "common",
+                                "bits.hpp.cpp"),
+                   os.path.join(REPO, "bench_suite", "suite.cpp")]
+        counts = []
+        for tus in ([src_tu], [src_tu, *outside]):
+            with tempfile.TemporaryDirectory() as tmp:
+                with open(os.path.join(tmp, "compile_commands.json"), "w",
+                          encoding="utf-8") as f:
+                    json.dump([{"directory": tmp, "file": tu,
+                                "command": f"c++ -c {tu}"} for tu in tus], f)
+                out = os.path.join(tmp, "findings.json")
+                proc = self.run_cli("-p", tmp, "--json", out)
+                self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+                with open(out, encoding="utf-8") as f:
+                    counts.append(json.load(f)["summary"]["files"])
+        self.assertEqual(counts[0], counts[1])
 
     def test_unknown_rule_is_an_error(self):
         proc = self.run_cli("--paths", FIXTURE_DIR, "--rules", "no-such-rule")

@@ -5,11 +5,14 @@
 // trailing measurement) on the "hpc" backend as ground truth, then
 // re-runs it on "dist" under a matrix of deterministic fault schedules
 // spanning every action (delay / drop / abort / alloc-fail) across the
-// instrumented sites (send / sendrecv / barrier / alltoall / alltoallv
-// / job / alloc / exchange / exchange pass / scatter / gather), faults
-// inside the emulated ops included. Every run starts from one fixed
-// non-zero basis state, so a restore that re-initializes the wrong
-// state shows. The campaign contract, per schedule:
+// instrumented sites the run visits (send / recv / sendrecv / allgather
+// / alltoall / alltoallv / job / alloc / exchange / exchange pass /
+// scatter / gather), faults inside the emulated ops included. Every run
+// starts from one fixed non-zero basis state, so a restore that
+// re-initializes the wrong state shows. Every schedule runs traced: a
+// core schedule that completes without firing ("fault.injected" is 0)
+// tests nothing and counts as a violation; seeded schedules that never
+// fire are only counted. The campaign contract, per schedule:
 //
 //   * the run completes and its final state is bit-identical to the hpc
 //     reference (max |amp diff| <= 1e-12, identical measurement
@@ -124,11 +127,12 @@ bool matches(const engine::Result& r, const engine::Result& ref, std::string* wh
 
 /// The deterministic core matrix: every action crossed over the site
 /// list, hits/ranks staggered so faults land in different run phases.
+/// Each entry must fire in the campaign program.
 std::vector<std::string> core_schedules(double /*timeout_s*/) {
   return {
       "abort@cluster.job#1",            // mid-run job abort, every rank
       "abort@cluster.job#0/2",          // rank 2's first job
-      "abort@cluster.barrier#2",        // barrier abort
+      "abort@cluster.recv#1",           // blocking receive abort
       "abort@cluster.sendrecv#1",       // pairwise exchange abort
       "abort@dist.exchange#0",          // first chunk exchange
       "abort@dist.exchange_pass#0",     // remap pass abort
@@ -137,9 +141,9 @@ std::vector<std::string> core_schedules(double /*timeout_s*/) {
       "drop@cluster.send#1",            // lost message -> peer timeout
       "drop@cluster.send#2/1",          // rank 1 loses its 3rd send
       "delay@cluster.job#1/0:150",      // slow rank, inside deadline
-      "delay@cluster.barrier#1:150",    // slow barrier arrival
+      "delay@cluster.alltoall#0:150",   // slow transpose arrival, inside deadline
       "abort@cluster.allgather#0",      // collective abort (measurement path)
-      "delay@cluster.broadcast#0:100",  // slow outcome broadcast, inside deadline
+      "delay@cluster.allgather#0:100",  // slow allgather arrival, inside deadline
       "allocfail@dist.alloc#0/1",       // rank 1 chunk allocation fails
       "abort@cluster.alltoall#1",       // the first QFT's second transpose
       "abort@cluster.alltoallv#0",      // the add's all-to-all permutation
@@ -199,27 +203,35 @@ int main(int argc, char** argv) {
   // The whole deterministic core, then `extra` seeded random schedules
   // beyond it — same --seed, same matrix, forever.
   std::vector<std::string> schedules = core_schedules(timeout_s);
+  const std::size_t core = schedules.size();
   for (std::uint64_t i = 0; i < extra; ++i)
     schedules.push_back(
         cluster::FaultInjector::seeded(seed + 1000 + i, 2, ranks, 0.1).to_string());
 
-  std::size_t completed = 0, degraded = 0, failed_typed = 0, violations = 0;
+  std::size_t completed = 0, degraded = 0, failed_typed = 0, violations = 0, unfired = 0;
   double recovery_latency_s = 0;
   for (std::size_t i = 0; i < schedules.size(); ++i) {
     engine::RunOptions opts = base;
     opts.fault_spec = schedules[i];
+    opts.trace = true;  // its "fault.injected" counter shows the schedule fired
     std::string outcome;
     std::string why;
     WallTimer t;
     try {
       const engine::Result r = eng.run(program, opts);
-      if (matches(r, ref, &why)) {
-        ++completed;
-        if (r.degraded) ++degraded;
-        outcome = r.degraded ? "degraded (" + r.degrade_reason + ")" : "completed";
-      } else {
+      const bool fired = r.trace_data->counters.count("fault.injected") > 0;
+      if (!matches(r, ref, &why)) {
         ++violations;
         outcome = "VIOLATION: completed but " + why;
+      } else if (!fired && i < core) {
+        ++violations;
+        outcome = "VIOLATION: completed but the core schedule never fired";
+      } else {
+        ++completed;
+        if (r.degraded) ++degraded;
+        if (!fired) ++unfired;
+        outcome = r.degraded ? "degraded (" + r.degrade_reason + ")"
+                             : fired ? "completed" : "completed, never fired";
       }
     } catch (const cluster::ClusterError& e) {
       // Typed failure: legal iff the next, fault-free run is clean —
@@ -293,6 +305,7 @@ int main(int argc, char** argv) {
   json += "  \"schedules_completed\": " + std::to_string(completed) + ",\n";
   json += "  \"schedules_degraded\": " + std::to_string(degraded) + ",\n";
   json += "  \"schedules_failed_typed\": " + std::to_string(failed_typed) + ",\n";
+  json += "  \"seeded_unfired\": " + std::to_string(unfired) + ",\n";
   json += "  \"contract_violations\": " + std::to_string(violations) + ",\n";
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6f", t_ckpt_off);
@@ -317,7 +330,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "fault_campaign: OK: %zu schedules (%zu completed, %zu degraded, "
-               "%zu failed typed with clean recovery)\n",
-               schedules.size(), completed, degraded, failed_typed);
+               "%zu failed typed with clean recovery; %zu seeded never fired)\n",
+               schedules.size(), completed, degraded, failed_typed, unfired);
   return 0;
 }

@@ -7,13 +7,9 @@ expressions with split argument lists — without a compiler. It is not a
 full C++ parser: it never resolves types or overloads, and it reads
 declarations heuristically. That is enough to be *control-flow
 accurate* (multi-line lambdas, nested branches, early returns), which
-is the whole gap between these rules and a regex linter.
-
-When the libclang Python bindings are available, qc_analyze can swap
-this module for a clang-based frontend (`--frontend libclang`); both
-produce the same Scope/Stmt/Call surface. This container-independent
-frontend is the default so the gate never silently degrades to
-"skipped" on machines without libclang.
+is the whole gap between these rules and a regex linter. It needs
+nothing beyond the Python standard library, so the gate runs the same
+everywhere.
 """
 
 from __future__ import annotations
@@ -40,11 +36,14 @@ class Tok:
     kind: str  # 'id' | 'num' | 'str' | 'chr' | 'punct'
     text: str
     line: int
+    directive: bool = False  # part of a preprocessor line
 
 
 def lex(text: str) -> list[Tok]:
-    """Tokenizes C++ source: comments and preprocessor lines vanish,
-    string/char literals collapse to one token, line numbers survive."""
+    """Tokenizes C++ source: comments vanish, string/char literals
+    collapse to one token, line numbers survive. Preprocessor lines are
+    lexed on their own and their tokens flagged `directive`: the token
+    rules read macro bodies, the structural parse skips them."""
     toks: list[Tok] = []
     i, n, line = 0, len(text), 1
     at_line_start = True
@@ -70,7 +69,9 @@ def lex(text: str) -> list[Tok]:
             i = seg_end
             continue
         if ch == "#" and at_line_start:
-            # Preprocessor directive: skip to end of (continued) line.
+            # Preprocessor directive: runs to the end of its (continued)
+            # line, so nothing in it can swallow the code after it.
+            start, start_line = i + 1, line
             while i < n:
                 j = text.find("\n", i)
                 if j < 0:
@@ -82,6 +83,8 @@ def lex(text: str) -> list[Tok]:
                     continue
                 i = j  # leave the newline for the main loop
                 break
+            for t in lex(text[start:i]):
+                toks.append(Tok(t.kind, t.text, t.line + start_line - 1, directive=True))
             continue
         at_line_start = False
         if ch == '"' or (ch == "R" and nxt == '"'):
@@ -356,14 +359,12 @@ class Site:
     ctx: tuple[CondInfo, ...]
 
 
-def parse_file(path: str, text: str) -> list[Scope]:
-    """Returns every function and lambda scope in the file, statement
-    trees parsed and control contexts attached."""
-    top = tree(lex(text))
+def parse_file(path: str, toks: list[Tok]) -> list[Scope]:
+    """Returns every function and lambda scope in the file (`toks` from
+    lex()), statement trees parsed and control contexts attached."""
+    top = tree([t for t in toks if not t.directive])
     scopes: list[Scope] = []
     _walk_outer(top.items, [], path, scopes)
-    for sc in scopes if True else []:
-        pass
     # Lambdas are discovered per function body, appended to `scopes`
     # inside _finish_scope via the worklist below.
     result: list[Scope] = []

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""qc-analyze — SPMD protocol static analyzer for the cluster runtime.
+"""qc-analyze — the repo's static analyzer: SPMD protocol and index rules.
 
 Walks every translation unit (discovered from a CMake
 compile_commands.json, or an explicit path list) and checks the
 protocol discipline of the `qc::cluster::Comm` / `ClusterSession` API —
 the bug classes that stop being in-process hangs and become silent
-multi-node deadlocks once the transport is pluggable:
+multi-node deadlocks once the transport is pluggable — plus two token
+rules for index and ownership code:
 
   collective-divergence  a collective (barrier/broadcast/allgather/
                          alltoall/alltoallv/allreduce_*/sync) reached
@@ -48,14 +49,25 @@ multi-node deadlocks once the transport is pluggable:
                          instant) — metrics that land outside every
                          traceable context.
 
-  submit-closure         AST-accurate version of the lint.py rule:
-                         closures handed to submit()/run() (or to the
+  submit-closure         closures handed to submit()/run() (or to the
                          dist backend's run_job(), which submits them)
                          execute on rank threads where a throw unwinds
                          through abort/recovery — bare .lock()/.unlock(),
                          malloc/free and naked new are rejected, in the
                          closure itself, in lambdas nested inside it,
                          and in same-file helper functions it calls.
+
+  raw-shift              `1 << k` / `1u << k` with a count that is not a
+                         literal or sizeof: the shift happens at int
+                         width, undefined behaviour once k reaches 31
+                         (amplitude and rank indices are 64-bit). Typed
+                         literals (index_t{1} << k) and 64-bit suffixes
+                         (1ull << k) pass. Every analyzed file.
+
+  naked-new              a `new T` expression in library code (src/,
+                         tools/): ownership is RAII from the first
+                         instruction — std::make_unique/make_shared or a
+                         container.
 
 Findings carry file:line, a rule id and a fix-it hint, and honor the
 repo-wide waiver syntax on the finding line (or the line above):
@@ -64,12 +76,8 @@ repo-wide waiver syntax on the finding line (or the line above):
 
 Waivers require a reason and are reported as notes.
 
-Frontends: the default `builtin` frontend (cppast.py) is a
-dependency-free structural C++ parser — control-flow accurate for
-these rules and runnable in any container. `--frontend libclang` is
-gated on the clang Python bindings, which this toolchain does not
-ship; requesting it without them is an environment error (exit 2),
-never a silent skip.
+The frontend (cppast.py) is a dependency-free structural C++ parser:
+control-flow accurate for these rules and runnable anywhere Python is.
 
 Usage:
   qc_analyze.py -p build                      # TUs from compile db
@@ -101,6 +109,8 @@ RULES = {
     "atomic-order": "relaxed load paired with release stores",
     "span-discipline": "obs counter emitted outside any span",
     "submit-closure": "unsafe resource acquisition in a rank closure",
+    "raw-shift": "int-width shift of 1 by a variable count",
+    "naked-new": "naked new in library code",
 }
 
 COLLECTIVES = {
@@ -139,6 +149,7 @@ class Unit:
     path: str  # repo-relative, '/' separators
     text: str
     raw_lines: list[str]
+    tokens: list[cppast.Tok] = field(default_factory=list)
     scopes: list[cppast.Scope] = field(default_factory=list)
     scope_by_body: dict[int, cppast.Scope] = field(default_factory=dict)
     effective: str = ""  # path used for rule-scoping decisions
@@ -159,7 +170,8 @@ def load_unit(abspath: str) -> Unit:
         if m:
             unit.effective = m.group(1)
             break
-    unit.scopes = cppast.parse_file(rel, text)
+    unit.tokens = cppast.lex(text)
+    unit.scopes = cppast.parse_file(rel, unit.tokens)
     for sc in unit.scopes:
         unit.scope_by_body[id(sc.body)] = sc
     return unit
@@ -283,6 +295,8 @@ class Analyzer:
             ("atomic-order", self.check_atomic_order),
             ("span-discipline", self.check_span_discipline),
             ("submit-closure", self.check_submit_closures),
+            ("raw-shift", self.check_raw_shift),
+            ("naked-new", self.check_naked_new),
         ]
         for rule, fn in order:
             if rule in rules:
@@ -593,16 +607,51 @@ class Analyzer:
                     self._check_closure(unit, helper, visited, via=call.name)
         toks = list(cppast.iter_tokens(scope.body.items,
                                        skip_lambda_bodies=False))
-        for j, t in enumerate(toks):
-            if t.kind == "id" and t.text == "new" and j + 1 < len(toks) \
-                    and toks[j + 1].kind == "id":
-                self.emit("submit-closure", unit, t.line,
-                          f"naked new in a rank closure{where} — leaks when "
-                          f"the job throws", self._UNSAFE_HINT)
+        for t in _naked_news(toks):
+            self.emit("submit-closure", unit, t.line,
+                      f"naked new in a rank closure{where} — leaks when "
+                      f"the job throws", self._UNSAFE_HINT)
         # Lambdas nested in the closure run on the same rank thread.
         for child_unit_scope in unit.scopes:
             if child_unit_scope.parent is scope and not via:
                 self._check_closure(unit, child_unit_scope, visited)
+
+    # -- rules: raw-shift / naked-new (token rules) ----------------------
+
+    def check_raw_shift(self):
+        for unit in self.units:
+            toks = unit.tokens
+            for j in range(len(toks) - 3):
+                one, count = toks[j], toks[j + 3]
+                # The lexer splits `<<` into two `<` tokens.
+                if (one.kind == "num" and one.text in ("1", "1u", "1U")
+                        and toks[j + 1].text == "<" and toks[j + 2].text == "<"
+                        and count.kind != "num" and count.text != "sizeof"):
+                    self.emit(
+                        "raw-shift", unit, one.line,
+                        f"'{one.text} <<' by a variable count shifts at int "
+                        f"width — undefined behaviour once the count reaches 31",
+                        "use bits::bit()/bits::mask() (common/bits.hpp), a "
+                        "typed literal (index_t{1} << k) or a 64-bit suffix")
+
+    def check_naked_new(self):
+        for unit in self.units:
+            if not unit.is_lib:
+                continue
+            for t in _naked_news(unit.tokens):
+                self.emit(
+                    "naked-new", unit, t.line,
+                    "naked new in library code — the allocation leaks "
+                    "if anything throws before it is owned",
+                    "use std::make_unique/make_shared or a container")
+
+
+def _naked_news(toks: list[cppast.Tok]) -> list[cppast.Tok]:
+    """The `new` tokens that start a `new T` expression (placement new,
+    `new (buf) T`, is not one)."""
+    return [t for t, nxt in zip(toks, toks[1:])
+            if t.kind == "id" and t.text == "new"
+            and (nxt.kind == "id" or nxt.text in ("::", "<"))]
 
 
 # --- waivers ----------------------------------------------------------
@@ -640,16 +689,20 @@ def _is_fixture(path: str) -> bool:
 
 
 def files_from_compile_db(db_path: str) -> list[str]:
+    """The db's TUs under the source roots, plus every src/ header. TUs
+    elsewhere (the header-check TUs CMake generates in the build tree, a
+    bench_suite configured from the root) are not the repo's sources."""
     with open(db_path, encoding="utf-8") as f:
         db = json.load(f)
+    roots = tuple(os.path.join(os.path.realpath(REPO), d) + os.sep
+                  for d in DEFAULT_DIRS)
     files = set()
     for entry in db:
         p = entry["file"]
         if not os.path.isabs(p):
             p = os.path.normpath(os.path.join(entry.get("directory", ""), p))
         p = os.path.realpath(p)
-        if p.startswith(os.path.realpath(REPO) + os.sep) and _want(p) \
-                and not _is_fixture(p):
+        if p.startswith(roots) and _want(p) and not _is_fixture(p):
             files.add(p)
     # Headers are not TUs; the protocol lives in cluster.hpp and friends,
     # so sweep them in from the same roots the db's TUs cover.
@@ -704,23 +757,7 @@ def main(argv=None) -> int:
                     f"(default: all of {', '.join(sorted(RULES))})")
     ap.add_argument("--json", metavar="FILE",
                     help="also write findings as JSON")
-    ap.add_argument("--frontend", choices=["auto", "builtin", "libclang"],
-                    default="auto")
     args = ap.parse_args(argv)
-
-    if args.frontend == "libclang":
-        try:
-            import clang.cindex  # noqa: F401
-        except ImportError:
-            print("qc-analyze: error: --frontend libclang requires the clang "
-                  "Python bindings (python3-clang + libclang), which are not "
-                  "installed; the builtin structural frontend is the "
-                  "supported default", file=sys.stderr)
-            return 2
-        print("qc-analyze: error: the libclang frontend is gated off until "
-              "the bindings are part of the toolchain image; run with "
-              "--frontend builtin", file=sys.stderr)
-        return 2
 
     try:
         if args.paths:
