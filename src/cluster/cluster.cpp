@@ -125,28 +125,6 @@ void Comm::barrier() {
   if (state_->aborted.load(std::memory_order_relaxed)) throw ClusterAborted{};
 }
 
-void Comm::comm_alltoall_counts(std::span<const std::size_t> send,
-                                std::span<std::size_t> recv) {
-  // The count exchange is its own blocking phase of alltoallv, so it is
-  // its own fault site — a loss here wedges the payload phase.
-  fault_point("cluster.alltoallv.counts", rank_);
-  const int p = size();
-  for (int r = 0; r < p; ++r) {
-    if (r == rank_) {
-      recv[static_cast<std::size_t>(r)] = send[static_cast<std::size_t>(r)];
-    } else {
-      send_bytes(r, std::as_bytes(send.subspan(static_cast<std::size_t>(r), 1)),
-                 kCollectiveTag - 1);
-    }
-  }
-  for (int r = 0; r < p; ++r) {
-    if (r == rank_) continue;
-    recv_bytes(r,
-               std::as_writable_bytes(recv.subspan(static_cast<std::size_t>(r), 1)),
-               kCollectiveTag - 1);
-  }
-}
-
 double Comm::allreduce_max(double local) {
   std::vector<double> all(static_cast<std::size_t>(size()));
   allgather<double>(std::span<const double>(&local, 1), std::span<double>(all));
@@ -245,6 +223,7 @@ void ClusterSession::worker(int rank) {
       obs::Span job_span("cluster.job", job->parent);
       job_span.arg("job", static_cast<double>(j));
       job_span.arg("rank", static_cast<double>(rank));
+      comm.collective_seq_ = 0;
       try {
         fault_point("cluster.job", rank);
         (job->fn)(comm);
@@ -281,6 +260,8 @@ void ClusterSession::recover_locked() {
     std::lock_guard lock(b.mutex);
     b.queue.clear();
   }
+  // A failed motion's windows may point at buffers its job freed.
+  std::fill(state_->windows.begin(), state_->windows.end(), detail::Window{});
   {
     std::lock_guard lock(state_->barrier.mutex);
     state_->barrier.waiting = 0;

@@ -1,15 +1,32 @@
-// In-process message-passing runtime (the distributed-memory substrate).
+// In-process SPMD runtime (the distributed-memory substrate).
 //
 // The paper runs its distributed experiments with MPI on the Stampede
 // supercomputer. This machine has neither MPI nor an interconnect, so the
 // library ships its own rank-based SPMD runtime: a Cluster spawns R rank
 // threads, each owning a private memory partition, that communicate
-// exclusively through Comm — point-to-point eager sends with tag
-// matching, plus the collectives the distributed state vector and
-// distributed FFT need (barrier, broadcast, allgather, alltoall,
-// allreduce). The API deliberately mirrors MPI naming (per the LLNL MPI
-// guide) so the algorithms read like their MPI originals and could be
-// ported back to real MPI by swapping this header.
+// exclusively through Comm. The API mirrors MPI naming (per the LLNL MPI
+// guide) so the algorithms read like their MPI originals.
+//
+// Rank data motion is one-sided, the pattern MPI-3 gives ranks that
+// share memory (MPI_Win_allocate_shared read between two fences):
+//
+//   comm.expose<V>(chunk);  // publish this rank's buffer
+//   comm.barrier();         // fence 1: every rank's exposure is visible
+//   ...                     // pull: read comm.window<V>(r) of any rank r,
+//                           // write only memory no rank exposed
+//   comm.barrier();         // fence 2: every pull is done
+//
+// So every byte crosses ranks in one copy, straight from the owner's
+// buffer into the reader's, and the reader may gather strided blocks or
+// combine on the way. No rank writes an exposed buffer between the
+// fences; the distributed state vector pulls into its scratch and only
+// swaps chunk and scratch after fence 2, so a motion that aborts leaves
+// every chunk as it was. A multi-node transport would implement the
+// same contract with MPI RMA.
+//
+// Eager point-to-point messages (send/recv with tag matching) remain
+// only under the small collectives the measurement and norm paths use:
+// allgather and allreduce_*.
 //
 // Semantics:
 //  * send() is buffered (eager): it copies the payload and returns; no
@@ -26,12 +43,12 @@
 //    grace multiple of the budget) into the same clean abort. A rank
 //    hung in pure *compute* cannot be preempted — the same limitation
 //    real MPI has — but every communication wait is bounded.
-//  * Named fault-injection sites (cluster.send/recv/sendrecv/barrier/
-//    broadcast/allgather/alltoall/alltoallv[.counts]/job) call
-//    cluster::fault_point, so a deterministic FaultInjector (fault.hpp)
-//    can exercise all of the above on demand — every communication
-//    entry point is a place the campaign can fail (enforced by
-//    tools/qc_analyze rule fault-site).
+//  * Named fault-injection sites (cluster.send/recv/barrier/allgather/
+//    job) call cluster::fault_point, so a deterministic FaultInjector
+//    (fault.hpp) can exercise all of the above on demand. A fence is a
+//    barrier, so every fence is a place the campaign can fail; the
+//    motions built on expose/fence/pull name their own sites before
+//    they expose (enforced by tools/qc_analyze rule fault-site).
 //
 // The runtime is persistent: a ClusterSession spawns its rank threads
 // once and parks them on a job queue. submit() enqueues a closure that
@@ -45,6 +62,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -88,12 +106,23 @@ struct Barrier {
   std::uint64_t generation = 0;
 };
 
+/// One rank's exposed buffer (Comm::expose).
+struct Window {
+  const std::byte* data = nullptr;
+  std::size_t bytes = 0;
+};
+
 struct SharedState {
   explicit SharedState(int size)
-      : size(size), boxes(static_cast<std::size_t>(size) * size) {}
+      : size(size),
+        boxes(static_cast<std::size_t>(size) * size),
+        windows(static_cast<std::size_t>(size)) {}
 
   int size;
   std::vector<Mailbox> boxes;  // index: src * size + dst
+  /// Index: rank. Written by its own rank only, read by peers between
+  /// the fences that follow the write (the barrier orders both).
+  std::vector<Window> windows;
   Barrier barrier;
   std::atomic<bool> aborted{false};
   /// Deadline budget for blocking operations, seconds; <= 0 disables.
@@ -138,29 +167,30 @@ class Comm {
     recv_bytes(src, std::as_writable_bytes(data), tag);
   }
 
-  /// Symmetric exchange with `peer` (send our buffer, receive theirs).
-  /// Safe under eager sends regardless of ordering.
-  template <typename T>
-  void sendrecv(int peer, std::span<const T> out, std::span<T> in, int tag = 0) {
-    fault_point("cluster.sendrecv", rank_);
-    send(peer, out, tag);
-    recv(peer, in, tag);
-  }
-
-  /// All ranks block until every rank has arrived.
+  /// All ranks block until every rank has arrived. Also the fence of
+  /// expose/fence/pull.
   void barrier();
 
-  /// Root's buffer is copied to all ranks.
+  /// Publishes `data` as this rank's window: after the next fence every
+  /// rank may read it through window(), until the fence after that.
+  /// The caller keeps `data` alive and unwritten over that span.
+  /// Collective: every rank exposes (an empty span is a valid window).
   template <typename T>
-  void broadcast(int root, std::span<T> data) {
+  void expose(std::span<const T> data) {
     static_assert(std::is_trivially_copyable_v<T>);
-    fault_point("cluster.broadcast", rank_);
-    if (rank_ == root) {
-      for (int r = 0; r < size(); ++r)
-        if (r != root) send<T>(r, data, kCollectiveTag);
-    } else {
-      recv<T>(root, data, kCollectiveTag);
-    }
+    const std::span<const std::byte> bytes = std::as_bytes(data);
+    state_->windows[static_cast<std::size_t>(rank_)] = {bytes.data(), bytes.size()};
+  }
+
+  /// Rank `r`'s window, as exposed with the same T; valid between the
+  /// two fences that follow its expose().
+  template <typename T>
+  [[nodiscard]] std::span<const T> window(int r) const {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (r < 0 || r >= size()) throw std::invalid_argument("window: bad rank");
+    const detail::Window& w = state_->windows[static_cast<std::size_t>(r)];
+    if (w.bytes % sizeof(T) != 0) throw std::invalid_argument("window: size is not a whole T");
+    return {reinterpret_cast<const T*>(w.data), w.bytes / sizeof(T)};
   }
 
   /// Each rank contributes `block` elements; every rank receives all
@@ -172,93 +202,13 @@ class Comm {
     if (all.size() != block * static_cast<std::size_t>(size()))
       throw std::invalid_argument("allgather: output size mismatch");
     fault_point("cluster.allgather", rank_);
+    const int tag = next_collective_tag();
     for (int r = 0; r < size(); ++r)
-      if (r != rank_) send<T>(r, local, kCollectiveTag);
+      if (r != rank_) send<T>(r, local, tag);
     std::memcpy(all.data() + static_cast<std::size_t>(rank_) * block, local.data(),
                 block * sizeof(T));
     for (int r = 0; r < size(); ++r)
-      if (r != rank_) recv<T>(r, all.subspan(static_cast<std::size_t>(r) * block, block),
-                              kCollectiveTag);
-  }
-
-  /// Block-transpose exchange: block j of `out` goes to rank j; block r
-  /// of `in` comes from rank r. All blocks have out.size()/size()
-  /// elements. This is the communication primitive of the distributed
-  /// FFT's three transposition steps (paper Eq. 5 charges 3 all-to-alls).
-  /// `out` and `in` may be the same buffer (in place): every outgoing
-  /// block is copied into its message before any block is received, and
-  /// the self block stays where it is. Any other overlap is undefined.
-  template <typename T>
-  void alltoall(std::span<const T> out, std::span<T> in) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const int p = size();
-    if (out.size() != in.size() || out.size() % static_cast<std::size_t>(p) != 0)
-      throw std::invalid_argument("alltoall: sizes must match and divide rank count");
-    fault_point("cluster.alltoall", rank_);
-    const std::size_t block = out.size() / p;
-    for (int r = 0; r < p; ++r)
-      if (r != rank_) send<T>(r, out.subspan(static_cast<std::size_t>(r) * block, block),
-                              kCollectiveTag);
-    // The explicit bound check keeps GCC's -Wstringop-overflow inliner
-    // analysis from inventing a huge copy size on impossible paths.
-    if (out.data() != in.data() && block > 0 && block <= out.size()) {
-      std::memcpy(in.data() + static_cast<std::size_t>(rank_) * block,
-                  out.data() + static_cast<std::size_t>(rank_) * block, block * sizeof(T));
-    }
-    for (int r = 0; r < p; ++r)
-      if (r != rank_) recv<T>(r, in.subspan(static_cast<std::size_t>(r) * block, block),
-                              kCollectiveTag);
-  }
-
-  /// Variable-size all-to-all: rank r's `sendbuf` holds size() blocks
-  /// back to back, block j of send_counts[j] elements destined for rank
-  /// j. Returns the concatenation of the blocks received (in rank
-  /// order) and writes their sizes to `recv_counts`. This is the
-  /// exchange primitive of distributed classical-function emulation,
-  /// where each rank's amplitudes scatter to arbitrary destination
-  /// ranks (paper §4.2: "one global permutation of the (distributed)
-  /// state vector").
-  template <typename T>
-  std::vector<T> alltoallv(std::span<const T> sendbuf,
-                           std::span<const std::size_t> send_counts,
-                           std::vector<std::size_t>& recv_counts) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const int p = size();
-    if (send_counts.size() != static_cast<std::size_t>(p))
-      throw std::invalid_argument("alltoallv: need one count per rank");
-    std::size_t total = 0;
-    for (const std::size_t c : send_counts) total += c;
-    if (sendbuf.size() != total)
-      throw std::invalid_argument("alltoallv: counts do not match buffer size");
-    fault_point("cluster.alltoallv", rank_);
-
-    // Exchange counts with a fixed-size alltoall, then the payloads.
-    recv_counts.assign(static_cast<std::size_t>(p), 0);
-    comm_alltoall_counts(send_counts, recv_counts);
-    std::size_t offset = 0;
-    for (int r = 0; r < p; ++r) {
-      const std::size_t c = send_counts[static_cast<std::size_t>(r)];
-      if (r != rank_ && c > 0) send<T>(r, sendbuf.subspan(offset, c), kCollectiveTag);
-      offset += c;
-    }
-    std::size_t recv_total = 0;
-    for (const std::size_t c : recv_counts) recv_total += c;
-    std::vector<T> out(recv_total);
-    std::size_t in_offset = 0;
-    std::size_t self_offset = 0;
-    for (int r = 0; r < rank_; ++r) self_offset += send_counts[static_cast<std::size_t>(r)];
-    for (int r = 0; r < p; ++r) {
-      const std::size_t c = recv_counts[static_cast<std::size_t>(r)];
-      if (c > 0) {
-        if (r == rank_) {
-          std::memcpy(out.data() + in_offset, sendbuf.data() + self_offset, c * sizeof(T));
-        } else {
-          recv<T>(r, std::span<T>(out.data() + in_offset, c), kCollectiveTag);
-        }
-      }
-      in_offset += c;
-    }
-    return out;
+      if (r != rank_) recv<T>(r, all.subspan(static_cast<std::size_t>(r) * block, block), tag);
   }
 
   /// Sum of `local` over all ranks, available on all ranks.
@@ -280,14 +230,22 @@ class Comm {
   friend class ClusterSession;
   Comm(int rank, detail::SharedState* state) : rank_(rank), state_(state) {}
 
-  /// Count exchange for alltoallv (non-template helper).
-  void comm_alltoall_counts(std::span<const std::size_t> send,
-                            std::span<std::size_t> recv);
-
   static constexpr int kCollectiveTag = -7771;
+
+  /// Each collective of a job gets its own tag at or below
+  /// kCollectiveTag. Every rank runs a job's collectives in the same
+  /// order, so the tags agree, and a message lost in one collective can
+  /// never be matched by the next one's: the receiver's deadline turns
+  /// the loss into a TimeoutError instead. Numbering restarts with each
+  /// job, so ranks that a failed job left at different collectives
+  /// agree again.
+  int next_collective_tag() noexcept {
+    return kCollectiveTag - static_cast<int>(collective_seq_++ % (1u << 20));
+  }
 
   int rank_;
   detail::SharedState* state_;
+  std::uint32_t collective_seq_ = 0;
 };
 
 /// Persistent SPMD execution context: owns the rank threads and the
@@ -357,7 +315,8 @@ class ClusterSession {
 
   void worker(int rank);
   /// Post-failure cleanup (session mutex held, all ranks parked): clear
-  /// the abort flag, drain every mailbox, reset the barrier.
+  /// the abort flag, drain every mailbox, close every window, reset the
+  /// barrier.
   void recover_locked();
 
   int ranks_;

@@ -184,6 +184,11 @@ std::uint64_t FaultInjector::fired() const noexcept {
   return fired_;
 }
 
+std::map<std::pair<std::string, int>, std::uint64_t> FaultInjector::visits() const {
+  std::lock_guard lock(mutex_);
+  return visits_;
+}
+
 void FaultInjector::reset() {
   std::lock_guard lock(mutex_);
   visits_.clear();
@@ -251,11 +256,9 @@ bool fault_point(std::string_view site, int rank, bool can_drop) {
 
 const std::vector<std::string>& known_fault_sites() {
   static const std::vector<std::string> kSites = {
-      "cluster.send",      "cluster.recv",      "cluster.sendrecv",
-      "cluster.barrier",   "cluster.broadcast", "cluster.allgather",
-      "cluster.alltoall",  "cluster.alltoallv", "cluster.alltoallv.counts",
-      "cluster.job",       "dist.alloc",        "dist.exchange",
-      "dist.exchange_pass", "dist.scatter",     "dist.gather",
+      "cluster.send",  "cluster.recv",  "cluster.barrier",    "cluster.allgather",
+      "cluster.job",   "dist.alloc",    "dist.exchange",      "dist.exchange_pass",
+      "dist.scatter",  "dist.gather",
   };
   return kSites;
 }

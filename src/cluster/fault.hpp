@@ -34,19 +34,15 @@
 //
 //   cluster.send        eager send (drop-capable: message is lost)
 //   cluster.recv        blocking receive
-//   cluster.sendrecv    symmetric exchange entry
-//   cluster.barrier     barrier entry
-//   cluster.broadcast   broadcast entry (root fan-out / leaf receive)
-//   cluster.allgather   allgather entry (all-to-all block exchange)
-//   cluster.alltoall    block-transpose alltoall entry
-//   cluster.alltoallv   variable alltoallv entry (payload phase)
-//   cluster.alltoallv.counts  alltoallv count-exchange phase
+//   cluster.barrier     barrier entry, and so each fence of a rank
+//                       data motion (expose/fence/pull, cluster.hpp)
+//   cluster.allgather   allgather entry (the measurement and norm paths)
 //   cluster.job         rank worker, before the job closure runs
 //   dist.alloc          DistStateVector chunk allocation
-//   dist.exchange       combine-with-paired-chunk exchange
-//   dist.exchange_pass  global-swap chunk permutation pass, and each
-//                       all-to-all of distributed emulation (an FFT
-//                       transpose, an arithmetic permutation)
+//   dist.exchange       per-gate pull-and-combine with the paired chunk
+//   dist.exchange_pass  rank-level qubit-swap round, and each data motion
+//                       of distributed emulation (an FFT transpose, an
+//                       arithmetic route)
 //   dist.scatter        chunk initialization job at begin() (DistBackend)
 //   dist.gather         gather job at take_state() (DistBackend)
 #pragma once
@@ -174,6 +170,10 @@ class FaultInjector {
 
   /// Total rules fired so far (a schedule asserts it actually hit).
   [[nodiscard]] std::uint64_t fired() const noexcept;
+
+  /// Visits so far per (site, rank): the census of where a run goes,
+  /// from which seeded schedules can draw only points it reaches.
+  [[nodiscard]] std::map<std::pair<std::string, int>, std::uint64_t> visits() const;
 
   /// Zeroes the visit counters: the same schedule replays against a
   /// fresh run.

@@ -6,14 +6,16 @@
 // emulating the classical function, which effectively performs one
 // global permutation of the (distributed) state vector". DistEmulator
 // implements that global permutation: each rank evaluates f on its local
-// basis indices, buckets the (destination index, amplitude) pairs by
-// owner rank, exchanges them with one variable-size all-to-all, and
-// scatters the received amplitudes — one communication phase regardless
-// of the function's complexity. The distributed QFT shortcut is the
-// six-step distributed FFT (Eq. 5's three all-to-alls), run in place
-// over the chunk and the chunk-sized scratch the DistStateVector
-// already holds. Each all-to-all is one "dist.exchange_pass" span and
-// fault site, and its bytes count into the state's bytes_communicated().
+// basis indices and buckets the (destination index, amplitude) pairs by
+// owner rank into an outbox it exposes; every rank then pulls its block
+// from every outbox and scatters it into its scratch, which becomes its
+// chunk — one communication phase regardless of the function's
+// complexity. The distributed QFT shortcut is the six-step distributed
+// FFT (Eq. 5's three all-to-alls), run over the chunk and the
+// chunk-sized scratch the DistStateVector already holds. Each data
+// motion is one "dist.exchange_pass" span and fault site, and its bytes
+// count into the state's bytes_communicated(). No chunk changes before
+// a motion's second fence.
 //
 // Templated on the amplitude scalar T like sim::BasicDistStateVector:
 // at fp32 the chunks, the routed amplitudes and the transposes are all

@@ -386,7 +386,10 @@ class DistBackendT final : public Backend {
   /// the whole run — segments deferred theirs via perm_io), copies the
   /// chunks into a fresh fp64 state and drops them. The session stays
   /// open for reuse. The restore rounds and the copy-out are separate
-  /// jobs, so a fault in the copy-out retries in place.
+  /// jobs, so a fault in the copy-out retries in place. Each rank frees
+  /// its scratch once its rounds ran, before the output is touched, so
+  /// the output never sits beside a second state's worth of scratch; a
+  /// replayed restore allocates it again (DistStateVector::scratch()).
   sim::StateVector take_state() override {
     obs::Span gather_span("dist.gather");
     gather_span.arg("host_bytes",
@@ -395,7 +398,9 @@ class DistBackendT final : public Backend {
     const auto rounds = sched::restore_rounds(perm_);
     run_job(Recovery::kReplay, [this, &rounds](cluster::Comm& comm) {
       cluster::fault_point("dist.gather", comm.rank());
-      for (const auto& swaps : rounds) slot(comm).apply_qubit_swaps(swaps);
+      auto& dsv = slot(comm);
+      for (const auto& swaps : rounds) dsv.apply_qubit_swaps(swaps);
+      dsv.release_scratch();
     });
     sim::StateVector out(n_);
     run_job(Recovery::kInPlace, [this, &out](cluster::Comm& comm) {

@@ -119,7 +119,8 @@ struct RunOptions {
   /// Deterministic fault-injection schedule installed for the whole run
   /// (cluster::FaultInjector::parse grammar, e.g.
   /// "abort@cluster.barrier#2;drop@cluster.send#1/0"). Empty: the
-  /// QC_FAULTS environment variable, if set.
+  /// QC_FAULTS environment variable, if set, else the caller's
+  /// installed cluster::ScopedFaultInjector, if any.
   std::string fault_spec;
   /// Degradation ladder: on an unrecoverable cluster error mid-run,
   /// restart the program on the single-node "cached" backend (recorded

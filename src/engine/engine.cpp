@@ -124,15 +124,19 @@ Result Engine::run(const Program& p, const RunOptions& opts) const {
     throw std::invalid_argument("Engine::run: initial_basis outside the register");
 
   // Deterministic fault injection is per-run: an explicit schedule in
-  // the options wins, else the QC_FAULTS environment variable, else no
-  // injector (fault_point sites cost one relaxed atomic load each).
+  // the options wins, else the QC_FAULTS environment variable, else the
+  // injector the caller installed, if any — an empty one takes a census
+  // of the sites the run visits (fault_point sites cost one acquire
+  // atomic load each when none is installed).
   std::unique_ptr<cluster::FaultInjector> injector;
   std::string spec = opts.fault_spec;
   if (spec.empty())
     if (const char* env = std::getenv("QC_FAULTS"); env != nullptr) spec = env;
   if (!spec.empty())
     injector = std::make_unique<cluster::FaultInjector>(cluster::FaultInjector::parse(spec));
-  const cluster::ScopedFaultInjector scoped_faults(injector.get());
+  const cluster::ScopedFaultInjector scoped_faults(injector != nullptr
+                                                       ? injector.get()
+                                                       : cluster::current_injector());
 
   // Tracing is per-run: the tracer is installed process-wide for the
   // run's duration so every layer down to the rank threads records into

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "cluster/fault.hpp"
 #include "models/perf_model.hpp"
 #include "obs/trace.hpp"
-#include "sim/sampling.hpp"
 #include "sim/simulator.hpp"
 
 namespace qc::sim {
@@ -93,38 +93,56 @@ double BasicDistStateVector<T>::probability_of_one(qubit_t q) const {
 }
 
 template <typename T>
+std::span<basic_complex_t<T>> BasicDistStateVector<T>::scratch() {
+  if (scratch_.size() != local_.size()) scratch_.assign(local_.size(), value_type{});
+  return {scratch_.data(), scratch_.size()};
+}
+
+template <typename T>
 void BasicDistStateVector<T>::exchange_and_combine(qubit_t rank_bit, const kernels::U2T<T>& u,
-                                                   index_t local_cmask) {
-  // The per-gate pairwise chunk exchange of Eq. 6 — the span carries the
-  // bytes it moved plus the model's predicted time, so the model-drift
-  // report can compare Eq. 6 against this machine rank by rank. Both the
-  // wire bytes and the prediction scale with sizeof(value_type): an fp32
-  // chunk is half the fp64 traffic. The bytes count only once the
-  // exchange completed, here and in the span alike.
-  obs::Span span("dist.exchange");
-  if (obs::enabled())
-    span.arg("pred_s", models::t_chunk_exchange_seconds(nl_, {}, sizeof(value_type)));
-  cluster::fault_point("dist.exchange", comm_->rank());
-  const int partner = comm_->rank() ^ static_cast<int>(bits::bit(rank_bit));
-  const int my_bit = (comm_->rank() >> rank_bit) & 1;
-  comm_->template sendrecv<value_type>(partner, {local_.data(), local_.size()},
-                                       {scratch_.data(), scratch_.size()});
+                                                   index_t local_cmask, bool participate) {
+  // The per-gate pairwise chunk exchange of Eq. 6, pulled: each rank
+  // reads its partner's chunk and its own and writes the combined pair
+  // into scratch in one pass, then adopts the scratch after the second
+  // fence. The span carries the bytes it moved plus the model's
+  // predicted time, so the model-drift report can compare Eq. 6 against
+  // this machine rank by rank. Both scale with sizeof(value_type): an
+  // fp32 chunk is half the fp64 traffic. The bytes count only once the
+  // exchange completed, here and in the span alike. A rank that sits
+  // the gate out keeps its chunk, moves no bytes, opens no span and
+  // visits no fault site, but joins both fences; their waits land in
+  // the enclosing span.
+  std::optional<obs::Span> span;
+  if (participate) {
+    span.emplace("dist.exchange");
+    if (obs::enabled())
+      span->arg("pred_s", models::t_chunk_exchange_seconds(nl_, {}, sizeof(value_type)));
+    cluster::fault_point("dist.exchange", comm_->rank());
+  }
+  const std::span<value_type> out = scratch();
+  comm_->template expose<value_type>(local());
+  comm_->barrier();
+  if (participate) {
+    const int partner = comm_->rank() ^ static_cast<int>(bits::bit(rank_bit));
+    const bool upper = ((comm_->rank() >> rank_bit) & 1) != 0;
+    // Row `upper` of u: new = m_own * own + m_other * other.
+    const value_type m_own = upper ? u.m11 : u.m00;
+    const value_type m_other = upper ? u.m10 : u.m01;
+    const value_type* own = local_.data();
+    const value_type* other = comm_->template window<value_type>(partner).data();
+    const index_t count = local_.size();
+    // Pairs whose local controls are unset keep their amplitude, which
+    // still has to land in scratch: the whole chunk is swapped.
+#pragma omp parallel for schedule(static) if (worth_parallelizing(count))
+    for (index_t i = 0; i < count; ++i)
+      out[i] = (i & local_cmask) == local_cmask ? m_own * own[i] + m_other * other[i] : own[i];
+  }
+  comm_->barrier();
+  if (!span.has_value()) return;  // sat the gate out
+  swap_scratch();
   const std::size_t bytes = local_.size() * sizeof(value_type);
   bytes_comm_ += bytes;
-  if (obs::enabled()) span.arg("bytes", static_cast<double>(bytes));
-
-  const auto pos = kernels::sorted_bit_positions(local_cmask, {});
-  const kernels::BitExpander expand{pos};
-  const index_t count = dim(nl_) >> pos.size();
-#pragma omp parallel for schedule(static) if (worth_parallelizing(count))
-  for (index_t j = 0; j < count; ++j) {
-    const index_t i = expand(j) | local_cmask;
-    const value_type own = local_[i];
-    const value_type other = scratch_[i];
-    const value_type x0 = my_bit ? other : own;
-    const value_type x1 = my_bit ? own : other;
-    local_[i] = my_bit ? (u.m10 * x0 + u.m11 * x1) : (u.m00 * x0 + u.m01 * x1);
-  }
+  if (obs::enabled()) span->arg("bytes", static_cast<double>(bytes));
 }
 
 template <typename T>
@@ -185,12 +203,12 @@ void BasicDistStateVector<T>::apply_gate(const Gate& g, CommPolicy policy) {
     return;
   }
 
-  // Exchange path, under either policy: the full chunk goes to the
-  // partner, then the pairs whose local controls are set combine. The
+  // Exchange path, under either policy: the partner's full chunk is
+  // read, and the pairs whose local controls are set combine. The
   // partner has identical global control bits (it differs only in the
-  // target bit), so "skip" decisions agree.
-  if (!globals_satisfied) return;
-  exchange_and_combine(rank_bit, kernels::u2_cast<T>(target_block(g)), local_cmask);
+  // target bit), so "skip" decisions agree; every rank joins the fences.
+  exchange_and_combine(rank_bit, kernels::u2_cast<T>(target_block(g)), local_cmask,
+                       globals_satisfied);
 }
 
 template <typename T>
@@ -229,10 +247,10 @@ void BasicDistStateVector<T>::apply_qubit_swaps(
       global_pairs.push_back({lo, hi});
     }
   }
-  // Disjoint transpositions commute, so the local part can run first.
-  if (!local_pairs.empty()) kernels::apply_qubit_swaps<T>(local(), nl_, local_pairs);
   if (cross.empty() && global_pairs.empty()) {
-    if (obs::enabled() && !local_pairs.empty())
+    if (local_pairs.empty()) return;
+    kernels::apply_qubit_swaps<T>(local(), nl_, local_pairs);
+    if (obs::enabled())
       span.arg("pred_s", models::t_state_pass_seconds(nl_, {}, sizeof(value_type)));
     return;
   }
@@ -246,7 +264,7 @@ void BasicDistStateVector<T>::apply_qubit_swaps(
 
   const int rank = comm_->rank();
   // Rank with this rank's global-global bits swapped — every sub-block's
-  // destination shares this base.
+  // source shares this base.
   int gg_rank = rank;
   for (const auto& p : global_pairs) {
     const qubit_t ba = p[0] - nl_, bb = p[1] - nl_;
@@ -263,7 +281,7 @@ void BasicDistStateVector<T>::apply_qubit_swaps(
       if (bits::test(key, j)) d = bits::set(d, low_pos[j]);
     return d;
   };
-  const auto partner = [&](index_t key) {
+  const auto source = [&](index_t key) {
     auto r = static_cast<index_t>(gg_rank);
     for (qubit_t j = 0; j < k; ++j) {
       const qubit_t bit = cross[j][0] - nl_;
@@ -271,39 +289,36 @@ void BasicDistStateVector<T>::apply_qubit_swaps(
     }
     return static_cast<int>(r);
   };
+  // This rank's exchanged global bits, as a key: every sub-block it
+  // receives sits at that key in its source chunk.
+  index_t own_key = 0;
+  for (qubit_t j = 0; j < k; ++j)
+    if (bits::test(static_cast<index_t>(rank), cross[j][0] - nl_)) own_key = bits::set(own_key, j);
+  const index_t src_base = deposit(own_key);
 
-  // Gather sub-block `key` (elements whose exchanged local bits equal
-  // key, ordered by the remaining bits) into scratch slot `key`.
-  for (index_t key = 0; key < blocks; ++key) {
-    value_type* out = scratch_.data() + key * sub;
-    const index_t base = deposit(key);
-#pragma omp parallel for schedule(static) if (worth_parallelizing(sub))
-    for (index_t j = 0; j < sub; ++j) out[j] = local_[expand(j) | base];
-  }
-  // Eager sends are buffered, so posting every send before any receive
-  // cannot deadlock. Sub-block `key` goes to the rank whose exchanged
-  // global bits equal key; the block arriving from that same rank is the
-  // one keyed by OUR old global bits and scatters into slot `key`.
+  // Slot `key` (the elements whose exchanged local bits equal key) comes
+  // from the rank whose exchanged global bits equal key; the self slot
+  // is copied to the same place.
+  const std::span<value_type> out = scratch();
+  comm_->template expose<value_type>(local());
+  comm_->barrier();
   std::uint64_t moved = 0;
   for (index_t key = 0; key < blocks; ++key) {
-    const int dst = partner(key);
-    if (dst == rank) continue;
-    comm_->template send<value_type>(dst, {scratch_.data() + key * sub, sub});
-    moved += sub * sizeof(value_type);
-  }
-  for (index_t key = 0; key < blocks; ++key) {
-    const int src = partner(key);
-    if (src == rank) continue;
-    comm_->template recv<value_type>(src, {scratch_.data() + key * sub, sub});
-  }
-  // Scatter: incoming slot `key` lands where the exchanged local bits
-  // equal key (the self slot is the identity and scatters back as-is).
-  for (index_t key = 0; key < blocks; ++key) {
-    const value_type* in = scratch_.data() + key * sub;
-    const index_t base = deposit(key);
+    const int src_rank = source(key);
+    const value_type* src = comm_->template window<value_type>(src_rank).data();
+    const index_t dst_base = deposit(key);
 #pragma omp parallel for schedule(static) if (worth_parallelizing(sub))
-    for (index_t j = 0; j < sub; ++j) local_[expand(j) | base] = in[j];
+    for (index_t j = 0; j < sub; ++j) {
+      const index_t e = expand(j);
+      out[e | dst_base] = src[e | src_base];
+    }
+    if (src_rank != rank) moved += sub * sizeof(value_type);
   }
+  comm_->barrier();
+  swap_scratch();
+  // Disjoint transpositions commute, so the local part runs on the
+  // adopted chunk.
+  if (!local_pairs.empty()) kernels::apply_qubit_swaps<T>(local(), nl_, local_pairs);
   // Counted only once the pass completed, here and in the span alike: a
   // pass that aborts part-way claims none of its bytes.
   bytes_comm_ += moved;
@@ -360,61 +375,6 @@ std::vector<double> BasicDistStateVector<T>::register_distribution(
   for (std::size_t r = 0; r < static_cast<std::size_t>(comm_->size()); ++r)
     for (std::size_t v = 0; v < dist.size(); ++v) dist[v] += all[r * dist.size() + v];
   return dist;
-}
-
-template <typename T>
-index_t BasicDistStateVector<T>::sample(Rng& rng) const {
-  // Two-level inverse CDF: pick the owning rank from the rank totals,
-  // then the outcome inside that rank's chunk via the shared sampler
-  // (which never returns a zero-probability outcome). Every rank draws
-  // the same u from its identically-seeded rng, so every rank computes
-  // the same owner and learns the same outcome via broadcast.
-  // The shared draw is consumed *before* any communication: if the
-  // collective below aborts (peer failure, timeout, injected fault),
-  // every rank has still advanced its identically-seeded stream by
-  // exactly one draw, so the streams stay synchronized for whatever
-  // runs next — a retry of this sample or a different collective.
-  // Drawing after the allgather would let an abort leave some ranks
-  // one draw ahead of others, silently desynchronizing every
-  // subsequent shared decision.
-  const double unit_draw = rng.uniform();
-  const SampleCdf local_cdf = SampleCdf::from_amplitudes<T>(local());
-  const double my_total = local_cdf.total();
-  const int p = comm_->size();
-  std::vector<double> totals(static_cast<std::size_t>(p));
-  comm_->template allgather<double>(std::span<const double>(&my_total, 1), totals);
-  double grand = 0;
-  for (const double t : totals) grand += t;
-  if (grand <= 0) throw std::runtime_error("sample: distribution has no support");
-  const double u = unit_draw * grand;
-
-  int owner = -1;
-  double before = 0;
-  for (int r = 0; r < p; ++r) {
-    const double t = totals[static_cast<std::size_t>(r)];
-    if (t > 0 && u < before + t) {
-      owner = r;
-      break;
-    }
-    before += t;
-  }
-  if (owner < 0) {
-    // Floating-point leftover past the sum: last rank with support.
-    before = grand;
-    for (int r = p; r-- > 0;) {
-      const double t = totals[static_cast<std::size_t>(r)];
-      before -= t;
-      if (t > 0) {
-        owner = r;
-        break;
-      }
-    }
-  }
-  index_t outcome = 0;
-  if (comm_->rank() == owner)
-    outcome = (static_cast<index_t>(owner) << nl_) | local_cdf.sample_scaled(u - before);
-  comm_->template broadcast<index_t>(owner, std::span<index_t>(&outcome, 1));
-  return outcome;
 }
 
 template <typename T>

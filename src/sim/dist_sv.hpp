@@ -10,6 +10,13 @@
 // unsatisfied global controls — the structural advantage the paper
 // credits for Fig. 4's growing lead over qHiPSTER.
 //
+// Every rank data motion here (the per-gate exchange, the rank-level
+// swap round) runs on Comm's expose/fence/pull: each rank exposes its
+// chunk, pulls what it receives from its peers' chunks into its own
+// scratch — combining or gathering on the way — and adopts the scratch
+// as its chunk after the second fence. No chunk changes before that
+// swap, so a motion that aborts leaves every chunk as it was.
+//
 // Templated on the amplitude scalar T: under fp32 every chunk exchange
 // moves sizeof(std::complex<float>) = 8 bytes per amplitude — exactly
 // half the wire traffic of fp64 on the same plan (the engine's byte
@@ -22,7 +29,6 @@
 
 #include "circuit/circuit.hpp"
 #include "cluster/cluster.hpp"
-#include "common/rng.hpp"
 #include "sim/kernels.hpp"
 #include "sim/state_vector.hpp"
 
@@ -78,9 +84,10 @@ class BasicDistStateVector {
   /// communication; pairs that cross the local/global boundary (and
   /// global-global pairs) are realized as ONE chunk permutation: the
   /// chunk splits into 2^k sub-blocks keyed by the k exchanged local
-  /// bits, and each sub-block moves to the rank whose exchanged rank
-  /// bits equal its key (sizeof(value_type) bytes/amplitude over the
-  /// wire, the Eq. 6 exchange term paid once for the whole swap set).
+  /// bits, and each rank pulls every sub-block it receives from its
+  /// source rank straight into its final slot (sizeof(value_type)
+  /// bytes/amplitude over the wire, the Eq. 6 exchange term paid once
+  /// for the whole swap set).
   /// This is the global<->local exchange pass the distributed scheduler
   /// amortizes across a sweep of global-qubit gates.
   void apply_qubit_swaps(std::span<const std::array<qubit_t, 2>> pairs);
@@ -99,13 +106,6 @@ class BasicDistStateVector {
   /// a logical register without first restoring physical qubit order.
   [[nodiscard]] std::vector<double> register_distribution(
       std::span<const qubit_t> qubits) const;
-
-  /// Collective: samples a full-register outcome (global basis index)
-  /// from the exact distribution; does not collapse. Every rank must
-  /// pass an identically-seeded rng (exactly one uniform draw is
-  /// consumed, keeping all ranks' streams in step); every rank returns
-  /// the same outcome, which is never a zero-probability basis state.
-  [[nodiscard]] index_t sample(Rng& rng) const;
 
   /// Collective: collapses qubit q to `outcome` (0/1) and renormalizes.
   /// Throws if the outcome has probability ~0 (on every rank alike).
@@ -126,21 +126,47 @@ class BasicDistStateVector {
   /// routing): each adds the bytes it sent once its exchange completed.
   [[nodiscard]] std::uint64_t& bytes_counter() noexcept { return bytes_comm_; }
 
-  /// This rank's chunk-sized scratch: the exchanges here and
-  /// emu::BasicDistEmulator's in-place FFT work in it. Its contents are
-  /// undefined between calls.
-  [[nodiscard]] std::span<value_type> scratch() noexcept {
-    return {scratch_.data(), scratch_.size()};
+  /// This rank's chunk-sized scratch: the motions here and
+  /// emu::BasicDistEmulator's FFT and routing pull into it. Allocated
+  /// with the chunk, and again on first use after release_scratch().
+  /// Its contents are undefined between calls.
+  [[nodiscard]] std::span<value_type> scratch();
+
+  /// Adopts the scratch as the chunk and the chunk as the scratch, in
+  /// O(1): how a pulled motion lands, after its second fence.
+  void swap_scratch() noexcept { local_.swap(scratch_); }
+
+  /// One amplitude addressed to a global basis index: what a routed
+  /// permutation sends (emu::BasicDistEmulator).
+  struct Parcel {
+    index_t index;
+    value_type amplitude;
+  };
+
+  /// Parcels this rank may expose beside its chunk. Owned by the state,
+  /// not by a job: when this rank's job aborts, a peer may still read
+  /// what it exposed until that peer reaches its next fence.
+  [[nodiscard]] uninit_aligned_vector<Parcel>& outbox() noexcept { return outbox_; }
+
+  /// Frees the scratch and the outbox, e.g. before a gather that needs
+  /// only the chunk.
+  void release_scratch() noexcept {
+    aligned_vector<value_type>().swap(scratch_);
+    uninit_aligned_vector<Parcel>().swap(outbox_);
   }
 
  private:
-  void exchange_and_combine(qubit_t rank_bit, const kernels::U2T<T>& u, index_t local_cmask);
+  /// `participate` is false on a rank whose global controls leave its
+  /// chunk alone: it joins the fences and nothing else.
+  void exchange_and_combine(qubit_t rank_bit, const kernels::U2T<T>& u, index_t local_cmask,
+                            bool participate);
 
   cluster::Comm* comm_;
   qubit_t n_;
   qubit_t nl_;
   aligned_vector<value_type> local_;
   aligned_vector<value_type> scratch_;
+  uninit_aligned_vector<Parcel> outbox_;
   std::uint64_t bytes_comm_ = 0;
 };
 

@@ -1,10 +1,13 @@
-// Tests for the in-process message-passing runtime: point-to-point
-// semantics, tag matching, ordering, collectives, barrier, and abort
+// Tests for the in-process SPMD runtime: point-to-point semantics, tag
+// matching, ordering, collectives, barrier, expose/fence/pull, and abort
 // propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -89,12 +92,17 @@ TEST(Comm, TagMatchingSkipsNonMatching) {
   });
 }
 
-TEST(Comm, SendRecvSymmetricExchange) {
+TEST(Comm, ExposeFencePullSymmetricExchange) {
   Cluster cluster(2);
   cluster.run([](Comm& comm) {
     std::vector<int> mine(4, comm.rank());
     std::vector<int> theirs(4, -1);
-    comm.sendrecv<int>(1 - comm.rank(), mine, theirs);
+    comm.expose<int>(mine);
+    comm.barrier();
+    const std::span<const int> peer = comm.window<int>(1 - comm.rank());
+    ASSERT_EQ(peer.size(), 4u);
+    std::copy(peer.begin(), peer.end(), theirs.begin());
+    comm.barrier();
     for (int v : theirs) EXPECT_EQ(v, 1 - comm.rank());
   });
 }
@@ -113,14 +121,19 @@ TEST(Comm, BarrierSynchronizes) {
   });
 }
 
-TEST(Comm, BroadcastFromEveryRoot) {
+TEST(Comm, PullFromEveryRoot) {
+  // One rank's window read by all: a broadcast as a pull.
   Cluster cluster(4);
   cluster.run([](Comm& comm) {
     for (int root = 0; root < comm.size(); ++root) {
       std::vector<int> data(3, comm.rank() == root ? 42 + root : -1);
-      comm.broadcast<int>(root, data);
-      for (int v : data) EXPECT_EQ(v, 42 + root);
+      comm.expose<int>(data);
       comm.barrier();
+      std::vector<int> got(3, -1);
+      const std::span<const int> w = comm.window<int>(root);
+      std::copy(w.begin(), w.end(), got.begin());
+      comm.barrier();
+      for (int v : got) EXPECT_EQ(v, 42 + root);
     }
   });
 }
@@ -135,18 +148,26 @@ TEST(Comm, AllgatherConcatenatesInRankOrder) {
   });
 }
 
-TEST(Comm, AlltoallTransposesBlocks) {
+TEST(Comm, PullTransposesBlocks) {
+  // The all-to-all pattern: rank r pulls block r of every rank's window.
   const int p = 4;
   Cluster cluster(p);
   cluster.run([p](Comm& comm) {
-    // Element j of rank r's send buffer encodes (r, j).
+    // Element j of rank r's exposed buffer encodes (r, j).
     std::vector<int> out(static_cast<std::size_t>(p) * 2);
     for (int j = 0; j < p; ++j) {
       out[static_cast<std::size_t>(2 * j)] = comm.rank() * 100 + j * 10;
       out[static_cast<std::size_t>(2 * j) + 1] = comm.rank() * 100 + j * 10 + 1;
     }
     std::vector<int> in(out.size(), -1);
-    comm.alltoall<int>(out, in);
+    comm.expose<int>(out);
+    comm.barrier();
+    for (int r = 0; r < p; ++r) {
+      const std::span<const int> w = comm.window<int>(r);
+      in[static_cast<std::size_t>(2 * r)] = w[static_cast<std::size_t>(2 * comm.rank())];
+      in[static_cast<std::size_t>(2 * r) + 1] = w[static_cast<std::size_t>(2 * comm.rank()) + 1];
+    }
+    comm.barrier();
     for (int r = 0; r < p; ++r) {
       EXPECT_EQ(in[static_cast<std::size_t>(2 * r)], r * 100 + comm.rank() * 10);
       EXPECT_EQ(in[static_cast<std::size_t>(2 * r) + 1], r * 100 + comm.rank() * 10 + 1);
@@ -154,9 +175,9 @@ TEST(Comm, AlltoallTransposesBlocks) {
   });
 }
 
-TEST(Comm, AlltoallInPlace) {
-  // One buffer as both sides: every outgoing block leaves before any
-  // block arrives, and the self block stays where it is.
+TEST(Comm, PullIntoScratchThenSwap) {
+  // One buffer per rank before and after, at every rank count: pull into
+  // a private scratch between the fences, adopt it after the second.
   for (const int p : {1, 2, 4, 8}) {
     Cluster cluster(p);
     cluster.run([p](Comm& comm) {
@@ -164,7 +185,15 @@ TEST(Comm, AlltoallInPlace) {
       for (int j = 0; j < p; ++j)
         for (int e = 0; e < 3; ++e)
           buf[static_cast<std::size_t>(3 * j + e)] = comm.rank() * 1000 + j * 10 + e;
-      comm.alltoall<int>(buf, buf);
+      std::vector<int> scratch(buf.size(), -1);
+      comm.expose<int>(buf);
+      comm.barrier();
+      for (int r = 0; r < p; ++r) {
+        const std::span<const int> w = comm.window<int>(r);
+        std::copy_n(w.begin() + 3 * comm.rank(), 3, scratch.begin() + 3 * r);
+      }
+      comm.barrier();
+      buf.swap(scratch);
       for (int r = 0; r < p; ++r)
         for (int e = 0; e < 3; ++e)
           EXPECT_EQ(buf[static_cast<std::size_t>(3 * r + e)], r * 1000 + comm.rank() * 10 + e)
@@ -173,64 +202,89 @@ TEST(Comm, AlltoallInPlace) {
   }
 }
 
-TEST(Comm, AlltoallvVariableBlocks) {
+/// Variable blocks behind a header, as the arithmetic route lays out its
+/// outbox: element r <= size() is where destination r's block starts.
+std::vector<int> pull_variable_blocks(Comm& comm, const std::vector<int>& outbox) {
+  comm.expose<int>(outbox);
+  comm.barrier();
+  std::vector<int> in;
+  const auto me = static_cast<std::size_t>(comm.rank());
+  for (int r = 0; r < comm.size(); ++r) {
+    const std::span<const int> w = comm.window<int>(r);
+    in.insert(in.end(), w.begin() + w[me], w.begin() + w[me + 1]);
+  }
+  comm.barrier();
+  return in;
+}
+
+TEST(Comm, PullVariableBlocks) {
   const int p = 4;
   Cluster cluster(p);
   cluster.run([p](Comm& comm) {
     // Rank r sends r+j+1 elements to rank j, each tagged (r*100 + j).
-    std::vector<int> out;
-    std::vector<std::size_t> counts(static_cast<std::size_t>(p));
+    std::vector<int> outbox(static_cast<std::size_t>(p) + 1);
     for (int j = 0; j < p; ++j) {
-      const std::size_t c = static_cast<std::size_t>(comm.rank() + j + 1);
-      counts[static_cast<std::size_t>(j)] = c;
-      for (std::size_t k = 0; k < c; ++k) out.push_back(comm.rank() * 100 + j);
+      outbox[static_cast<std::size_t>(j)] = static_cast<int>(outbox.size());
+      for (int k = 0; k < comm.rank() + j + 1; ++k) outbox.push_back(comm.rank() * 100 + j);
     }
-    std::vector<std::size_t> recv_counts;
-    const std::vector<int> in = comm.alltoallv<int>(out, counts, recv_counts);
-    ASSERT_EQ(recv_counts.size(), static_cast<std::size_t>(p));
+    outbox[static_cast<std::size_t>(p)] = static_cast<int>(outbox.size());
+    const std::vector<int> in = pull_variable_blocks(comm, outbox);
     std::size_t offset = 0;
     for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(recv_counts[static_cast<std::size_t>(r)],
-                static_cast<std::size_t>(r + comm.rank() + 1));
-      for (std::size_t k = 0; k < recv_counts[static_cast<std::size_t>(r)]; ++k)
-        EXPECT_EQ(in[offset + k], r * 100 + comm.rank());
-      offset += recv_counts[static_cast<std::size_t>(r)];
+      const auto c = static_cast<std::size_t>(r + comm.rank() + 1);
+      for (std::size_t k = 0; k < c; ++k) EXPECT_EQ(in[offset + k], r * 100 + comm.rank());
+      offset += c;
     }
     EXPECT_EQ(offset, in.size());
   });
 }
 
-TEST(Comm, AlltoallvEmptyBlocks) {
+TEST(Comm, PullEmptyBlocks) {
   Cluster cluster(3);
   cluster.run([](Comm& comm) {
     // Only rank 0 sends, and only to rank 2.
-    std::vector<double> out;
-    std::vector<std::size_t> counts(3, 0);
-    if (comm.rank() == 0) {
-      out = {1.5, 2.5};
-      counts[2] = 2;
-    }
-    std::vector<std::size_t> recv_counts;
-    const auto in = comm.alltoallv<double>(out, counts, recv_counts);
+    std::vector<int> outbox{4, 4, 4, 4};
+    if (comm.rank() == 0) outbox = {4, 4, 4, 6, 15, 25};
+    const std::vector<int> in = pull_variable_blocks(comm, outbox);
     if (comm.rank() == 2) {
-      ASSERT_EQ(in.size(), 2u);
-      EXPECT_EQ(in[0], 1.5);
-      EXPECT_EQ(recv_counts[0], 2u);
+      EXPECT_EQ(in, (std::vector<int>{15, 25}));
     } else {
       EXPECT_TRUE(in.empty());
     }
   });
 }
 
-TEST(Comm, AlltoallvValidatesCounts) {
+TEST(Comm, WindowValidatesRankAndSize) {
   Cluster cluster(2);
   EXPECT_THROW(cluster.run([](Comm& comm) {
-                 std::vector<int> out(3);
-                 std::vector<std::size_t> counts{1, 1};  // != out.size()
-                 std::vector<std::size_t> rc;
-                 comm.alltoallv<int>(out, counts, rc);
+                 std::vector<char> odd(3);
+                 comm.expose<char>(odd);
+                 comm.barrier();
+                 (void)comm.window<int>(comm.rank());  // 3 bytes are not whole ints
                }),
                std::invalid_argument);
+  EXPECT_THROW(cluster.run([](Comm& comm) { (void)comm.window<int>(7); }),
+               std::invalid_argument);
+}
+
+TEST(ClusterSession, RecoveryClosesEveryWindow) {
+  // A motion that aborts between its fences leaves windows pointing at
+  // buffers its job may have freed; the recovered session must not
+  // hand them out.
+  ClusterSession session(2, 1);
+  std::vector<std::vector<int>> bufs(2, std::vector<int>(8, 1));
+  session.submit([&bufs](Comm& comm) {
+    comm.expose<int>(bufs[static_cast<std::size_t>(comm.rank())]);
+    if (comm.rank() == 1) throw std::runtime_error("abort between the fences");
+    comm.barrier();  // lint:allow(collective-divergence) -- divergence is the subject: the abort must wake the fence
+  });
+  EXPECT_THROW(session.sync(), std::runtime_error);
+  std::vector<std::size_t> seen(2, 99);
+  session.submit([&seen](Comm& comm) {
+    seen[static_cast<std::size_t>(comm.rank())] = comm.window<int>(1 - comm.rank()).size();
+  });
+  session.sync();
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 0}));
 }
 
 TEST(Comm, AllreduceSumAndMax) {

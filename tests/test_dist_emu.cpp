@@ -1,14 +1,20 @@
 // Tests for distributed emulation: the global-permutation arithmetic of
 // §4.2 and the distributed QFT shortcut, all against the serial
-// emulator / serial gate-level results.
+// emulator / serial gate-level results; and the swap contract every rank
+// data motion keeps.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "circuit/builders.hpp"
+#include "cluster/fault.hpp"
 #include "emu/dist_emu.hpp"
+#include "fft/dist_fft.hpp"
 #include "emu/observables.hpp"
 #include "sim/simulator.hpp"
 
@@ -274,6 +280,117 @@ TEST(DistObservables, ExpectationZStringMatchesSerial) {
             << "ranks=" << ranks << " mask=" << mask;
     });
   }
+}
+
+
+// --- the swap contract of the rank data motions ----------------------------
+
+/// A rank data motion on one rank's resident state.
+using Motion = std::function<void(DistStateVector&)>;
+
+/// Every rank's chunk, copied.
+std::vector<std::vector<complex_t>> chunks_of(
+    const std::vector<std::unique_ptr<DistStateVector>>& slots) {
+  std::vector<std::vector<complex_t>> out;
+  for (const auto& s : slots) out.emplace_back(s->local().begin(), s->local().end());
+  return out;
+}
+
+bool bytes_equal(const std::vector<std::vector<complex_t>>& a,
+                 const std::vector<std::vector<complex_t>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t r = 0; r < a.size(); ++r)
+    if (a[r].size() != b[r].size() ||
+        std::memcmp(a[r].data(), b[r].data(), a[r].size() * sizeof(complex_t)) != 0)
+      return false;
+  return true;
+}
+
+/// Runs `motion` on resident random states over 4 ranks: once fault-free
+/// on a fresh session, then on a second session with rank 1 aborted at
+/// `site` and, separately, at the motion's second fence. Each abort must
+/// leave every chunk byte-identical to its bytes before the motion; the
+/// same session must then complete the motion with the fault-free answer.
+void expect_swap_contract(const std::string& site, const Motion& motion) {
+  constexpr qubit_t n = 10;
+  constexpr int kRanks = 4;
+  const auto run_on = [&](cluster::ClusterSession& session,
+                          std::vector<std::unique_ptr<DistStateVector>>& slots) {
+    session.run([&](cluster::Comm& comm) {
+      motion(*slots[static_cast<std::size_t>(comm.rank())]);
+    });
+  };
+  const auto fresh = [&](cluster::ClusterSession& session,
+                         std::vector<std::unique_ptr<DistStateVector>>& slots) {
+    slots.resize(kRanks);
+    session.run([&](cluster::Comm& comm) {
+      auto& s = slots[static_cast<std::size_t>(comm.rank())];
+      s = std::make_unique<DistStateVector>(comm, n);
+      s->randomize(77);
+    });
+  };
+
+  std::vector<std::unique_ptr<DistStateVector>> ref_slots;
+  cluster::ClusterSession ref_session(kRanks, 1);
+  fresh(ref_session, ref_slots);
+  run_on(ref_session, ref_slots);
+  const auto expected = chunks_of(ref_slots);
+
+  // Barrier visits count from the injector's installation, and each
+  // motion's first fence is its first barrier: visit 1 is its second.
+  for (const std::string& rule : {"abort@" + site + "#0/1", std::string("abort@cluster.barrier#1/1")}) {
+    std::vector<std::unique_ptr<DistStateVector>> slots;
+    cluster::ClusterSession session(kRanks, 1);
+    fresh(session, slots);
+    const auto before = chunks_of(slots);
+    {
+      cluster::FaultInjector inj = cluster::FaultInjector::parse(rule);
+      const cluster::ScopedFaultInjector scoped(&inj);
+      EXPECT_THROW(run_on(session, slots), cluster::InjectedFault) << rule;
+      EXPECT_EQ(inj.fired(), 1u) << rule;
+    }
+    EXPECT_TRUE(bytes_equal(chunks_of(slots), before)) << rule << ": a chunk changed";
+    run_on(session, slots);
+    EXPECT_TRUE(bytes_equal(chunks_of(slots), expected)) << rule << ": retry differs";
+  }
+}
+
+TEST(SwapContract, PerGateExchange) {
+  expect_swap_contract("dist.exchange", [](DistStateVector& dsv) {
+    dsv.apply_gate(circuit::make_gate(circuit::GateKind::H, 9), sim::CommPolicy::Specialized);
+  });
+  // A local control and a global one: rank 1 combines half its pairs,
+  // and the ranks whose global control is unset join only the fences.
+  expect_swap_contract("dist.exchange", [](DistStateVector& dsv) {
+    circuit::Gate g = circuit::make_controlled(circuit::GateKind::X, 8, 9);
+    g.controls.push_back(2);
+    dsv.apply_gate(g, sim::CommPolicy::Specialized);
+  });
+}
+
+TEST(SwapContract, SwapRound) {
+  // A crossing pair with a local pair, then a global-global pair.
+  const std::vector<std::array<qubit_t, 2>> pairs = {{0, 8}, {1, 2}};
+  expect_swap_contract("dist.exchange_pass", [&pairs](DistStateVector& dsv) {
+    dsv.apply_qubit_swaps(pairs);
+  });
+  const std::vector<std::array<qubit_t, 2>> global = {{8, 9}};
+  expect_swap_contract("dist.exchange_pass", [&global](DistStateVector& dsv) {
+    dsv.apply_qubit_swaps(global);
+  });
+}
+
+TEST(SwapContract, Transpose) {
+  expect_swap_contract("dist.exchange_pass", [](DistStateVector& dsv) {
+    std::uint64_t sent = 0;
+    fft::dist_transpose<double>(dsv.comm(), dsv.local(), dsv.scratch(), 32, 32, sent);
+    dsv.swap_scratch();
+  });
+}
+
+TEST(SwapContract, Route) {
+  expect_swap_contract("dist.exchange_pass",
+                       [](DistStateVector& dsv) { DistEmulator(dsv).add({0, 5}, {5, 5}); });
 }
 
 }  // namespace

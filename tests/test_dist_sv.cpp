@@ -5,12 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <vector>
 
 #include "circuit/builders.hpp"
-#include "cluster/fault.hpp"
+#include "common/rng.hpp"
 #include "sim/dist_sv.hpp"
 #include "sim/simulator.hpp"
 
@@ -293,88 +292,6 @@ TEST(DistMeasurement, RegisterDistributionMatchesSerial) {
     ASSERT_EQ(dist.size(), ref.size());
     for (std::size_t v = 0; v < ref.size(); ++v) EXPECT_NEAR(dist[v], ref[v], 1e-12);
   });
-}
-
-TEST(DistMeasurement, SampleAgreesOnAllRanksAndRespectsSupport) {
-  const qubit_t n = 6;
-  cluster::Cluster cluster(4, 1);
-  // |psi> with support on exactly two basis states, one per side of the
-  // rank boundary; every rank must report the same supported outcome.
-  cluster.run([](cluster::Comm& comm) {
-    DistStateVector dsv(comm, n);
-    dsv.set_basis(3);  // support only on rank 0's chunk
-    for (std::uint64_t seed = 0; seed < 50; ++seed) {
-      Rng rng(seed);
-      EXPECT_EQ(dsv.sample(rng), index_t{3});
-    }
-  });
-}
-
-TEST(DistMeasurement, SampleMatchesSerialDrawForSameSeed) {
-  const qubit_t n = 7;
-  StateVector serial(n);
-  serial.randomize_deterministic(77);
-  for (const int ranks : {1, 2, 4, 8}) {
-    cluster::Cluster cluster(ranks, 1);
-    cluster.run([&](cluster::Comm& comm) {
-      DistStateVector dsv(comm, n);
-      dsv.randomize(77);
-      for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        Rng serial_rng(seed);
-        Rng dist_rng(seed);
-        EXPECT_EQ(dsv.sample(dist_rng), serial.sample(serial_rng))
-            << "ranks=" << ranks << " seed=" << seed;
-      }
-    });
-  }
-}
-
-TEST(DistMeasurement, AbortedSampleLeavesRankRngStreamsInSync) {
-  // Pins the stream-sync invariant documented in sample(): the shared
-  // uniform draw is consumed *before* any communication, so every rank
-  // that entered sample() has advanced its identically-seeded stream by
-  // exactly one draw when the collective aborts — never zero (the
-  // pre-fix failure mode: rank 0 dies in the allgather before a
-  // draw-after-communication, silently falling behind its peers) and
-  // never more than one. The rule kills rank 0 in its first recv of the
-  // rank-total allgather, after its own draw and eager send.
-  constexpr qubit_t n = 6;
-  constexpr int kRanks = 2;
-  cluster::FaultInjector inj = cluster::FaultInjector::parse("abort@cluster.recv#0/0");
-  const cluster::ScopedFaultInjector scoped(&inj);
-  cluster::ClusterSession session(kRanks, 1);
-  std::vector<Rng> rngs;
-  for (int r = 0; r < kRanks; ++r) rngs.emplace_back(99);
-  // Whether each rank reached the sample() call. Rank 1 may legitimately
-  // miss it — rank 0's abort can land before rank 1 dequeues the job —
-  // but a rank that did enter must have consumed exactly one draw: the
-  // draw is sample()'s first statement, ahead of any abortable call.
-  std::array<std::atomic<bool>, kRanks> entered{};
-  session.submit([&rngs, &entered](cluster::Comm& comm) {
-    DistStateVector dsv(comm, n);
-    dsv.set_basis(3);
-    const auto r = static_cast<std::size_t>(comm.rank());
-    entered[r] = true;
-    (void)dsv.sample(rngs[r]);
-  });
-  EXPECT_THROW(session.sync(), cluster::InjectedFault);
-  EXPECT_EQ(inj.fired(), 1u);
-  EXPECT_TRUE(entered[0]);  // the aborting rank itself always got there
-  std::vector<double> next(kRanks, -1.0);
-  session.submit([&rngs, &next](cluster::Comm& comm) {
-    const auto r = static_cast<std::size_t>(comm.rank());
-    next[r] = rngs[r].uniform();
-  });
-  session.sync();
-  Rng fresh(99);
-  const double draw1 = fresh.uniform();
-  const double draw2 = fresh.uniform();
-  // Rank 0 aborted mid-collective yet advanced exactly one draw — the
-  // regression pin: drawing after the allgather would leave it at 0.
-  EXPECT_EQ(next[0], draw2);
-  // Rank 1: in sync with rank 0 when it entered, untouched when the
-  // abort beat it to the job — either way its position is exact.
-  EXPECT_EQ(next[1], entered[1] ? draw2 : draw1);
 }
 
 TEST(DistMeasurement, CollapseMatchesSerialOnLocalAndGlobalQubit) {

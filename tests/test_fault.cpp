@@ -292,9 +292,12 @@ TEST(FaultRecovery, GatherAbortReplaysAndFlushes) {
 }
 
 TEST(FaultRecovery, TransposeAbortInsideTheFftRetriesBitIdentically) {
-  // The QFT's second all-to-all transpose fails: the FFT's job restores
-  // the checkpoint taken before the op and runs restore + FFT again.
-  expect_recovers_identically("abort@cluster.alltoall#1", /*expect_degraded=*/false);
+  // The QFT's second transpose fails at its second fence: the FFT's job
+  // restores the checkpoint taken before the op and runs restore + FFT
+  // again. Every motion fences twice, so the barrier visits run: 0-1 the
+  // first segment's swap round, 2-3 the QFT's restore round, 4-5, 6-7
+  // and 8-9 its three transposes.
+  expect_recovers_identically("abort@cluster.barrier#7", /*expect_degraded=*/false);
 }
 
 TEST(FaultRecovery, FaultAtEveryClusterJobRecoversBitIdentically) {

@@ -3,7 +3,8 @@
 // These tests exist to give the race detector coverage of the paths
 // where threads hand data to each other: ClusterSession's abort /
 // recovery cycle (a failing rank aborts peers mid-communication, the
-// session drains mailboxes and re-arms), the submit-while-running job
+// session drains mailboxes, closes windows and re-arms), pulls from a
+// peer's exposed buffer between two fences, the submit-while-running job
 // queue, oversubscribed rank counts (more rank threads than cores, so
 // preemption lands mid-protocol), and the Tracer's cross-thread span
 // parenting (rank threads record into per-thread logs while the
@@ -13,6 +14,7 @@
 // handoffs, many times, under scheduling pressure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -31,22 +33,30 @@ using cluster::ClusterAborted;
 using cluster::ClusterSession;
 using cluster::Comm;
 
+/// Pulls the ring neighbour's rank id through expose/fence/pull.
+int ring_pull(Comm& comm) {
+  const int token = comm.rank();
+  comm.expose<int>(std::span<const int>(&token, 1));
+  comm.barrier();
+  const int next = comm.window<int>((comm.rank() + 1) % comm.size())[0];
+  comm.barrier();
+  return next;
+}
+
 TEST(StressCluster, RepeatedAbortRecoveryCycles) {
   constexpr int kRanks = 4;
   constexpr int kCycles = 30;
   ClusterSession session(kRanks, 1);
   for (int cycle = 0; cycle < kCycles; ++cycle) {
-    // One rank fails while its peers are blocked in a communication
-    // ring; everyone must unwind (ClusterAborted in the peers), the
+    // One rank fails while its peers are blocked at the fence of a
+    // ring pull; everyone must unwind (ClusterAborted in the peers), the
     // root cause must surface from sync(), and the session must be
     // usable again immediately.
     const int victim = cycle % kRanks;
     session.submit([victim](Comm& comm) {
       if (comm.rank() == victim) throw std::runtime_error("rank failure");
-      int token = comm.rank();
-      // Blocks against the failing rank eventually; must wake aborted.
-      comm.sendrecv<int>((comm.rank() + 1) % comm.size(),
-                         std::span<const int>(&token, 1), std::span<int>(&token, 1));
+      // Blocks at the fence against the failing rank; must wake aborted.
+      (void)ring_pull(comm);  // lint:allow(collective-divergence) -- divergence is the subject: the victim never reaches the fence
     });
     try {
       session.sync();
@@ -109,6 +119,42 @@ TEST(StressCluster, OversubscribedRanksExchangeUnderPressure) {
     session.sync();
     EXPECT_EQ(ok.load(), kRanks);
   }
+}
+
+TEST(StressCluster, OversubscribedPullsThenSwapUnderPressure) {
+  // The expose/fence/pull handoff TSan must see ordered: each round every
+  // rank pulls its ring neighbour's chunk into its own scratch between
+  // two fences, then swaps chunk and scratch — so the buffer a peer read
+  // in round k is the one its owner overwrites in round k+1.
+  const int kRanks = static_cast<int>(std::thread::hardware_concurrency()) + 6;
+  constexpr int kRounds = 10;
+  constexpr std::size_t kBlock = 256;
+  ClusterSession session(kRanks, 1);
+  std::vector<std::vector<int>> chunks(static_cast<std::size_t>(kRanks));
+  std::vector<std::vector<int>> scratches(static_cast<std::size_t>(kRanks),
+                                          std::vector<int>(kBlock));
+  for (int r = 0; r < kRanks; ++r) chunks[static_cast<std::size_t>(r)].assign(kBlock, r);
+  std::atomic<int> ok{0};
+  session.submit([&](Comm& comm) {
+    auto& chunk = chunks[static_cast<std::size_t>(comm.rank())];
+    auto& scratch = scratches[static_cast<std::size_t>(comm.rank())];
+    const int prev = (comm.rank() + comm.size() - 1) % comm.size();
+    int expect = comm.rank();
+    bool good = true;
+    for (int round = 0; round < kRounds; ++round) {
+      comm.expose<int>(chunk);
+      comm.barrier();
+      const std::span<const int> w = comm.window<int>(prev);
+      std::copy(w.begin(), w.end(), scratch.begin());
+      comm.barrier();
+      chunk.swap(scratch);
+      expect = (expect + comm.size() - 1) % comm.size();
+      for (const int v : chunk) good = good && v == expect;
+    }
+    if (good) ok += 1;
+  });
+  session.sync();
+  EXPECT_EQ(ok.load(), kRanks);
 }
 
 TEST(StressCluster, ConcurrentSubmittersOneSession) {

@@ -5,14 +5,17 @@
 // trailing measurement) on the "hpc" backend as ground truth, then
 // re-runs it on "dist" under a matrix of deterministic fault schedules
 // spanning every action (delay / drop / abort / alloc-fail) across the
-// instrumented sites the run visits (send / recv / sendrecv / allgather
-// / alltoall / alltoallv / job / alloc / exchange / exchange pass /
-// scatter / gather), faults inside the emulated ops included. Every run
-// starts from one fixed non-zero basis state, so a restore that
-// re-initializes the wrong state shows. Every schedule runs traced: a
-// core schedule that completes without firing ("fault.injected" is 0)
-// tests nothing and counts as a violation; seeded schedules that never
-// fire are only counted. The campaign contract, per schedule:
+// instrumented sites the run visits (send / recv / barrier — so every
+// fence of a rank data motion — / allgather / job / alloc / exchange /
+// exchange pass / scatter / gather), faults inside the emulated ops
+// included. Every run starts from one fixed non-zero basis state, so a
+// restore that re-initializes the wrong state shows. Every schedule
+// runs traced: a core schedule that completes without firing
+// ("fault.injected" is 0) tests nothing and counts as a violation;
+// seeded schedules that never fire are counted. Seeded schedules are
+// drawn from a census — one fault-free run under an injector with no
+// rules, whose per-(site, rank) visit counts bound every draw — so each
+// names a point the run reaches. The campaign contract, per schedule:
 //
 //   * the run completes and its final state is bit-identical to the hpc
 //     reference (max |amp diff| <= 1e-12, identical measurement
@@ -31,8 +34,8 @@
 // checkpoint overhead (forced every-segment checkpoints vs checkpoints
 // off, no faults) and recovery latency (one injected abort vs clean).
 //
-// --schedules N adds N seeded random schedules after the deterministic
-// core, which always runs in full.
+// --schedules N adds N seeded schedules, two census-drawn rules each,
+// after the deterministic core, which always runs in full.
 //
 // Run: ./fault_campaign [--qubits 16] [--ranks 4] [--schedules 16]
 //      [--seed 1] [--timeout 0.5] [--retries 2] [--no-degrade]
@@ -42,12 +45,15 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/fault.hpp"
 #include "common/bits.hpp"
 #include "common/cli.hpp"
+#include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "engine/engine.hpp"
 #include "obs/report.hpp"
@@ -57,11 +63,11 @@ namespace {
 using namespace qc;
 
 /// The campaign program: every fault site gets traffic. Global-qubit
-/// gates force exchanges; the add (one all-to-all permutation), the
-/// phase oracle and the QFT pair (three transposes each) run as
-/// emulated ops between checkpoints; the collapsing measure exercises
-/// the forced pre-collapse checkpoint, the trailing measure the
-/// post-replay path.
+/// gates force a swap round and per-gate exchanges; the add (one
+/// routed permutation), the phase oracle and the QFT pair (three
+/// transposes each) run as emulated ops between checkpoints; the
+/// collapsing measure exercises the forced pre-collapse checkpoint, the
+/// trailing measure the post-replay path.
 engine::Program make_program(qubit_t n) {
   engine::Program p(n);
   for (qubit_t q = 0; q < n; ++q) {
@@ -127,13 +133,16 @@ bool matches(const engine::Result& r, const engine::Result& ref, std::string* wh
 
 /// The deterministic core matrix: every action crossed over the site
 /// list, hits/ranks staggered so faults land in different run phases.
-/// Each entry must fire in the campaign program.
-std::vector<std::string> core_schedules(double /*timeout_s*/) {
+/// Each entry must fire in the campaign program. Every rank data motion
+/// fences twice, so at the default 16 qubits and 4 ranks the barrier
+/// visits run: 0-1 the first segment's swap round, 2-3 the add's route,
+/// 4-5 the QFT's restore round, 6-11 its three transposes, 12-17 the
+/// inverse QFT's, and 18-21 the last segment's two per-gate exchanges.
+std::vector<std::string> core_schedules() {
   return {
       "abort@cluster.job#1",            // mid-run job abort, every rank
       "abort@cluster.job#0/2",          // rank 2's first job
       "abort@cluster.recv#1",           // blocking receive abort
-      "abort@cluster.sendrecv#1",       // pairwise exchange abort
       "abort@dist.exchange#0",          // first chunk exchange
       "abort@dist.exchange_pass#0",     // remap pass abort
       "abort@dist.scatter#0/1",         // initialization abort on rank 1
@@ -141,18 +150,53 @@ std::vector<std::string> core_schedules(double /*timeout_s*/) {
       "drop@cluster.send#1",            // lost message -> peer timeout
       "drop@cluster.send#2/1",          // rank 1 loses its 3rd send
       "delay@cluster.job#1/0:150",      // slow rank, inside deadline
-      "delay@cluster.alltoall#0:150",   // slow transpose arrival, inside deadline
+      "delay@cluster.barrier#6:150",    // slow transpose arrival, inside deadline
       "abort@cluster.allgather#0",      // collective abort (measurement path)
       "delay@cluster.allgather#0:100",  // slow allgather arrival, inside deadline
       "allocfail@dist.alloc#0/1",       // rank 1 chunk allocation fails
-      "abort@cluster.alltoall#1",       // the first QFT's second transpose
-      "abort@cluster.alltoallv#0",      // the add's all-to-all permutation
+      "abort@cluster.barrier#3/1",      // the add's route, at rank 1's second fence
+      "abort@cluster.barrier#9",        // the first QFT's second transpose, second fence
+      "abort@cluster.barrier#18/2",     // a per-gate exchange, at rank 2's first fence
+      "abort@cluster.barrier#19",       // the same exchange, at its second fence
       "abort@dist.exchange_pass#3/2",   // rank 2, the first QFT's first transpose
       // Cascade: every recovery attempt is itself aborted until the
       // retry budget runs out — the degradation ladder's deterministic
       // demonstration (completes bit-identical on "cached").
       "abort@cluster.job#1;abort@cluster.job#2;abort@cluster.job#3;abort@cluster.job#4",
   };
+}
+
+/// Visits per (site, rank) of one fault-free run.
+using Census = std::map<std::pair<std::string, int>, std::uint64_t>;
+
+/// A seeded schedule of `count` rules drawn only from what `census`
+/// saw: each names a visited (site, rank) and a hit below its visit
+/// count, so it fires — a faulted run retries, which only adds visits.
+/// Alloc-fail lands only where something is allocated; every other
+/// site draws delay, drop or abort. Same seed, same schedule.
+std::string seeded_from(const Census& census, std::uint64_t seed, std::size_t count,
+                        double delay_s) {
+  const std::vector<std::pair<std::pair<std::string, int>, std::uint64_t>> points(
+      census.begin(), census.end());
+  Rng rng(seed);
+  std::vector<cluster::FaultRule> rules;
+  for (std::size_t i = 0; i < count && !points.empty(); ++i) {
+    const auto& [where, visits] = points[rng.uniform_u64(points.size())];
+    cluster::FaultRule rule;
+    rule.site = where.first;
+    rule.rank = where.second;
+    rule.hit = rng.uniform_u64(visits);
+    if (rule.site == "dist.alloc") {
+      rule.action = cluster::FaultAction::AllocFail;
+    } else {
+      constexpr cluster::FaultAction kActions[] = {
+          cluster::FaultAction::Delay, cluster::FaultAction::Drop, cluster::FaultAction::Abort};
+      rule.action = kActions[rng.uniform_u64(3)];
+    }
+    rule.delay_s = delay_s;
+    rules.push_back(std::move(rule));
+  }
+  return cluster::FaultInjector(std::move(rules)).to_string();
 }
 
 }  // namespace
@@ -200,13 +244,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The whole deterministic core, then `extra` seeded random schedules
-  // beyond it — same --seed, same matrix, forever.
-  std::vector<std::string> schedules = core_schedules(timeout_s);
+  // The census: the same run under an injector with no rules, which
+  // only counts visits. Checkpoints arm exactly as in a faulted run.
+  Census census;
+  {
+    cluster::FaultInjector counter;
+    const cluster::ScopedFaultInjector scoped(&counter);
+    (void)eng.run(program, base);
+    census = counter.visits();
+  }
+
+  // The whole deterministic core, then `extra` seeded schedules drawn
+  // from the census — same --seed, same matrix, forever.
+  std::vector<std::string> schedules = core_schedules();
   const std::size_t core = schedules.size();
   for (std::uint64_t i = 0; i < extra; ++i)
-    schedules.push_back(
-        cluster::FaultInjector::seeded(seed + 1000 + i, 2, ranks, 0.1).to_string());
+    schedules.push_back(seeded_from(census, seed + 1000 + i, 2, 0.1));
 
   std::size_t completed = 0, degraded = 0, failed_typed = 0, violations = 0, unfired = 0;
   double recovery_latency_s = 0;

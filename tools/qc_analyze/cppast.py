@@ -649,6 +649,8 @@ def _scan_template_args(elements: list[Element], i: int) -> Optional[int]:
 
 def _receiver_chain(elements: list[Element], i: int) -> tuple[str, str]:
     """Collects the `a.b->c::` chain ending just before elements[i]."""
+    if i > 0 and isinstance(elements[i - 1], Tok) and elements[i - 1].text == "template":
+        i -= 1  # `obj->template f<T>(...)`: the disambiguator is no receiver
     if i == 0:
         return "", ""
     sep_tok = elements[i - 1]

@@ -31,11 +31,11 @@ void data_dependent_divergence(Comm& comm, std::span<double> all) {
   }
 }
 
-// Early exit: ranks != 0 return before the broadcast, so the collective
+// Early exit: ranks != 0 return before the expose, so the collective
 // below the guard is divergent even though it looks unconditional.
-void early_exit_divergence(Comm& comm, std::span<index_t> out) {
+void early_exit_divergence(Comm& comm, std::span<const index_t> out) {
   if (comm.rank() != 0) return;
-  comm.broadcast<index_t>(0, out);  // expect: collective-divergence
+  comm.expose<index_t>(out);  // expect: collective-divergence
 }
 
 // Switch on the rank: only the 0 arm reaches the barrier.
@@ -74,10 +74,15 @@ void divergent_logging_uniform_barrier(Comm& comm) {
 }
 
 // Loop over roots: the bound is size(), uniform across ranks, so each
-// iteration's broadcast is executed by everyone.
-void all_roots_broadcast(Comm& comm, std::span<double> data) {
+// iteration's expose and fences are executed by everyone; only which
+// window a rank reads depends on the root.
+void all_roots_pull(Comm& comm, std::span<const double> data, std::span<double> got) {
   for (int root = 0; root < comm.size(); ++root) {
-    comm.broadcast<double>(root, data);
+    comm.expose<double>(data);
+    comm.barrier();
+    const std::span<const double> w = comm.window<double>(root);
+    for (std::size_t i = 0; i < got.size(); ++i) got[i] = w[i];
+    comm.barrier();
   }
 }
 

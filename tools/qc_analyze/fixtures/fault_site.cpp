@@ -47,13 +47,26 @@ void exchange_via_job(qc::cluster::ClusterSession& session) {
   });
 }
 
+// A one-sided motion opened without a fault_point: its expose is the
+// communication call the campaign cannot fail.
+void uninstrumented_pull(Comm& comm, std::span<const double> out, std::span<double> in) {
+  comm.expose<double>(out);  // expect: fault-site
+  comm.barrier();
+  const std::span<const double> peer = comm.window<double>(comm.rank() ^ 1);
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = peer[i];
+  comm.barrier();
+}
+
 // --- negatives --------------------------------------------------------
 
 // fault_point ahead of the communication: the campaign can reach it.
-void instrumented_exchange(Comm& comm, std::span<const double> out,
-                           std::span<double> in) {
+void instrumented_exchange(Comm& comm, std::span<const double> out, std::span<double> in) {
   qc::cluster::fault_point("sim.fixture_exchange", comm.rank());
-  comm.sendrecv<double>(comm.rank() ^ 1, out, in, 3);
+  comm.expose<double>(out);
+  comm.barrier();
+  const std::span<const double> peer = comm.window<double>(comm.rank() ^ 1);
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = peer[i];
+  comm.barrier();
 }
 
 // Transport wrappers are the layer the fault campaign injects *into*;

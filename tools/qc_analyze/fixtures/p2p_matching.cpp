@@ -41,9 +41,13 @@ void root_scatter(Comm& comm, std::span<const float> parts, std::span<float> min
   }
 }
 
-// sendrecv is matched by construction.
+// A one-sided exchange sends no message, so there is nothing to match.
 void symmetric_exchange(Comm& comm, std::span<const double> out, std::span<double> in) {
-  comm.sendrecv<double>(comm.rank() ^ 1, out, in, 12);
+  comm.expose<double>(out);
+  comm.barrier();
+  const std::span<const double> peer = comm.window<double>(comm.rank() ^ 1);
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = peer[i];
+  comm.barrier();
 }
 
 // --- p2p-sendrecv: positives -----------------------------------------

@@ -8,8 +8,9 @@ the bug classes that stop being in-process hangs and become silent
 multi-node deadlocks once the transport is pluggable — plus two token
 rules for index and ownership code:
 
-  collective-divergence  a collective (barrier/broadcast/allgather/
-                         alltoall/alltoallv/allreduce_*/sync) reached
+  collective-divergence  a collective (barrier, which also fences a
+                         one-sided motion, expose, allgather,
+                         allreduce_*, sync) reached
                          only under a rank-dependent condition — a
                          condition reading rank()/rank_, or any value
                          data-dependent on them — deadlocks the ranks
@@ -28,16 +29,20 @@ rules for index and ownership code:
   p2p-sendrecv           an adjacent send-then-recv to the same peer
                          with the same tag — correct under this eager
                          transport, a head-to-head deadlock under a
-                         rendezvous one. Use Comm::sendrecv.
+                         rendezvous one. Post every send before any
+                         recv, or pull one-sided (expose/barrier/
+                         window), which needs no buffering.
 
   p2p-tag-collision      application code using the reserved collective
                          tag range (kCollectiveTag and below); colliding
                          with collective-internal traffic corrupts both.
 
-  fault-site             a Comm communication call in library code not
-                         preceded by a named cluster::fault_point(...)
-                         in its scope — an uninstrumented path the fault
-                         campaign cannot exercise (CONTRIBUTING rule).
+  fault-site             a Comm communication call (send/recv, or the
+                         expose that opens a one-sided motion) in
+                         library code not preceded by a named
+                         cluster::fault_point(...) in its scope — an
+                         uninstrumented path the fault campaign cannot
+                         exercise (CONTRIBUTING rule).
 
   atomic-order           a relaxed load of an atomic object whose
                          writers publish with memory_order_release (the
@@ -103,7 +108,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 RULES = {
     "collective-divergence": "collective reached under rank-dependent control flow",
     "p2p-unmatched": "send/recv without a tag-matched counterpart in scope",
-    "p2p-sendrecv": "adjacent symmetric send/recv — use sendrecv",
+    "p2p-sendrecv": "adjacent symmetric send/recv — deadlocks without buffering",
     "p2p-tag-collision": "application p2p on the reserved collective tag range",
     "fault-site": "communication call without a named fault_point",
     "atomic-order": "relaxed load paired with release stores",
@@ -113,17 +118,22 @@ RULES = {
     "naked-new": "naked new in library code",
 }
 
+# Every rank must reach these. `expose` publishes a rank's buffer for a
+# one-sided motion and `barrier` is its fence: a rank that skips either
+# leaves its peers reading a stale window or waiting at the fence.
 COLLECTIVES = {
-    "barrier", "broadcast", "allgather", "alltoall", "alltoallv",
-    "allreduce_sum", "allreduce_max", "sync",
+    "barrier", "expose", "allgather", "allreduce_sum", "allreduce_max", "sync",
 }
-P2P = {"send", "recv", "send_bytes", "recv_bytes", "sendrecv"}
+P2P = {"send", "recv", "send_bytes", "recv_bytes"}
+# Calls that open a one-sided motion: like p2p calls, library code names
+# a fault_point before them.
+ONE_SIDED = {"expose"}
 # Scopes *implementing* the transport primitives: exempt from the p2p
 # and fault-site rules (they are the layer those rules reason about).
-TRANSPORT_WRAPPERS = P2P
+TRANSPORT_WRAPPERS = P2P | ONE_SIDED
 RANK_PARAMS = {"rank", "my_rank", "rank_id"}
 # Tag argument index per primitive (Comm API: peer is always arg 0).
-TAG_ARG = {"send": 2, "recv": 2, "send_bytes": 2, "recv_bytes": 2, "sendrecv": 3}
+TAG_ARG = {"send": 2, "recv": 2, "send_bytes": 2, "recv_bytes": 2}
 
 ALLOW = re.compile(r"lint:allow\(([a-z0-9-]+)\)\s*(?:--|—)?\s*(.*)")
 TREAT_AS = re.compile(r"qc-analyze:\s*treat-as\s+(\S+)")
@@ -378,8 +388,6 @@ class Analyzer:
                     continue
                 sends, recvs = [], []
                 for _, call in self._p2p_records(unit, scope):
-                    if call.name == "sendrecv":
-                        continue  # self-matched by construction
                     (sends if call.name.startswith("send") else recvs).append(call)
                 if not sends and not recvs:
                     continue
@@ -392,9 +400,10 @@ class Analyzer:
                             f"'{c.name}' with tag {self._tag_of(c)} has no "
                             f"matching recv in this scope",
                             "pair it with a recv on the receiving rank's path "
-                            "of the same job (tags must agree), use sendrecv "
-                            "for symmetric exchanges, or waive with the "
-                            "cross-job protocol spelled out")
+                            "of the same job (tags must agree), pull "
+                            "symmetric exchanges one-sided (expose/barrier/"
+                            "window), or waive with the cross-job protocol "
+                            "spelled out")
                 for c in recvs:
                     if self._tag_of(c) not in send_tags:
                         self.emit(
@@ -402,9 +411,10 @@ class Analyzer:
                             f"'{c.name}' with tag {self._tag_of(c)} has no "
                             f"matching send in this scope",
                             "pair it with a send on the sending rank's path "
-                            "of the same job (tags must agree), use sendrecv "
-                            "for symmetric exchanges, or waive with the "
-                            "cross-job protocol spelled out")
+                            "of the same job (tags must agree), pull "
+                            "symmetric exchanges one-sided (expose/barrier/"
+                            "window), or waive with the cross-job protocol "
+                            "spelled out")
 
     def check_p2p_sendrecv(self):
         for unit in self.units:
@@ -426,8 +436,9 @@ class Analyzer:
                     f"send immediately followed by recv to the same peer "
                     f"({self._peer_of(sa)}, tag {self._tag_of(sa)}) — a "
                     f"head-to-head deadlock under a rendezvous transport",
-                    "use Comm::sendrecv, which stays correct regardless of "
-                    "the transport's buffering")
+                    "post every send before any recv (the pipelined "
+                    "pattern), or pull one-sided through expose/barrier/"
+                    "window, which needs no buffering")
         for st in stmts:
             for kids in (st.children, st.else_children):
                 if kids:
@@ -466,7 +477,9 @@ class Analyzer:
                     continue
                 fp_lines = [c.line for _, c in self._site_calls(scope)
                             if c.name == "fault_point"]
-                for _, call in self._p2p_records(unit, scope):
+                opens = [c for _, c in self._site_calls(scope)
+                         if c.name in ONE_SIDED and c.recv]
+                for call in [c for _, c in self._p2p_records(unit, scope)] + opens:
                     if any(line <= call.line for line in fp_lines):
                         continue
                     self.emit(
