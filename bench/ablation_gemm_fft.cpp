@@ -1,12 +1,16 @@
 // Ablation microbenchmarks (google-benchmark) for the substrate design
 // choices: blocked vs naive GEMM, Strassen crossover, FFT throughput vs
-// the naive DFT, and plan reuse.
+// the naive DFT, plan reuse, and the in-cache FFT per dispatch tier.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <string>
 
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
 #include "linalg/eig.hpp"
 #include "linalg/gemm.hpp"
+#include "sim/kernels_dispatch.hpp"
 
 namespace {
 
@@ -81,10 +85,17 @@ BENCHMARK(BM_Eig)->Arg(64)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 void BM_FftPlanned(benchmark::State& state) {
   const qubit_t n = static_cast<qubit_t>(state.range(0));
   Rng rng(n);
-  aligned_vector<complex_t> v(dim(n));
+  aligned_vector<complex_t> v(dim(n)), scratch(dim(n));
   for (auto& x : v) x = rng.normal_complex();
   const fft::FftPlan plan(n, fft::Sign::Positive);
-  for (auto _ : state) plan.execute(v);
+  // A reused scratch: the scratch-less call allocates and first-touches
+  // a state-sized buffer per call on the blocked path, and would time
+  // page faults.
+  for (auto _ : state) {
+    plan.execute(v, {scratch.data(), scratch.size()}, fft::Norm::None);
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+  }
   // 5 N log2 N real flops — the Eq. 5 accounting.
   state.counters["gflops"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * 5.0 * static_cast<double>(dim(n)) * n * 1e-9,
@@ -146,6 +157,38 @@ void BM_DftNaive(benchmark::State& state) {
   for (auto _ : state) fft::dft_naive(v, out, fft::Sign::Positive);
 }
 BENCHMARK(BM_DftNaive)->Arg(10)->Arg(12);
+
+/// The in-cache transform (2^10..2^12 points, one thread: the in-cache
+/// path runs serially) with the codelets of one dispatch tier, in
+/// ns/point. One row per tier this host and build can run.
+void BM_FftInCache(benchmark::State& state, sim::kernels::SimdIsa isa) {
+  const qubit_t n = static_cast<qubit_t>(state.range(0));
+  Rng rng(n);
+  aligned_vector<complex_t> v(dim(n)), scratch(dim(n));
+  for (auto& x : v) x = rng.normal_complex();
+  const fft::FftPlan plan(n, fft::Sign::Positive);
+  const sim::kernels::SimdIsa prev = sim::kernels::force_isa(isa);
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    plan.execute(v, {scratch.data(), scratch.size()}, fft::Norm::Unitary);
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+  }
+  const std::chrono::duration<double, std::nano> elapsed = std::chrono::steady_clock::now() - start;
+  sim::kernels::force_isa(prev);
+  state.counters["ns_per_point"] =
+      elapsed.count() / (static_cast<double>(state.iterations()) * static_cast<double>(dim(n)));
+}
+
+const bool kInCacheRegistered = [] {
+  using sim::kernels::SimdIsa;
+  for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kAvx512}) {
+    if (!sim::kernels::isa_available(isa)) continue;
+    const std::string name = std::string("BM_FftInCache/") + sim::kernels::isa_name(isa);
+    benchmark::RegisterBenchmark(name.c_str(), BM_FftInCache, isa)->DenseRange(10, 12);
+  }
+  return true;
+}();
 
 }  // namespace
 

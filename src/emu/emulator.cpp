@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "common/parallel.hpp"
 #include "emu/index_maps.hpp"
@@ -31,15 +33,24 @@ void Emulator::apply_partial_map(const std::function<index_t(index_t)>& f) {
   ensure_scratch();
   const auto a = sv_->amplitudes();
   const index_t size = a.size();
-  std::fill(scratch_.begin(), scratch_.end(), complex_t{});
+#pragma omp parallel for if (worth_parallelizing(size))
+  for (index_t i = 0; i < size; ++i) scratch_[i] = complex_t{};
   // Scatter only the support. A collision means two nonzero amplitudes
   // target the same index — the map is not injective where it matters.
+  // Each destination is claimed by one atomic fetch_or on a bitmap, so
+  // two sources in different threads' ranges cannot both find it free.
+  std::vector<std::uint64_t> claimed((size + 63) / 64);
   std::atomic<bool> collision{false};
 #pragma omp parallel for if (worth_parallelizing(size))
   for (index_t i = 0; i < size; ++i) {
     if (a[i] == complex_t{}) continue;
     const index_t j = f(i);
-    if (scratch_[j] != complex_t{}) collision.store(true, std::memory_order_relaxed);
+    const std::uint64_t bit = std::uint64_t{1} << (j % 64);
+    if (std::atomic_ref<std::uint64_t>(claimed[j / 64]).fetch_or(bit, std::memory_order_relaxed) &
+        bit) {
+      collision.store(true, std::memory_order_relaxed);
+      continue;
+    }
     scratch_[j] = a[i];
   }
   if (collision.load()) throw std::logic_error("apply_partial_map: non-injective on support");

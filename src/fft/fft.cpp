@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numbers>
 #include <stdexcept>
 #include <vector>
 
 #include "common/bits.hpp"
 #include "common/parallel.hpp"
+#include "fft/codelets.hpp"
 
 namespace qc::fft {
 namespace {
@@ -17,10 +19,7 @@ namespace {
 /// ones take the blocked four-step path, parallel over tiles.
 constexpr qubit_t kBaseQubits = 12;
 
-/// Adjacent columns per tile of the blocked path: 8 complex<double> are
-/// two whole 64-byte cache lines, so every strided access moves whole
-/// lines.
-constexpr index_t kTile = 8;
+using detail::kTile;
 
 /// a * w in explicit real arithmetic. std::complex's operator* carries an
 /// isnan branch and a __muldc3 call (C99 Annex G) that keep the butterfly
@@ -52,63 +51,40 @@ aligned_vector<complex_t> half_table(qubit_t n, Sign sign) {
   return polar_table(n, sign, std::max<index_t>(dim(n) / 2, 1));
 }
 
-/// One radix-2^2 Stockham DIF pass — stages (l, m) and (l/2, 2m) — over
-/// `batch` interleaved transforms (point i of transform b at i*batch + b)
-/// of 2*l*m points each, with tw the N/2 table of that size. Quadruples
-/// combine in registers and land at their self-sorted positions; with
-/// l*m = N/2 the four read streams are fixed offsets of each other. The
-/// transforms of a batch share every twiddle, so the inner loop runs
-/// over m*batch contiguous points.
-void stockham_pair(const complex_t* __restrict x, complex_t* __restrict z, const complex_t* tw,
-                   index_t l, index_t m, index_t batch, double scale) {
-  const index_t quarter = l * m / 2;
-  const index_t mb = m * batch;
-  const index_t qb = quarter * batch;
-  const index_t hb = 2 * qb;
-  for (index_t j = 0; j < l / 2; ++j) {
-    const complex_t w1 = tw[j * m];             // first stage, j
-    const complex_t w1b = tw[j * m + quarter];  // first stage, j + l/2
-    const complex_t w2 = tw[2 * j * m];         // second stage, j
-    const complex_t* x0 = x + j * mb;           // first stage inputs: x0/x2
-    const complex_t* x1 = x0 + qb;              //   and (for j + l/2) x1/x3
-    const complex_t* x2 = x0 + hb;
-    const complex_t* x3 = x1 + hb;
-    complex_t* z0 = z + 4 * j * mb;
-    for (index_t k = 0; k < mb; ++k) {
-      const complex_t u0 = x0[k], v0 = x1[k], u1 = x2[k], v1 = x3[k];
-      const complex_t a = u0 + u1;
-      const complex_t b = mul(u0 - u1, w1);
-      const complex_t c = v0 + v1;
-      const complex_t d = mul(v0 - v1, w1b);
-      z0[k] = (a + c) * scale;
-      z0[k + mb] = (b + d) * scale;
-      z0[k + 2 * mb] = mul(a - c, w2) * scale;
-      z0[k + 3 * mb] = mul(b - d, w2) * scale;
-    }
+/// The codelets' split table of all 2^n roots: real parts, then imaginary.
+aligned_vector<double> split_roots(qubit_t n, Sign sign) {
+  const index_t size = dim(n);
+  const aligned_vector<complex_t> w = polar_table(n, sign, size);
+  aligned_vector<double> t(2 * size);
+  for (index_t e = 0; e < size; ++e) {
+    t[e] = w[e].real();
+    t[size + e] = w[e].imag();
   }
+  return t;
 }
 
-/// The batched Stockham transform of 2^p points (p >= 1): ping-pongs
-/// between `a` (the input) and `b` and returns the one holding the
-/// result, scaled. An odd stage count ends with one radix-2 pass (l = 1,
-/// twiddle 1).
-complex_t* stockham(complex_t* a, complex_t* b, const complex_t* tw, qubit_t p, index_t batch,
-                    double scale) {
-  const index_t hb = dim(p) / 2 * batch;
-  index_t l = dim(p) / 2, m = 1;
-  for (; l >= 2; l /= 4, m *= 4) {
-    stockham_pair(a, b, tw, l, m, batch, l == 2 ? scale : 1.0);
-    std::swap(a, b);
-  }
-  if (l == 1) {
-    for (index_t k = 0; k < hb; ++k) {
-      const complex_t u = a[k], v = a[k + hb];
-      b[k] = (u + v) * scale;
-      b[k + hb] = (u - v) * scale;
+/// A lone transform's first-pass table (see detail::Codelets::single):
+/// w^(q*j) at [(q-1)*l + j] for q = 1..7 and j < l = 2^n/8, copied from
+/// the split roots of the same size.
+aligned_vector<double> first_pass_roots(const aligned_vector<double>& roots, qubit_t n) {
+  const index_t size = dim(n), l = size / 8;
+  aligned_vector<double> t(2 * 7 * l);
+  for (index_t q = 1; q < 8; ++q) {
+    for (index_t j = 0; j < l; ++j) {
+      t[(q - 1) * l + j] = roots[q * j];
+      t[7 * l + (q - 1) * l + j] = roots[size + q * j];
     }
-    std::swap(a, b);
   }
-  return a;
+  return t;
+}
+
+/// The split table `t` of `count` entries as codelet roots.
+detail::Roots roots_of(const aligned_vector<double>& t, index_t count) {
+  return {t.data(), t.data() + count};
+}
+
+const detail::Codelets& codelets() noexcept {
+  return detail::codelets_for(sim::kernels::active_isa());
 }
 
 }  // namespace
@@ -143,13 +119,18 @@ void bit_reverse_permute(std::span<complex_t> data, qubit_t n) {
 
 FftPlan::FftPlan(qubit_t n_qubits, Sign sign, Schedule schedule)
     : n_(n_qubits), sign_(sign), schedule_(schedule) {
-  if (!blocked()) {
+  if (schedule_ != Schedule::Stockham) {
     twiddle_ = half_table(n_, sign);
     return;
   }
+  if (!blocked()) {
+    roots_ = split_roots(n_, sign);
+    if (n_ >= 4) first_ = first_pass_roots(roots_, n_);
+    return;
+  }
   col_qubits_ = (n_ + 1) / 2;
-  twiddle_ = half_table(col_qubits_, sign);
-  row_twiddle_ = half_table(n_ - col_qubits_, sign);
+  roots_ = split_roots(col_qubits_, sign);
+  row_roots_ = split_roots(n_ - col_qubits_, sign);
   outer_ = Twiddles(n_, sign);
 }
 
@@ -207,39 +188,36 @@ void FftPlan::execute_blocked(complex_t* data, complex_t* scratch, double scale)
   // The data as an R x C row-major matrix: point j = j2 + C*j1 sits at
   // [j1][j2] and output k = k1 + R*k2 lands at [k2][k1], so
   //   y[k1 + R*k2] = sum_j2 w_C^(j2*k2) * w_N^(j2*k1) * sum_j1 w_R^(j1*k1) x[j2 + C*j1].
+  const detail::Codelets& cl = codelets();
+  const int sign = static_cast<int>(sign_);
   const qubit_t col_q = col_qubits_, row_q = n_ - col_qubits_;
   const index_t rows = dim(col_q), cols = dim(row_q);
+  const detail::Roots col_roots = roots_of(roots_, rows), row_roots = roots_of(row_roots_, cols);
+  const detail::OuterTwiddles outer{outer_.lo(), outer_.hi(), outer_.lo_bits()};
+  const index_t tile = kTile * std::max(rows, cols);
 #pragma omp parallel
   {
-    // Two tile buffers per thread for the batched Stockham ping-pong.
-    uninit_aligned_vector<complex_t> tile(2 * kTile * std::max(rows, cols));
-    complex_t* const a = tile.data();
-    complex_t* const b = a + kTile * std::max(rows, cols);
+    // Two split tile buffers per thread for the Stockham ping-pong.
+    uninit_aligned_vector<double> buf(4 * tile);
+    const detail::Split a{buf.data(), buf.data() + tile};
+    const detail::Split b{buf.data() + 2 * tile, buf.data() + 3 * tile};
 
     // Pass 1: the R-point FFT of kTile adjacent columns (j1 -> k1), times
-    // w_N^(j2*k1), stored transposed: scratch becomes the C x R matrix
-    // [j2][k1], each row written contiguously.
+    // w_N^(j2*k1), stored transposed and tiled: scratch becomes the C x R
+    // matrix [j2][k1] cut into R/kTile slabs of kTile columns k1,
+    // [k1/kTile][j2][k1%kTile], so pass 2 reads each slab contiguously.
 #pragma omp for schedule(static)
     for (index_t c0 = 0; c0 < cols; c0 += kTile) {
-      for (index_t r = 0; r < rows; ++r)
-        std::copy_n(data + r * cols + c0, kTile, a + r * kTile);
-      const complex_t* t = stockham(a, b, twiddle_.data(), col_q, kTile, 1.0);
-      for (index_t c = 0; c < kTile; ++c) {
-        complex_t* out = scratch + (c0 + c) * rows;
-        for (index_t k1 = 0; k1 < rows; ++k1)
-          out[k1] = mul(t[k1 * kTile + c], outer_((c0 + c) * k1));
-      }
+      const detail::Split t =
+          cl.batched(data + c0, cols, a, b, col_roots, col_q, 1.0, sign, nullptr, 0);
+      cl.twiddle_transpose(t, rows, c0, outer, scratch + c0 * kTile, cols);
     }
     // Pass 2 (after the implied barrier): the C-point FFT over j2 -> k2
-    // of kTile adjacent columns k1 of [j2][k1], normalized, written in
-    // place of the input as [k2][k1] — natural order.
+    // of one slab, normalized, written in place of the input as
+    // [k2][k1] — natural order.
 #pragma omp for schedule(static)
     for (index_t r0 = 0; r0 < rows; r0 += kTile) {
-      for (index_t c = 0; c < cols; ++c)
-        std::copy_n(scratch + c * rows + r0, kTile, a + c * kTile);
-      const complex_t* t = stockham(a, b, row_twiddle_.data(), row_q, kTile, scale);
-      for (index_t k2 = 0; k2 < cols; ++k2)
-        std::copy_n(t + k2 * kTile, kTile, data + k2 * rows + r0);
+      cl.batched(scratch + r0 * cols, kTile, a, b, row_roots, row_q, scale, sign, data + r0, rows);
     }
   }
 }
@@ -248,7 +226,11 @@ void FftPlan::execute(std::span<complex_t> data, std::span<complex_t> scratch,
                       Norm norm) const {
   const index_t size = index_t{1} << n_;
   if (data.size() != size) throw std::invalid_argument("FftPlan::execute: size mismatch");
-  if (!scratch.empty() && (scratch.size() < size || scratch.data() == data.data()))
+  // std::less orders pointers into unrelated arrays too.
+  const std::less<const complex_t*> before;
+  if (!scratch.empty() &&
+      (scratch.size() < size || (before(scratch.data(), data.data() + size) &&
+                                 before(data.data(), scratch.data() + scratch.size()))))
     throw std::invalid_argument("FftPlan::execute: bad scratch");
   const double factor = norm_scale(norm, size);
 
@@ -277,12 +259,12 @@ void FftPlan::execute(std::span<complex_t> data, std::span<complex_t> scratch,
     data[0] *= factor;
     return;
   }
-  // In cache: the passes ping-pong between data and the scratch; after
-  // an odd number of passes the result sits in the scratch.
+  // In cache: the passes ping-pong between the scratch and the data,
+  // each viewed as a split buffer.
   static thread_local aligned_vector<complex_t> tls_scratch(dim(kBaseQubits));
-  complex_t* work = scratch.empty() ? tls_scratch.data() : scratch.data();
-  const complex_t* out = stockham(data.data(), work, twiddle_.data(), n_, 1, factor);
-  if (out != data.data()) std::copy(out, out + size, data.data());
+  double* work = reinterpret_cast<double*>(scratch.empty() ? tls_scratch.data() : scratch.data());
+  codelets().single(data.data(), {work, work + size}, roots_of(roots_, size),
+                    roots_of(first_, 7 * (size / 8)), n_, factor, static_cast<int>(sign_));
 }
 
 void FftPlan::execute(std::span<complex_t> data, Norm norm) const {

@@ -6,18 +6,35 @@
 // from scratch, plan-based like FFTW, with both sign conventions and
 // optional unitary normalization. The transform size picks the path:
 //
-//  * in-cache sizes (up to 2^12 points): self-sorting Stockham radix-2^2
-//    passes from an N/2-entry twiddle table, ping-ponging with a scratch
-//    buffer, so no bit-reversal pass ever runs;
+//  * in-cache sizes (up to 2^12 points): self-sorting Stockham passes of
+//    radix 8 (plus at most two of radix 4 or one of radix 2),
+//    ping-ponging between the caller's scratch and the data, so no
+//    bit-reversal pass ever runs;
 //  * larger sizes: the four-step transform, the cache-level twin of
 //    dist_fft's six-step (Eq. 5). Viewing the data as an R x C matrix,
-//    pass 1 runs the R-point column FFTs over tiles of adjacent columns,
-//    multiplies by w_N^(j2*k1) and stores the tile transposed into the
-//    scratch; pass 2 runs the C-point FFTs over tiles of that transposed
-//    matrix and writes the result, in natural order and normalized, back
-//    into the data. Two passes over the state instead of ceil(n/2), and
-//    every sub-FFT runs on a tile that stays in cache. Twiddles are
-//    O(sqrt(N)): the sub-FFTs' tables plus a two-level Twiddles table.
+//    pass 1 runs the R-point column FFTs over tiles of 8 adjacent
+//    columns, multiplies by w_N^(j2*k1) and stores the tile transposed
+//    into the scratch, in slabs of 8 columns of the transposed matrix;
+//    pass 2 runs the C-point FFTs over one contiguous slab at a time and
+//    writes the result, in natural order and normalized, back into the
+//    data. Two passes over the state instead
+//    of ceil(n/2), and every sub-FFT runs on a tile that stays in cache.
+//    Twiddles are O(sqrt(N)): the sub-FFTs' tables plus a two-level
+//    Twiddles table.
+//
+// The butterflies are codelets in the manner of FFTW (Frigo and Johnson,
+// "The Design and Implementation of FFTW3", Proc. IEEE 93(2), 2005):
+// radix-4 and radix-8 Stockham passes over split work buffers (real
+// parts in one array, imaginary in another), so every loop vectorizes.
+// One codelet body is compiled per dispatch tier, portable (the scalar
+// reference) and with AVX2 and AVX-512 flags, and
+// sim::kernels::active_isa() picks the tier, so QC_SIMD governs the FFT
+// as it does the gate kernels (fft/codelets.hpp). Both four-step passes
+// move the state in whole 128-byte runs (8 complex<double>, two cache
+// lines): pass 1 writes the scratch slabs and pass 2 the strided runs of
+// the data with full-line streaming stores, which skip the cache and its
+// read-for-ownership. The Schedule::SingleStage / FusedPairs references
+// and dft_naive are independent of the codelets, and stay the oracles.
 //
 // Convention: Sign::Negative computes y_k = sum_l x_l exp(-2*pi*i*k*l/N)
 // (the classical "forward" DFT); Sign::Positive uses exp(+...). The QFT
@@ -76,6 +93,11 @@ class Twiddles {
             h.real() * l.imag() + h.imag() * l.real()};
   }
 
+  /// The two tables, for the codelets that compute the same product.
+  [[nodiscard]] qubit_t lo_bits() const noexcept { return lo_bits_; }
+  [[nodiscard]] const complex_t* lo() const noexcept { return lo_.data(); }
+  [[nodiscard]] const complex_t* hi() const noexcept { return hi_.data(); }
+
  private:
   qubit_t lo_bits_ = 0;
   index_t lo_mask_ = 0;
@@ -91,13 +113,14 @@ class FftPlan {
   /// Plan for transforms of 2^n_qubits points with the given sign.
   FftPlan(qubit_t n_qubits, Sign sign, Schedule schedule = Schedule::Stockham);
 
-  /// In-place transform of exactly 2^n_qubits points. A Stockham plan
-  /// needs a scratch array as large as the data: in-cache sizes use a
-  /// per-thread one, larger sizes allocate one for the call.
+  /// In-place transform of exactly 2^n_qubits points, with the codelets
+  /// of the active dispatch tier. A Stockham plan needs a scratch array
+  /// as large as the data: in-cache sizes use a per-thread one, larger
+  /// sizes allocate one for the call.
   void execute(std::span<complex_t> data, Norm norm = Norm::None) const;
 
   /// Same transform with caller-provided scratch (>= data.size();
-  /// distinct from data; its contents are overwritten). Lets long-lived
+  /// not overlapping data; its contents are overwritten). Lets long-lived
   /// callers (the emulator) reuse one buffer for every call. The
   /// reference schedules do not touch it; an empty scratch behaves as
   /// the overload above.
@@ -117,9 +140,13 @@ class FftPlan {
   Sign sign_;
   Schedule schedule_;
   qubit_t col_qubits_ = 0;  // blocked: log2 R, the column-FFT length
-  // twiddle_[j] = exp(sign*2*pi*i*j/M), j < M/2, with M = N, or M = R on
-  // the blocked path; row_twiddle_ is the blocked path's C-point table.
-  aligned_vector<complex_t> twiddle_, row_twiddle_;
+  // The reference schedules' table: twiddle_[j] = exp(sign*2*pi*i*j/N),
+  // j < N/2.
+  aligned_vector<complex_t> twiddle_;
+  // Stockham: the codelets' split tables of all M roots of unity, with
+  // M = N in cache, or M = R (roots_) and C (row_roots_) when blocked;
+  // first_ is the in-cache first pass's table (detail::Codelets::single).
+  aligned_vector<double> roots_, row_roots_, first_;
   Twiddles outer_;  // blocked: w_N^(j2*k1)
 };
 

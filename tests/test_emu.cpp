@@ -5,6 +5,8 @@
 // contract (§3).
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <cmath>
 
 #include "circuit/builders.hpp"
@@ -53,6 +55,28 @@ TEST(Emulator, PartialMapDetectsCollision) {
   sv[0] = sv[1] = 1.0 / std::sqrt(2.0);
   Emulator emu(sv);
   EXPECT_THROW(emu.apply_partial_map([](index_t) { return index_t{3}; }), std::logic_error);
+}
+
+TEST(Emulator, PartialMapCollisionAcrossThreadsAlwaysThrows) {
+  // Sources 0 and 2^13 open the ranges of threads 0 and 2 (static
+  // schedule, 4 threads, 2^14 amplitudes) and map to one index, so a
+  // non-atomic check-then-write would let both find the slot empty.
+  const qubit_t n = 14;
+  const index_t clash = index_t{1} << 13;
+  StateVector sv = random_state(n, 21);
+  Emulator emu(sv);
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(4);
+  int thrown = 0;
+  for (int rep = 0; rep < 200; ++rep) {
+    try {
+      emu.apply_partial_map([&](index_t i) { return i == clash ? index_t{0} : i; });
+    } catch (const std::logic_error&) {
+      ++thrown;
+    }
+  }
+  omp_set_num_threads(threads);
+  EXPECT_EQ(thrown, 200);
 }
 
 TEST(Emulator, RegisterChecksThrow) {

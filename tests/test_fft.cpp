@@ -1,14 +1,18 @@
 // Tests for the from-scratch FFT: correctness against the naive DFT,
-// unitarity, round trips, plan reuse, bit reversal, and the QFT (Eq. 4)
-// convention the emulator relies on.
+// unitarity, round trips, plan reuse, bit reversal, the QFT (Eq. 4)
+// convention the emulator relies on, and agreement of every dispatch
+// tier's codelets with the scalar tier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
+#include "sim/kernels_dispatch.hpp"
 
 namespace qc::fft {
 namespace {
@@ -208,6 +212,87 @@ TEST(Fft, StockhamCallerScratchMatchesThreadLocalPath) {
   EXPECT_THROW(plan.execute(v, {small.data(), small.size()}, Norm::None),
                std::invalid_argument);
   EXPECT_THROW(plan.execute(v, {v.data(), v.size()}, Norm::None), std::invalid_argument);
+  // Overlapping the data without aliasing it, from either side.
+  aligned_vector<complex_t> both(2 * v.size());
+  const std::span<complex_t> lower{both.data(), v.size()};
+  const std::span<complex_t> upper{both.data() + v.size() / 2, v.size()};
+  EXPECT_THROW(plan.execute(lower, upper, Norm::None), std::invalid_argument);
+  EXPECT_THROW(plan.execute(upper, lower, Norm::None), std::invalid_argument);
+}
+
+std::vector<sim::kernels::SimdIsa> available_isas() {
+  using sim::kernels::SimdIsa;
+  std::vector<SimdIsa> out;
+  for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kAvx512})
+    if (sim::kernels::isa_available(isa)) out.push_back(isa);
+  return out;
+}
+
+/// Restores the pre-test dispatch decision on scope exit.
+struct IsaGuard {
+  sim::kernels::SimdIsa prev = sim::kernels::active_isa();
+  ~IsaGuard() { sim::kernels::force_isa(prev); }
+};
+
+TEST(FftTiers, EveryTierMatchesScalarTierAndNaiveDft) {
+  // n <= 12 runs the in-cache transform (n <= 3 in one pass), larger n
+  // the blocked four-step; odd and even n give odd and even stage
+  // counts. Each tier runs with the plan's own scratch (per-thread in
+  // cache, allocated when blocked) and with the caller's.
+  IsaGuard guard;
+  for (qubit_t n = 1; n <= 16; ++n) {
+    const index_t size = dim(n);
+    for (const Sign sign : {Sign::Negative, Sign::Positive}) {
+      const auto in = random_signal(n, 500 + n);
+      aligned_vector<complex_t> naive(size);
+      dft_naive(in, naive, sign);
+      const FftPlan plan(n, sign);
+      for (const Norm norm : {Norm::None, Norm::Unitary, Norm::Inverse}) {
+        const double factor = norm_scale(norm, size);
+        aligned_vector<complex_t> scalar;
+        for (const sim::kernels::SimdIsa isa : available_isas()) {
+          sim::kernels::force_isa(isa);
+          for (const bool caller_scratch : {false, true}) {
+            aligned_vector<complex_t> got = in;
+            aligned_vector<complex_t> scratch(caller_scratch ? size : 0);
+            plan.execute(got, {scratch.data(), scratch.size()}, norm);
+            if (scalar.empty()) scalar = got;  // the scalar tier runs first
+            double err = 0;
+            for (index_t k = 0; k < size; ++k)
+              err = std::max(err, std::abs(got[k] - naive[k] * factor));
+            EXPECT_LT(max_diff(got, scalar), 1e-12)
+                << sim::kernels::isa_name(isa) << " n=" << n << " sign=" << int(sign)
+                << " norm=" << int(norm) << " caller_scratch=" << caller_scratch;
+            EXPECT_LT(err, 1e-9 * std::sqrt(static_cast<double>(size)) * factor)
+                << sim::kernels::isa_name(isa) << " n=" << n << " sign=" << int(sign)
+                << " norm=" << int(norm) << " caller_scratch=" << caller_scratch;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FftTiers, UnalignedBuffersTakePlainStores) {
+  // The blocked path streams whole 64-byte lines only into 64-byte
+  // aligned rows; data and scratch one element off take plain stores,
+  // with the same result.
+  IsaGuard guard;
+  for (const qubit_t n : {13u, 16u}) {
+    const index_t size = dim(n);
+    const auto in = random_signal(n, 600 + n);
+    for (const sim::kernels::SimdIsa isa : available_isas()) {
+      sim::kernels::force_isa(isa);
+      const FftPlan plan(n, Sign::Positive);
+      aligned_vector<complex_t> aligned = in, scratch(size);
+      plan.execute(aligned, {scratch.data(), size}, Norm::Unitary);
+      aligned_vector<complex_t> buf(size + 1), scratch_buf(size + 1);
+      std::copy(in.begin(), in.end(), buf.begin() + 1);
+      const std::span<complex_t> off{buf.data() + 1, size};
+      plan.execute(off, {scratch_buf.data() + 1, size}, Norm::Unitary);
+      EXPECT_EQ(max_diff(off, aligned), 0.0) << sim::kernels::isa_name(isa) << " n=" << n;
+    }
+  }
 }
 
 TEST(Fft, LargeTransformStaysAccurate) {
