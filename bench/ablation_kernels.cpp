@@ -1,26 +1,38 @@
 // bench_ablation_kernels — precision x ISA ablation of the dispatched
-// microkernels (PR 10's acceptance bench).
+// microkernels, and the chunk probe.
 //
 // Sweeps every available SIMD tier (scalar / avx2 / avx512, forced via
 // kernels::force_isa) against both amplitude precisions (fp64 / fp32)
-// over the three dispatched kernel families — dense 2x2 (apply_folded),
-// dense 4x4 (apply_multi) and the run-scaled diagonal — plus one fused
-// QFT sweep end to end (execute_blocked over a prebuilt all-Global plan,
+// over the dispatched kernel families — dense 2x2 (apply_folded), dense
+// 4x4 (apply_multi) and the run-scaled diagonal — plus one fused QFT
+// sweep end to end (execute_blocked over a prebuilt all-Global plan,
 // the "fused" backend's executor). Each cell reports best-of-reps
 // seconds and the effective memory bandwidth.
 //
+// The chunk probe times what a cache-blocked sweep runs: each k-qubit
+// kernel (dense and diagonal, k = 1..5) on one cache-resident
+// 2^16-amplitude chunk, one thread, serial mode, in ns per amplitude
+// (median of 20 * reps calls after a warm-up call). Its targets are
+// low, low + 1, ..., low + k - 1 for each lowest target `low` in
+// kChunkLows (the top one clamped so the block fits), which covers
+// blocks inside a register, at its edge and across runs, for every tier
+// and precision.
+//
 // Headline scalars (top-level JSON numerics, picked up by
-// tools/append_trajectory.py into BENCH_TRAJECTORY.md). Both are taken
-// from the dense 2x2 sweep — the paper's core kernel and the cell the
-// acceptance gate reads; the fused QFT row is diagonal-dominated (231
-// controlled phases vs 22 H at n=22) so it understates dense-kernel
-// precision gains:
+// tools/append_trajectory.py into BENCH_TRAJECTORY.md). The first two
+// are taken from the dense 2x2 sweep — the paper's core kernel and the
+// cell the acceptance gate reads; the fused QFT row is
+// diagonal-dominated (231 controlled phases vs 22 H at n=22) so it
+// understates dense-kernel precision gains:
 //   fp32_vs_fp64_speedup   — dense2, auto-dispatched ISA: t64 / t32.
 //   dispatch_vs_native_ratio — dense2 at fp64: auto-dispatched
-//       hand-vectorized kernels vs the scalar reference loops, which
-//       the default QC_NATIVE=ON build compiles with -march=native —
-//       i.e. runtime dispatch vs what native compilation achieves
-//       (<= 1.05 means within 5%).
+//       kernels vs the scalar tier's loops, which the default
+//       QC_NATIVE=ON build compiles with -march=native — i.e. runtime
+//       dispatch vs what native compilation achieves (<= 1.05 means
+//       within 5%).
+//   chunk_dense3_vs_scalar — chunk probe, fp64 dense k = 3: the
+//       dispatched tier's ns/amp over the scalar tier's, median over
+//       the lowest targets 0, 3 and 12.
 //
 // Run: ./bench_ablation_kernels [--qubits 22] [--reps 3] [--json FILE]
 #include <algorithm>
@@ -29,12 +41,14 @@
 #include <cstdio>
 #include <numbers>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "circuit/builders.hpp"
 #include "common/rng.hpp"
 #include "fuse/fusion.hpp"
+#include "linalg/matrix.hpp"
 #include "sched/cached_simulator.hpp"
 #include "sim/kernels.hpp"
 #include "sim/kernels_dispatch.hpp"
@@ -112,6 +126,75 @@ void run_cells(qubit_t n, int reps, const sched::BlockedPlan& plan, const char* 
   out.push_back({"fused_qft", isa, bits, s, 0});
 }
 
+/// One chunk-probe cell: `kernel` ("dense" / "diag") on targets low,
+/// low + 1, ..., low + k - 1 of one 2^kChunkQubits chunk.
+struct ChunkCell {
+  std::string kernel;
+  qubit_t k = 0;
+  qubit_t low = 0;
+  std::string isa;
+  int fp_bits = 64;
+  double ns_per_amp = 0;
+};
+
+inline constexpr qubit_t kChunkQubits = 16;
+inline constexpr qubit_t kChunkLows[] = {0, 1, 2, 3, 4, 12};
+inline constexpr qubit_t kChunkMaxWidth = 5;  // kernels' kMaxDispatchedWidth
+
+/// Median wall time of `calls` calls of `f`, after one warm-up call.
+template <typename F>
+double median_of(int calls, F&& f) {
+  f();
+  std::vector<double> t(static_cast<std::size_t>(calls));
+  for (double& s : t) {
+    WallTimer timer;
+    f();
+    s = timer.seconds();
+  }
+  std::nth_element(t.begin(), t.begin() + calls / 2, t.end());
+  return t[static_cast<std::size_t>(calls / 2)];
+}
+
+/// The chunk probe under the currently forced ISA, at precision T.
+template <typename T>
+void run_chunk_cells(int calls, const char* isa, std::vector<ChunkCell>& out) {
+  using C = basic_complex_t<T>;
+  sim::BasicStateVector<T> sv(kChunkQubits);
+  sv.randomize_deterministic(5);
+  const auto a = sv.amplitudes();
+  const double amps = static_cast<double>(dim(kChunkQubits));
+  const int bits = static_cast<int>(8 * sizeof(T));
+  Rng rng(17);
+  for (qubit_t k = 1; k <= kChunkMaxWidth; ++k) {
+    const linalg::Matrix um = linalg::Matrix::random_unitary(dim(k), rng);
+    std::vector<C> u(um.rows() * um.cols()), d(dim(k));
+    for (std::size_t i = 0; i < u.size(); ++i) u[i] = static_cast<C>(um.data()[i]);
+    for (std::size_t i = 0; i < d.size(); ++i)
+      d[i] = static_cast<C>(std::polar(1.0, 0.3 + 0.7 * static_cast<double>(i)));
+    for (const qubit_t low0 : kChunkLows) {
+      const qubit_t low = std::min<qubit_t>(low0, kChunkQubits - k);
+      std::vector<qubit_t> targets;
+      for (qubit_t q = 0; q < k; ++q) targets.push_back(low + q);
+      double s = median_of(calls, [&] {
+        sim::kernels::apply_multi<T>(a, kChunkQubits, targets, u, false);
+      });
+      out.push_back({"dense", k, low, isa, bits, s / amps * 1e9});
+      s = median_of(calls, [&] {
+        sim::kernels::apply_multi_diagonal<T>(a, kChunkQubits, targets, d, false);
+      });
+      out.push_back({"diag", k, low, isa, bits, s / amps * 1e9});
+    }
+  }
+}
+
+double chunk_ns(const std::vector<ChunkCell>& cells, const std::string& kernel, qubit_t k,
+                qubit_t low, const std::string& isa, int fp_bits) {
+  for (const ChunkCell& c : cells)
+    if (c.kernel == kernel && c.k == k && c.low == low && c.isa == isa && c.fp_bits == fp_bits)
+      return c.ns_per_amp;
+  return 0;
+}
+
 std::vector<SimdIsa> available_isas() {
   std::vector<SimdIsa> out;
   for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kAvx512})
@@ -139,11 +222,15 @@ int main(int argc, char** argv) {
 
   const SimdIsa dispatched = sim::kernels::active_isa();
   std::vector<Cell> cells;
+  std::vector<ChunkCell> chunk;
+  const int chunk_calls = std::max(1, 20 * reps);
   for (const SimdIsa isa : available_isas()) {
     const SimdIsa prev = sim::kernels::force_isa(isa);
     const char* name = sim::kernels::isa_name(isa);
     run_cells<double>(n, reps, plan, name, cells);
     run_cells<float>(n, reps, plan, name, cells);
+    run_chunk_cells<double>(chunk_calls, name, chunk);
+    run_chunk_cells<float>(chunk_calls, name, chunk);
     sim::kernels::force_isa(prev);
   }
 
@@ -153,6 +240,13 @@ int main(int argc, char** argv) {
   const double t64_scalar = cell_seconds(cells, "dense2", "scalar", 64);
   const double fp32_speedup = t32 > 0 ? t64 / t32 : 0;
   const double dispatch_vs_native = t64_scalar > 0 ? t64 / t64_scalar : 0;
+  std::vector<double> dense3_ratio;
+  for (const qubit_t low : {0u, 3u, 12u}) {
+    const double scalar = chunk_ns(chunk, "dense", 3, low, "scalar", 64);
+    if (scalar > 0) dense3_ratio.push_back(chunk_ns(chunk, "dense", 3, low, disp, 64) / scalar);
+  }
+  std::sort(dense3_ratio.begin(), dense3_ratio.end());
+  const double chunk_dense3 = dense3_ratio.empty() ? 0 : dense3_ratio[dense3_ratio.size() / 2];
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -165,6 +259,7 @@ int main(int argc, char** argv) {
                  reps, disp);
     std::fprintf(f, "  \"fp32_vs_fp64_speedup\": %.3f,\n", fp32_speedup);
     std::fprintf(f, "  \"dispatch_vs_native_ratio\": %.3f,\n", dispatch_vs_native);
+    std::fprintf(f, "  \"chunk_dense3_vs_scalar\": %.3f,\n", chunk_dense3);
     std::fprintf(f, "  \"cells\": [\n");
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const Cell& c = cells[i];
@@ -173,6 +268,15 @@ int main(int argc, char** argv) {
                    "\"seconds\": %.6f, \"gb_per_s\": %.2f}%s\n",
                    c.kernel.c_str(), c.isa.c_str(), c.fp_bits, c.seconds, c.gb_per_s,
                    i + 1 < cells.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"chunk_cells\": [\n");
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      const ChunkCell& c = chunk[i];
+      std::fprintf(f,
+                   "    {\"kernel\": \"%s\", \"k\": %u, \"low\": %u, \"isa\": \"%s\", "
+                   "\"fp_bits\": %d, \"ns_per_amp\": %.4f}%s\n",
+                   c.kernel.c_str(), c.k, c.low, c.isa.c_str(), c.fp_bits, c.ns_per_amp,
+                   i + 1 < chunk.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -185,11 +289,35 @@ int main(int argc, char** argv) {
     table.add_row({c.kernel, c.isa, std::to_string(c.fp_bits), sci(c.seconds),
                    c.gb_per_s > 0 ? fixed(c.gb_per_s, 2) : "-"});
   table.print("kernel cells (best of " + std::to_string(reps) + ")");
+
+  // The chunk probe: one row per kernel x k x lowest target, one column
+  // per tier x precision.
+  std::vector<std::string> head{"kernel", "k", "low"};
+  std::vector<std::pair<std::string, int>> cols;
+  for (const SimdIsa isa : available_isas())
+    for (const int fp : {64, 32}) {
+      cols.emplace_back(sim::kernels::isa_name(isa), fp);
+      head.push_back(cols.back().first + " fp" + std::to_string(fp));
+    }
+  Table probe(head);
+  for (const ChunkCell& c : chunk) {
+    if (c.isa != cols.front().first || c.fp_bits != 64) continue;
+    std::vector<std::string> row{c.kernel, std::to_string(c.k), std::to_string(c.low)};
+    for (const auto& [isa, fp] : cols)
+      row.push_back(fixed(chunk_ns(chunk, c.kernel, c.k, c.low, isa, fp), 3));
+    probe.add_row(row);
+  }
+  probe.print("chunk probe: ns/amp on one 2^" + std::to_string(kChunkQubits) +
+              "-amplitude chunk, one thread, serial mode (median of " +
+              std::to_string(chunk_calls) + " calls)");
   std::printf("\ndispatched isa:            %s\n", disp);
   std::printf("fp32 vs fp64 speedup:      %.2fx (dense 2x2 sweep, %u qubits)\n", fp32_speedup,
               n);
   std::printf("dispatch vs native ratio:  %.2fx (fp64 dense 2x2, dispatched vs scalar "
               "reference at build arch)\n",
               dispatch_vs_native);
+  std::printf("chunk dense k=3 vs scalar: %.2fx (fp64, %s over scalar tier, median of lowest "
+              "targets 0, 3, 12)\n",
+              chunk_dense3, disp);
   return 0;
 }

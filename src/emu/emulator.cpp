@@ -88,9 +88,7 @@ void Emulator::apply_phase_function(const std::function<double(index_t)>& phase)
 }
 
 void Emulator::apply_phase_oracle(const std::function<bool(index_t)>& marked) {
-  sim::kernels::apply_phase_oracle(sv_->amplitudes(), [&](index_t i) {
-    return marked(i) ? complex_t{-1.0} : complex_t{1.0};
-  });
+  sim::kernels::negate_marked(sv_->amplitudes(), marked);
 }
 
 void Emulator::qft() { qft_impl({0, sv_->qubits()}, fft::Sign::Positive); }

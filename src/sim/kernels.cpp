@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/aligned.hpp"
 #include "sim/kernels_dispatch.hpp"
 
 namespace qc::sim::kernels {
@@ -171,16 +172,21 @@ void apply_folded(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, in
                   const U2T<T>& u, bool parallel) {
   const index_t tbit = bits::bit(target);
   if (cmask == 0) {
-    // Uncontrolled: the (target=0, target=1) partners form contiguous
-    // runs of 2^target amplitudes — hand them to the runtime-dispatched
-    // dense2 microkernel.
+    if (active_microkernels<T>().dense[0] != nullptr) {
+      // Uncontrolled: the dispatched 1-qubit dense kernel.
+      const qubit_t targets[] = {target};
+      const basic_complex_t<T> m[] = {u.m00, u.m01, u.m10, u.m11};
+      return apply_multi<T>(a, n, targets, m, parallel);
+    }
+    // The scalar tier: the (target=0, target=1) partners form contiguous
+    // runs of 2^target amplitudes, a loop the compiler can vectorize.
     const qubit_t pos[] = {target};
-    const std::array<T, 8> coef = u2_coef(u);
     with_mode(parallel, [&](auto mode) {
       for_each_run(mode, n, pos,
-                   [p = real_imag_planes(a.data()), tbit, c = coef.data(),
-                    dense2 = active_microkernels<T>().dense2](index_t base, index_t len) {
-                     dense2(p + 2 * base, p + 2 * (base + tbit), len, c);
+                   [p = real_imag_planes(a.data()), coef = u2_coef(u), tbit](index_t base,
+                                                                             index_t len) {
+                     for (index_t i = base; i < base + len; ++i)
+                       apply_u2(p + 2 * i, p + 2 * (i + tbit), coef);
                    });
     });
     return;
@@ -296,11 +302,12 @@ std::array<index_t, B> block_offsets(std::span<const qubit_t> targets) {
 /// Width-templated block apply: the compile-time block size lets the
 /// compiler fully unroll / FMA-vectorize the mat-vec, and the unitary is
 /// split once into real/imag planes so the hot loop is plain scalar
-/// arithmetic (std::complex products inhibit vectorization).
+/// arithmetic (std::complex products inhibit vectorization). This is
+/// the scalar tier of the dense blocks, and the reference of the
+/// dispatched ones.
 template <typename T, unsigned K, bool Par>
 void apply_multi_t(Mode<Par> mode, std::span<basic_complex_t<T>> a, qubit_t n,
                    std::span<const qubit_t> targets, std::span<const basic_complex_t<T>> u) {
-  using C = basic_complex_t<T>;
   constexpr index_t B = index_t{1} << K;
   const std::array<index_t, B> offs = block_offsets<B>(targets);
   alignas(64) std::array<T, B * B> ur, ui;
@@ -308,12 +315,12 @@ void apply_multi_t(Mode<Par> mode, std::span<basic_complex_t<T>> a, qubit_t n,
     ur[i] = u[i].real();
     ui[i] = u[i].imag();
   }
-  for_each_index(mode, n, targets, [a, &offs, &ur, &ui](index_t base) {
+  T* const p = real_imag_planes(a.data());
+  for_each_index(mode, n, targets, [p, &offs, &ur, &ui](index_t base) {
     alignas(64) std::array<T, B> xr, xi, yr, yi;
     for (index_t b = 0; b < B; ++b) {
-      const C v = a[base | offs[b]];
-      xr[b] = v.real();
-      xi[b] = v.imag();
+      xr[b] = p[2 * (base | offs[b])];
+      xi[b] = p[2 * (base | offs[b]) + 1];
     }
     for (index_t r = 0; r < B; ++r) {
       const T* urow = ur.data() + r * B;
@@ -326,7 +333,10 @@ void apply_multi_t(Mode<Par> mode, std::span<basic_complex_t<T>> a, qubit_t n,
       yr[r] = accr;
       yi[r] = acci;
     }
-    for (index_t b = 0; b < B; ++b) a[base | offs[b]] = C{yr[b], yi[b]};
+    for (index_t b = 0; b < B; ++b) {
+      p[2 * (base | offs[b])] = yr[b];
+      p[2 * (base | offs[b]) + 1] = yi[b];
+    }
   });
 }
 
@@ -351,27 +361,118 @@ void apply_multi_generic(Mode<Par> mode, std::span<basic_complex_t<T>> a, qubit_
   });
 }
 
-/// 2-qubit dense apply through the dispatched 4x4 microkernel: the
-/// generic gather kernel pays per-block staging (~2x at B = 4); this
-/// walks the four target-bit runs {00, 01, 10, 11} directly so the
-/// contiguous low-bit run vectorizes.
-template <typename T, bool Par>
-void apply_multi2(Mode<Par> mode, std::span<basic_complex_t<T>> a, qubit_t n,
-                  std::span<const qubit_t> targets, std::span<const basic_complex_t<T>> u) {
-  const index_t b0 = bits::bit(targets[0]);
-  const index_t b1 = bits::bit(targets[1]);
-  // Unitary coefficient planes, row-major 4x4 (local bit 0 <-> targets[0]).
-  std::array<T, 16> ur, ui;
-  for (int i = 0; i < 16; ++i) {
-    ur[i] = u[i].real();
-    ui[i] = u[i].imag();
+/// The walk of a dispatched block over `targets` in vectors of
+/// 2^lane_bits amplitudes (see BlockWalk): the targets below lane_bits
+/// stay inside a vector, the rest pick the runs.
+BlockWalk block_walk(qubit_t n, std::span<const qubit_t> targets, qubit_t lane_bits) {
+  BlockWalk w;
+  w.lane_bits = lane_bits;
+  const auto first_high = std::find_if(targets.begin(), targets.end(),
+                                       [lane_bits](qubit_t t) { return t >= lane_bits; });
+  const auto high = targets.subspan(static_cast<std::size_t>(first_high - targets.begin()));
+  w.n_high = static_cast<qubit_t>(high.size());
+  w.seg_bits = std::min(high.empty() ? n : high[0], kSegmentBits);
+  for (std::size_t i = 0; i < high.size(); ++i) w.high[i] = high[i] - w.seg_bits;
+  const auto offs = block_offsets<dim(kMaxDispatchedWidth)>(high);
+  std::copy(offs.begin(), offs.end(), w.offs);
+  return w;
+}
+
+/// f(s0, s1) over the segments of `w` in ranges of about 2^kSegmentBits
+/// amplitudes, so a parallel walk stays balanced. Both modes cut the
+/// same ranges, so they run the same arithmetic.
+template <bool Par, typename F>
+inline void for_each_segments(Mode<Par> mode, qubit_t n, const BlockWalk& w, const F& f) {
+  const qubit_t covered = w.seg_bits + w.n_high;  // log2 amplitudes of one segment's runs
+  const index_t segments = dim(n - covered);
+  const index_t per = covered < kSegmentBits ? dim(kSegmentBits - covered) : 1;
+  loop(mode, (segments + per - 1) / per, dim(n), [f, per, segments](index_t c) {
+    f(c * per, std::min(segments, (c + 1) * per));
+  });
+}
+
+/// The vector width a dense block runs at on a tier whose registers
+/// hold 2^tier_bits amplitudes: a whole register when no target lies
+/// below it; else a register that ends below the lowest target (across
+/// runs), or, when qubit 0 is a target, one that holds only targets
+/// 0, 1, ... (inside a vector).
+qubit_t dense_lane_bits(std::span<const qubit_t> targets, qubit_t tier_bits) {
+  if (targets[0] > 0) return std::min(targets[0], tier_bits);
+  qubit_t m = 1;
+  while (m < tier_bits && m < targets.size() && targets[m] == m) ++m;
+  return m;
+}
+
+/// Dense k-qubit block (k <= kMaxDispatchedWidth) through the tier's
+/// dispatched kernel; lays its coefficients out as Microkernels::dense
+/// documents.
+template <typename T>
+void apply_multi_dispatched(const Microkernels<T>& mk, std::span<basic_complex_t<T>> a, qubit_t n,
+                            std::span<const qubit_t> targets,
+                            std::span<const basic_complex_t<T>> u, bool parallel) {
+  const auto k = static_cast<qubit_t>(targets.size());
+  const BlockWalk w = block_walk(n, targets, dense_lane_bits(targets, mk.lane_bits));
+  const index_t block = dim(k);
+  alignas(kAlignment) std::array<T, 4 * dim(2 * kMaxDispatchedWidth)> coef;
+  if (w.n_high == k) {
+    for (index_t i = 0; i < block * block; ++i) {
+      coef[i] = u[i].real();
+      coef[block * block + i] = u[i].imag();
+    }
+  } else {
+    const qubit_t m = k - w.n_high;
+    const index_t lanes = dim(m);
+    T* out = coef.data();
+    for (index_t j = 0; j < dim(w.n_high); ++j) {
+      for (index_t c = 0; c < block; ++c, out += 4 * lanes) {
+        for (index_t l = 0; l < lanes; ++l) {
+          const basic_complex_t<T> x = u[((j << m) | l) * block + c];
+          out[2 * l] = x.real();
+          out[2 * l + 1] = x.imag();
+          out[2 * lanes + 2 * l] = -x.imag();
+          out[2 * lanes + 2 * l + 1] = x.real();
+        }
+      }
+    }
   }
-  for_each_run(mode, n, targets,
-               [p = real_imag_planes(a.data()), b0, b1, ur = ur.data(), ui = ui.data(),
-                dense4 = active_microkernels<T>().dense4](index_t base, index_t len) {
-                 dense4(p + 2 * base, p + 2 * (base + b0), p + 2 * (base + b1),
-                        p + 2 * (base + b0 + b1), len, ur, ui);
-               });
+  with_mode(parallel, [&](auto mode) {
+    for_each_segments(mode, n, w,
+                      [p = real_imag_planes(a.data()), &w, c = coef.data(),
+                       dense = mk.dense[k - 1]](index_t s0, index_t s1) {
+                        dense(p, w, c, s0, s1);
+                      });
+  });
+}
+
+/// Diagonal k-qubit block (k <= kMaxDispatchedWidth) through the tier's
+/// dispatched kernel: each run below the lowest target at or above the
+/// register width has one factor per lane.
+template <typename T>
+void apply_multi_diagonal_dispatched(const Microkernels<T>& mk, std::span<basic_complex_t<T>> a,
+                                     qubit_t n, std::span<const qubit_t> targets,
+                                     std::span<const basic_complex_t<T>> d, bool parallel) {
+  const BlockWalk w = block_walk(n, targets, std::min(mk.lane_bits, n));
+  const auto m = static_cast<qubit_t>(targets.size() - w.n_high);
+  const index_t lanes = dim(w.lane_bits);
+  alignas(kAlignment) std::array<T, 2 * dim(kMaxDispatchedWidth) * (kMaxSimdBytes / sizeof(T))>
+      factors;
+  T* out = factors.data();
+  for (index_t j = 0; j < dim(w.n_high); ++j, out += 4 * lanes) {
+    for (index_t l = 0; l < lanes; ++l) {
+      index_t b = j << m;
+      for (qubit_t i = 0; i < m; ++i) b |= bits::get(l, targets[i]) << i;
+      out[2 * l] = out[2 * l + 1] = d[b].real();
+      out[2 * lanes + 2 * l] = -d[b].imag();
+      out[2 * lanes + 2 * l + 1] = d[b].imag();
+    }
+  }
+  with_mode(parallel, [&](auto mode) {
+    for_each_segments(mode, n, w,
+                      [p = real_imag_planes(a.data()), &w, f = factors.data(),
+                       diagonal = mk.diagonal](index_t s0, index_t s1) {
+                        diagonal(p, w, f, s0, s1);
+                      });
+  });
 }
 
 }  // namespace
@@ -383,14 +484,13 @@ void apply_multi(std::span<basic_complex_t<T>> a, qubit_t n, std::span<const qub
   assert(k >= 1 && k <= kMaxFusedWidth && k <= n);
   assert(u.size() == dim(k) * dim(k));
   assert(std::is_sorted(targets.begin(), targets.end()));
-  if (k == 1) {
-    // Route through the folded 2x2 path so fused single-qubit blocks
-    // hit the dispatched dense2 microkernel.
-    return apply_folded<T>(a, n, targets[0], 0, U2T<T>{u[0], u[1], u[2], u[3]}, parallel);
-  }
+  const Microkernels<T>& mk = active_microkernels<T>();
+  if (k <= kMaxDispatchedWidth && mk.dense[k - 1] != nullptr)
+    return apply_multi_dispatched<T>(mk, a, n, targets, u, parallel);
   with_mode(parallel, [&](auto mode) {
     switch (k) {
-      case 2: return apply_multi2<T>(mode, a, n, targets, u);
+      case 1: return apply_multi_t<T, 1>(mode, a, n, targets, u);
+      case 2: return apply_multi_t<T, 2>(mode, a, n, targets, u);
       case 3: return apply_multi_t<T, 3>(mode, a, n, targets, u);
       case 4: return apply_multi_t<T, 4>(mode, a, n, targets, u);
       case 5: return apply_multi_t<T, 5>(mode, a, n, targets, u);
@@ -407,6 +507,9 @@ void apply_multi_diagonal(std::span<basic_complex_t<T>> a, qubit_t n,
   const auto k = static_cast<qubit_t>(targets.size());
   assert(k >= 1 && k <= kMaxFusedWidth && k <= n);
   assert(d.size() == dim(k));
+  const Microkernels<T>& mk = active_microkernels<T>();
+  if (k <= kMaxDispatchedWidth && mk.diagonal != nullptr)
+    return apply_multi_diagonal_dispatched<T>(mk, a, n, targets, d, parallel);
   with_mode(parallel, [&](auto mode) {
     for_each_index(mode, n, {}, [p = real_imag_planes(a.data()), targets, d, k](index_t i) {
       index_t b = 0;

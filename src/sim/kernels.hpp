@@ -28,10 +28,12 @@
 // Every kernel is templated on the real amplitude scalar T in
 // {float, double}: fp64 is the reference, fp32 halves the bytes each
 // sweep moves (the paper's figure of merit is bandwidth, §4.2). The
-// contiguous-run inner loops of the dense 2x2 / 4x4 and diagonal kernels
-// are further routed through runtime-dispatched SIMD microkernels
-// (kernels_dispatch.hpp) so one portable binary still saturates AVX2 /
-// AVX-512 hosts.
+// dense k-qubit blocks for k = 1..5 (the uncontrolled 2x2 gate among
+// them), the diagonal k-qubit blocks and the 1-qubit diagonal's run
+// scale are further routed through runtime-dispatched SIMD
+// microkernels (kernels_dispatch.hpp), so one portable binary still
+// saturates AVX2 / AVX-512 hosts; at the scalar tier they run the plain
+// loops in kernels.cpp, which are also the reference.
 //
 // All kernels are race-free under OpenMP: iteration index j maps to a
 // unique amplitude (pair), so static scheduling partitions memory
@@ -228,6 +230,21 @@ void apply_phase_oracle(std::span<basic_complex_t<T>> a, F&& f) {
   const index_t size = a.size();
 #pragma omp parallel for if (worth_parallelizing(size))
   for (index_t i = 0; i < size; ++i) a[i] *= static_cast<basic_complex_t<T>>(f(i));
+}
+
+/// A +-1 phase oracle without a multiply: negates, in place, each
+/// amplitude whose index `marked` selects.
+template <typename T, typename F>
+void negate_marked(std::span<basic_complex_t<T>> a, F&& marked) {
+  const index_t size = a.size();
+  T* p = real_imag_planes(a.data());
+#pragma omp parallel for if (worth_parallelizing(size))
+  for (index_t i = 0; i < size; ++i) {
+    if (marked(i)) {
+      p[2 * i] = -p[2 * i];
+      p[2 * i + 1] = -p[2 * i + 1];
+    }
+  }
 }
 
 }  // namespace qc::sim::kernels

@@ -1,187 +1,29 @@
-// AVX2+FMA microkernel variants (see kernels_dispatch.hpp).
-//
-// This translation unit is compiled with -mavx2 -mfma (set per-file in
-// CMakeLists.txt) when the compiler supports the flags; it must contain
-// ONLY its own out-of-line definitions, never shared inline code, so no
-// AVX2 instructions can leak into functions other TUs also emit. When
-// the flags are unavailable the fallbacks at the bottom forward to the
-// scalar reference and avx2_compiled_in() reports false, keeping the
-// dispatch table well-formed on any toolchain.
-//
-// Complex multiply in the interleaved {re, im} layout: for an even/odd
-// lane pair x = (xr, xi) and scalar w = wr + i*wi,
-//     x * w = fmaddsub(x, splat(wr), swap_pairs(x) * splat(wi))
-// because fmaddsub subtracts in even lanes (xr*wr - xi*wi = re) and
-// adds in odd lanes (xi*wr + xr*wi = im). Sums of complex products are
-// then plain vector adds.
-#include "sim/kernels_dispatch.hpp"
-
-#if defined(__AVX2__) && defined(__FMA__)
-
-#include <immintrin.h>
+// The AVX2 tier of the microkernels (kernels_dispatch.hpp): the one
+// body, compiled with -mavx2 -mfma (set per file in CMakeLists.txt).
+#include "sim/kernel_body.hpp"
 
 namespace qc::sim::kernels {
-
-bool avx2_compiled_in() noexcept { return true; }
-
 namespace {
-
-/// (xr, xi) -> (xi, xr) per 128-bit complex pair, 2 fp64 amplitudes.
-inline __m256d swap_pairs(__m256d x) noexcept { return _mm256_permute_pd(x, 0b0101); }
-/// Same for 4 fp32 amplitudes.
-inline __m256 swap_pairs(__m256 x) noexcept {
-  return _mm256_permute_ps(x, _MM_SHUFFLE(2, 3, 0, 1));
-}
-
-/// x * (wr + i*wi) with wr/wi pre-splatted.
-inline __m256d cmul(__m256d x, __m256d wr, __m256d wi) noexcept {
-  return _mm256_fmaddsub_pd(x, wr, _mm256_mul_pd(swap_pairs(x), wi));
-}
-inline __m256 cmul(__m256 x, __m256 wr, __m256 wi) noexcept {
-  return _mm256_fmaddsub_ps(x, wr, _mm256_mul_ps(swap_pairs(x), wi));
-}
-
+struct Tier {
+  static constexpr std::size_t kBytes = 32;
+};
 }  // namespace
 
-template <>
-void dense2_avx2<double>(double* p0, double* p1, index_t count, const double* coef) {
-  const __m256d ar = _mm256_set1_pd(coef[0]), ai = _mm256_set1_pd(coef[1]);
-  const __m256d br = _mm256_set1_pd(coef[2]), bi = _mm256_set1_pd(coef[3]);
-  const __m256d cr = _mm256_set1_pd(coef[4]), ci = _mm256_set1_pd(coef[5]);
-  const __m256d dr = _mm256_set1_pd(coef[6]), di = _mm256_set1_pd(coef[7]);
-  const index_t scalars = 2 * count;
-  index_t i = 0;
-  for (; i + 4 <= scalars; i += 4) {
-    const __m256d x0 = _mm256_loadu_pd(p0 + i);
-    const __m256d x1 = _mm256_loadu_pd(p1 + i);
-    _mm256_storeu_pd(p0 + i, _mm256_add_pd(cmul(x0, ar, ai), cmul(x1, br, bi)));
-    _mm256_storeu_pd(p1 + i, _mm256_add_pd(cmul(x0, cr, ci), cmul(x1, dr, di)));
-  }
-  if (i < scalars) dense2_scalar<double>(p0 + i, p1 + i, (scalars - i) / 2, coef);
-}
-
-template <>
-void dense2_avx2<float>(float* p0, float* p1, index_t count, const float* coef) {
-  const __m256 ar = _mm256_set1_ps(coef[0]), ai = _mm256_set1_ps(coef[1]);
-  const __m256 br = _mm256_set1_ps(coef[2]), bi = _mm256_set1_ps(coef[3]);
-  const __m256 cr = _mm256_set1_ps(coef[4]), ci = _mm256_set1_ps(coef[5]);
-  const __m256 dr = _mm256_set1_ps(coef[6]), di = _mm256_set1_ps(coef[7]);
-  const index_t scalars = 2 * count;
-  index_t i = 0;
-  for (; i + 8 <= scalars; i += 8) {
-    const __m256 x0 = _mm256_loadu_ps(p0 + i);
-    const __m256 x1 = _mm256_loadu_ps(p1 + i);
-    _mm256_storeu_ps(p0 + i, _mm256_add_ps(cmul(x0, ar, ai), cmul(x1, br, bi)));
-    _mm256_storeu_ps(p1 + i, _mm256_add_ps(cmul(x0, cr, ci), cmul(x1, dr, di)));
-  }
-  if (i < scalars) dense2_scalar<float>(p0 + i, p1 + i, (scalars - i) / 2, coef);
-}
-
-template <>
-void dense4_avx2<double>(double* p0, double* p1, double* p2, double* p3, index_t count,
-                         const double* ur, const double* ui) {
-  double* rows[4] = {p0, p1, p2, p3};
-  const index_t scalars = 2 * count;
-  index_t i = 0;
-  for (; i + 4 <= scalars; i += 4) {
-    const __m256d x0 = _mm256_loadu_pd(p0 + i);
-    const __m256d x1 = _mm256_loadu_pd(p1 + i);
-    const __m256d x2 = _mm256_loadu_pd(p2 + i);
-    const __m256d x3 = _mm256_loadu_pd(p3 + i);
-    for (int r = 0; r < 4; ++r) {
-      const double* urr = ur + 4 * r;
-      const double* uir = ui + 4 * r;
-      __m256d acc = cmul(x0, _mm256_set1_pd(urr[0]), _mm256_set1_pd(uir[0]));
-      acc = _mm256_add_pd(acc, cmul(x1, _mm256_set1_pd(urr[1]), _mm256_set1_pd(uir[1])));
-      acc = _mm256_add_pd(acc, cmul(x2, _mm256_set1_pd(urr[2]), _mm256_set1_pd(uir[2])));
-      acc = _mm256_add_pd(acc, cmul(x3, _mm256_set1_pd(urr[3]), _mm256_set1_pd(uir[3])));
-      _mm256_storeu_pd(rows[r] + i, acc);
-    }
-  }
-  if (i < scalars)
-    dense4_scalar<double>(p0 + i, p1 + i, p2 + i, p3 + i, (scalars - i) / 2, ur, ui);
-}
-
-template <>
-void dense4_avx2<float>(float* p0, float* p1, float* p2, float* p3, index_t count,
-                        const float* ur, const float* ui) {
-  float* rows[4] = {p0, p1, p2, p3};
-  const index_t scalars = 2 * count;
-  index_t i = 0;
-  for (; i + 8 <= scalars; i += 8) {
-    const __m256 x0 = _mm256_loadu_ps(p0 + i);
-    const __m256 x1 = _mm256_loadu_ps(p1 + i);
-    const __m256 x2 = _mm256_loadu_ps(p2 + i);
-    const __m256 x3 = _mm256_loadu_ps(p3 + i);
-    for (int r = 0; r < 4; ++r) {
-      const float* urr = ur + 4 * r;
-      const float* uir = ui + 4 * r;
-      __m256 acc = cmul(x0, _mm256_set1_ps(urr[0]), _mm256_set1_ps(uir[0]));
-      acc = _mm256_add_ps(acc, cmul(x1, _mm256_set1_ps(urr[1]), _mm256_set1_ps(uir[1])));
-      acc = _mm256_add_ps(acc, cmul(x2, _mm256_set1_ps(urr[2]), _mm256_set1_ps(uir[2])));
-      acc = _mm256_add_ps(acc, cmul(x3, _mm256_set1_ps(urr[3]), _mm256_set1_ps(uir[3])));
-      _mm256_storeu_ps(rows[r] + i, acc);
-    }
-  }
-  if (i < scalars)
-    dense4_scalar<float>(p0 + i, p1 + i, p2 + i, p3 + i, (scalars - i) / 2, ur, ui);
-}
-
-template <>
-void scale_avx2<double>(double* p, index_t count, double dr, double di) {
-  const __m256d wr = _mm256_set1_pd(dr), wi = _mm256_set1_pd(di);
-  const index_t scalars = 2 * count;
-  index_t i = 0;
-  for (; i + 4 <= scalars; i += 4)
-    _mm256_storeu_pd(p + i, cmul(_mm256_loadu_pd(p + i), wr, wi));
-  if (i < scalars) scale_scalar<double>(p + i, (scalars - i) / 2, dr, di);
-}
-
-template <>
-void scale_avx2<float>(float* p, index_t count, float dr, float di) {
-  const __m256 wr = _mm256_set1_ps(dr), wi = _mm256_set1_ps(di);
-  const index_t scalars = 2 * count;
-  index_t i = 0;
-  for (; i + 8 <= scalars; i += 8)
-    _mm256_storeu_ps(p + i, cmul(_mm256_loadu_ps(p + i), wr, wi));
-  if (i < scalars) scale_scalar<float>(p + i, (scalars - i) / 2, dr, di);
-}
-
-}  // namespace qc::sim::kernels
-
-#else  // !(__AVX2__ && __FMA__): flags unavailable — forward to scalar.
-
-namespace qc::sim::kernels {
-
-bool avx2_compiled_in() noexcept { return false; }
-
-template <>
-void dense2_avx2<float>(float* p0, float* p1, index_t count, const float* coef) {
-  dense2_scalar<float>(p0, p1, count, coef);
-}
-template <>
-void dense2_avx2<double>(double* p0, double* p1, index_t count, const double* coef) {
-  dense2_scalar<double>(p0, p1, count, coef);
-}
-template <>
-void dense4_avx2<float>(float* p0, float* p1, float* p2, float* p3, index_t count,
-                        const float* ur, const float* ui) {
-  dense4_scalar<float>(p0, p1, p2, p3, count, ur, ui);
-}
-template <>
-void dense4_avx2<double>(double* p0, double* p1, double* p2, double* p3, index_t count,
-                         const double* ur, const double* ui) {
-  dense4_scalar<double>(p0, p1, p2, p3, count, ur, ui);
-}
-template <>
-void scale_avx2<float>(float* p, index_t count, float dr, float di) {
-  scale_scalar<float>(p, count, dr, di);
-}
-template <>
-void scale_avx2<double>(double* p, index_t count, double dr, double di) {
-  scale_scalar<double>(p, count, dr, di);
-}
-
-}  // namespace qc::sim::kernels
-
+bool avx2_compiled_in() noexcept {
+#if defined(__AVX2__) && defined(__FMA__)
+  return true;
+#else
+  return false;
 #endif
+}
+
+template <typename T>
+const Microkernels<T>& avx2_microkernels() noexcept {
+  static constexpr Microkernels<T> kTable = detail::KernelBody<Tier>::table<T>();
+  return kTable;
+}
+
+template const Microkernels<float>& avx2_microkernels<float>() noexcept;
+template const Microkernels<double>& avx2_microkernels<double>() noexcept;
+
+}  // namespace qc::sim::kernels

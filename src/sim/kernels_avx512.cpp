@@ -1,188 +1,29 @@
-// AVX-512F microkernel variants (see kernels_dispatch.hpp).
-//
-// Compiled with -mavx512f (per-file, CMakeLists.txt) when the compiler
-// supports it; contains only its own out-of-line definitions so no
-// 512-bit instructions leak into code shared with other TUs. Same
-// fmaddsub complex-multiply scheme as kernels_avx2.cpp, at zmm width:
-// 4 fp64 / 8 fp32 amplitudes per register. kAlignment = 64 guarantees
-// run *starts* are register-aligned (common/aligned.hpp static_assert),
-// but interior offsets need not be, so loads/stores stay unaligned ops
-// (same throughput on aligned addresses since Skylake-X).
-#include "sim/kernels_dispatch.hpp"
-
-#if defined(__AVX512F__)
-
-#include <immintrin.h>
-
-#if defined(__GNUC__) && !defined(__clang__)
-// GCC's _mm512_undefined_pd() (inside _mm512_permute_pd) trips
-// -Wmaybe-uninitialized at every inlined use; the value is intentionally
-// undefined and fully overwritten by the mask-less permute.
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
+// The AVX-512 tier of the microkernels (kernels_dispatch.hpp): the one
+// body, compiled with -mavx512f (set per file in CMakeLists.txt).
+#include "sim/kernel_body.hpp"
 
 namespace qc::sim::kernels {
-
-bool avx512_compiled_in() noexcept { return true; }
-
 namespace {
-
-/// (xr, xi) -> (xi, xr) per complex pair, 4 fp64 amplitudes.
-inline __m512d swap_pairs(__m512d x) noexcept { return _mm512_permute_pd(x, 0x55); }
-/// Same for 8 fp32 amplitudes.
-inline __m512 swap_pairs(__m512 x) noexcept {
-  return _mm512_permute_ps(x, _MM_SHUFFLE(2, 3, 0, 1));
-}
-
-/// x * (wr + i*wi) with wr/wi pre-splatted (see kernels_avx2.cpp).
-inline __m512d cmul(__m512d x, __m512d wr, __m512d wi) noexcept {
-  return _mm512_fmaddsub_pd(x, wr, _mm512_mul_pd(swap_pairs(x), wi));
-}
-inline __m512 cmul(__m512 x, __m512 wr, __m512 wi) noexcept {
-  return _mm512_fmaddsub_ps(x, wr, _mm512_mul_ps(swap_pairs(x), wi));
-}
-
+struct Tier {
+  static constexpr std::size_t kBytes = 64;
+};
 }  // namespace
 
-template <>
-void dense2_avx512<double>(double* p0, double* p1, index_t count, const double* coef) {
-  const __m512d ar = _mm512_set1_pd(coef[0]), ai = _mm512_set1_pd(coef[1]);
-  const __m512d br = _mm512_set1_pd(coef[2]), bi = _mm512_set1_pd(coef[3]);
-  const __m512d cr = _mm512_set1_pd(coef[4]), ci = _mm512_set1_pd(coef[5]);
-  const __m512d dr = _mm512_set1_pd(coef[6]), di = _mm512_set1_pd(coef[7]);
-  const index_t scalars = 2 * count;
-  index_t i = 0;
-  for (; i + 8 <= scalars; i += 8) {
-    const __m512d x0 = _mm512_loadu_pd(p0 + i);
-    const __m512d x1 = _mm512_loadu_pd(p1 + i);
-    _mm512_storeu_pd(p0 + i, _mm512_add_pd(cmul(x0, ar, ai), cmul(x1, br, bi)));
-    _mm512_storeu_pd(p1 + i, _mm512_add_pd(cmul(x0, cr, ci), cmul(x1, dr, di)));
-  }
-  if (i < scalars) dense2_scalar<double>(p0 + i, p1 + i, (scalars - i) / 2, coef);
-}
-
-template <>
-void dense2_avx512<float>(float* p0, float* p1, index_t count, const float* coef) {
-  const __m512 ar = _mm512_set1_ps(coef[0]), ai = _mm512_set1_ps(coef[1]);
-  const __m512 br = _mm512_set1_ps(coef[2]), bi = _mm512_set1_ps(coef[3]);
-  const __m512 cr = _mm512_set1_ps(coef[4]), ci = _mm512_set1_ps(coef[5]);
-  const __m512 dr = _mm512_set1_ps(coef[6]), di = _mm512_set1_ps(coef[7]);
-  const index_t scalars = 2 * count;
-  index_t i = 0;
-  for (; i + 16 <= scalars; i += 16) {
-    const __m512 x0 = _mm512_loadu_ps(p0 + i);
-    const __m512 x1 = _mm512_loadu_ps(p1 + i);
-    _mm512_storeu_ps(p0 + i, _mm512_add_ps(cmul(x0, ar, ai), cmul(x1, br, bi)));
-    _mm512_storeu_ps(p1 + i, _mm512_add_ps(cmul(x0, cr, ci), cmul(x1, dr, di)));
-  }
-  if (i < scalars) dense2_scalar<float>(p0 + i, p1 + i, (scalars - i) / 2, coef);
-}
-
-template <>
-void dense4_avx512<double>(double* p0, double* p1, double* p2, double* p3, index_t count,
-                           const double* ur, const double* ui) {
-  double* rows[4] = {p0, p1, p2, p3};
-  const index_t scalars = 2 * count;
-  index_t i = 0;
-  for (; i + 8 <= scalars; i += 8) {
-    const __m512d x0 = _mm512_loadu_pd(p0 + i);
-    const __m512d x1 = _mm512_loadu_pd(p1 + i);
-    const __m512d x2 = _mm512_loadu_pd(p2 + i);
-    const __m512d x3 = _mm512_loadu_pd(p3 + i);
-    for (int r = 0; r < 4; ++r) {
-      const double* urr = ur + 4 * r;
-      const double* uir = ui + 4 * r;
-      __m512d acc = cmul(x0, _mm512_set1_pd(urr[0]), _mm512_set1_pd(uir[0]));
-      acc = _mm512_add_pd(acc, cmul(x1, _mm512_set1_pd(urr[1]), _mm512_set1_pd(uir[1])));
-      acc = _mm512_add_pd(acc, cmul(x2, _mm512_set1_pd(urr[2]), _mm512_set1_pd(uir[2])));
-      acc = _mm512_add_pd(acc, cmul(x3, _mm512_set1_pd(urr[3]), _mm512_set1_pd(uir[3])));
-      _mm512_storeu_pd(rows[r] + i, acc);
-    }
-  }
-  if (i < scalars)
-    dense4_scalar<double>(p0 + i, p1 + i, p2 + i, p3 + i, (scalars - i) / 2, ur, ui);
-}
-
-template <>
-void dense4_avx512<float>(float* p0, float* p1, float* p2, float* p3, index_t count,
-                          const float* ur, const float* ui) {
-  float* rows[4] = {p0, p1, p2, p3};
-  const index_t scalars = 2 * count;
-  index_t i = 0;
-  for (; i + 16 <= scalars; i += 16) {
-    const __m512 x0 = _mm512_loadu_ps(p0 + i);
-    const __m512 x1 = _mm512_loadu_ps(p1 + i);
-    const __m512 x2 = _mm512_loadu_ps(p2 + i);
-    const __m512 x3 = _mm512_loadu_ps(p3 + i);
-    for (int r = 0; r < 4; ++r) {
-      const float* urr = ur + 4 * r;
-      const float* uir = ui + 4 * r;
-      __m512 acc = cmul(x0, _mm512_set1_ps(urr[0]), _mm512_set1_ps(uir[0]));
-      acc = _mm512_add_ps(acc, cmul(x1, _mm512_set1_ps(urr[1]), _mm512_set1_ps(uir[1])));
-      acc = _mm512_add_ps(acc, cmul(x2, _mm512_set1_ps(urr[2]), _mm512_set1_ps(uir[2])));
-      acc = _mm512_add_ps(acc, cmul(x3, _mm512_set1_ps(urr[3]), _mm512_set1_ps(uir[3])));
-      _mm512_storeu_ps(rows[r] + i, acc);
-    }
-  }
-  if (i < scalars)
-    dense4_scalar<float>(p0 + i, p1 + i, p2 + i, p3 + i, (scalars - i) / 2, ur, ui);
-}
-
-template <>
-void scale_avx512<double>(double* p, index_t count, double dr, double di) {
-  const __m512d wr = _mm512_set1_pd(dr), wi = _mm512_set1_pd(di);
-  const index_t scalars = 2 * count;
-  index_t i = 0;
-  for (; i + 8 <= scalars; i += 8)
-    _mm512_storeu_pd(p + i, cmul(_mm512_loadu_pd(p + i), wr, wi));
-  if (i < scalars) scale_scalar<double>(p + i, (scalars - i) / 2, dr, di);
-}
-
-template <>
-void scale_avx512<float>(float* p, index_t count, float dr, float di) {
-  const __m512 wr = _mm512_set1_ps(dr), wi = _mm512_set1_ps(di);
-  const index_t scalars = 2 * count;
-  index_t i = 0;
-  for (; i + 16 <= scalars; i += 16)
-    _mm512_storeu_ps(p + i, cmul(_mm512_loadu_ps(p + i), wr, wi));
-  if (i < scalars) scale_scalar<float>(p + i, (scalars - i) / 2, dr, di);
-}
-
-}  // namespace qc::sim::kernels
-
-#else  // !__AVX512F__: flag unavailable — forward to scalar.
-
-namespace qc::sim::kernels {
-
-bool avx512_compiled_in() noexcept { return false; }
-
-template <>
-void dense2_avx512<float>(float* p0, float* p1, index_t count, const float* coef) {
-  dense2_scalar<float>(p0, p1, count, coef);
-}
-template <>
-void dense2_avx512<double>(double* p0, double* p1, index_t count, const double* coef) {
-  dense2_scalar<double>(p0, p1, count, coef);
-}
-template <>
-void dense4_avx512<float>(float* p0, float* p1, float* p2, float* p3, index_t count,
-                          const float* ur, const float* ui) {
-  dense4_scalar<float>(p0, p1, p2, p3, count, ur, ui);
-}
-template <>
-void dense4_avx512<double>(double* p0, double* p1, double* p2, double* p3, index_t count,
-                           const double* ur, const double* ui) {
-  dense4_scalar<double>(p0, p1, p2, p3, count, ur, ui);
-}
-template <>
-void scale_avx512<float>(float* p, index_t count, float dr, float di) {
-  scale_scalar<float>(p, count, dr, di);
-}
-template <>
-void scale_avx512<double>(double* p, index_t count, double dr, double di) {
-  scale_scalar<double>(p, count, dr, di);
-}
-
-}  // namespace qc::sim::kernels
-
+bool avx512_compiled_in() noexcept {
+#if defined(__AVX512F__)
+  return true;
+#else
+  return false;
 #endif
+}
+
+template <typename T>
+const Microkernels<T>& avx512_microkernels() noexcept {
+  static constexpr Microkernels<T> kTable = detail::KernelBody<Tier>::table<T>();
+  return kTable;
+}
+
+template const Microkernels<float>& avx512_microkernels<float>() noexcept;
+template const Microkernels<double>& avx512_microkernels<double>() noexcept;
+
+}  // namespace qc::sim::kernels

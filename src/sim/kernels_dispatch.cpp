@@ -99,50 +99,10 @@ SimdIsa force_isa(SimdIsa isa) {
 void refresh_isa() { g_active.store(-1, std::memory_order_release); }
 
 // ---------------------------------------------------------------------
-// Scalar reference microkernels.
-//
-// Plain loops over the interleaved planes; with -march=native these
-// auto-vectorize, portable builds run them as written. Every ISA
-// variant must match these to 1e-12 at fp64 (tests/test_dispatch.cpp).
+// The scalar tier: the run scale, and no block kernels (kernels.cpp
+// runs its own loops). Every vector tier must match it to 1e-12 at fp64
+// (tests/test_dispatch.cpp).
 // ---------------------------------------------------------------------
-
-template <typename T>
-void dense2_scalar(T* p0, T* p1, index_t count, const T* coef) {
-  const T ar = coef[0], ai = coef[1], br = coef[2], bi = coef[3];
-  const T cr = coef[4], ci = coef[5], dr = coef[6], di = coef[7];
-  for (index_t i = 0; i < 2 * count; i += 2) {
-    const T x0r = p0[i], x0i = p0[i + 1], x1r = p1[i], x1i = p1[i + 1];
-    p0[i] = ar * x0r - ai * x0i + br * x1r - bi * x1i;
-    p0[i + 1] = ar * x0i + ai * x0r + br * x1i + bi * x1r;
-    p1[i] = cr * x0r - ci * x0i + dr * x1r - di * x1i;
-    p1[i + 1] = cr * x0i + ci * x0r + dr * x1i + di * x1r;
-  }
-}
-
-template <typename T>
-void dense4_scalar(T* p0, T* p1, T* p2, T* p3, index_t count, const T* ur, const T* ui) {
-  for (index_t i = 0; i < 2 * count; i += 2) {
-    const T xr[4] = {p0[i], p1[i], p2[i], p3[i]};
-    const T xi[4] = {p0[i + 1], p1[i + 1], p2[i + 1], p3[i + 1]};
-    T yr[4], yi[4];
-    for (int r = 0; r < 4; ++r) {
-      const T* urr = ur + 4 * r;
-      const T* uir = ui + 4 * r;
-      yr[r] = urr[0] * xr[0] - uir[0] * xi[0] + urr[1] * xr[1] - uir[1] * xi[1] +
-              urr[2] * xr[2] - uir[2] * xi[2] + urr[3] * xr[3] - uir[3] * xi[3];
-      yi[r] = urr[0] * xi[0] + uir[0] * xr[0] + urr[1] * xi[1] + uir[1] * xr[1] +
-              urr[2] * xi[2] + uir[2] * xr[2] + urr[3] * xi[3] + uir[3] * xr[3];
-    }
-    p0[i] = yr[0];
-    p0[i + 1] = yi[0];
-    p1[i] = yr[1];
-    p1[i + 1] = yi[1];
-    p2[i] = yr[2];
-    p2[i + 1] = yi[2];
-    p3[i] = yr[3];
-    p3[i + 1] = yi[3];
-  }
-}
 
 template <typename T>
 void scale_scalar(T* p, index_t count, T dr, T di) {
@@ -153,35 +113,21 @@ void scale_scalar(T* p, index_t count, T dr, T di) {
   }
 }
 
-template void dense2_scalar<float>(float*, float*, index_t, const float*);
-template void dense2_scalar<double>(double*, double*, index_t, const double*);
-template void dense4_scalar<float>(float*, float*, float*, float*, index_t, const float*,
-                                   const float*);
-template void dense4_scalar<double>(double*, double*, double*, double*, index_t, const double*,
-                                    const double*);
 template void scale_scalar<float>(float*, index_t, float, float);
 template void scale_scalar<double>(double*, index_t, double, double);
-
-// ---------------------------------------------------------------------
-// Dispatch tables.
-// ---------------------------------------------------------------------
 
 namespace {
 
 template <typename T>
-constexpr Microkernels<T> kScalarTable{&dense2_scalar<T>, &dense4_scalar<T>, &scale_scalar<T>};
-template <typename T>
-constexpr Microkernels<T> kAvx2Table{&dense2_avx2<T>, &dense4_avx2<T>, &scale_avx2<T>};
-template <typename T>
-constexpr Microkernels<T> kAvx512Table{&dense2_avx512<T>, &dense4_avx512<T>, &scale_avx512<T>};
+constexpr Microkernels<T> kScalarTable{0, {}, nullptr, &scale_scalar<T>};
 
 }  // namespace
 
 template <typename T>
 const Microkernels<T>& microkernels_for(SimdIsa isa) noexcept {
   switch (isa) {
-    case SimdIsa::kAvx512: return kAvx512Table<T>;
-    case SimdIsa::kAvx2: return kAvx2Table<T>;
+    case SimdIsa::kAvx512: return avx512_microkernels<T>();
+    case SimdIsa::kAvx2: return avx2_microkernels<T>();
     case SimdIsa::kScalar: break;
   }
   return kScalarTable<T>;

@@ -1,18 +1,21 @@
-// Runtime ISA dispatch for the dense / diagonal kernel inner loops.
+// Runtime ISA dispatch for the kernels' vector inner loops.
 //
 // The library ships one portable binary (CI builds with QC_NATIVE=OFF),
-// so the hot contiguous-run loops cannot rely on -march=native for
-// vectorization. Instead the three microkernels below — dense 2x2,
-// dense 4x4, and the run-scaled diagonal — exist in hand-vectorized
-// AVX2 and AVX-512 variants next to the scalar reference, and one of
-// the three implementations is selected at startup by CPUID-based
-// feature detection (overridable with QC_SIMD=scalar|avx2|avx512).
+// so the hot loops cannot rely on -march=native for vectorization.
+// Instead the microkernels below (dense k-qubit blocks for k = 1..5, the
+// diagonal block, and the run scale behind the 1-qubit diagonal) have
+// one body, kernel_body.hpp, compiled in an AVX2 and in an AVX-512
+// translation unit. Next to them sits the scalar tier: kernels.cpp's
+// plain loops, the reference. One tier is selected at startup by
+// CPUID-based feature detection (overridable with
+// QC_SIMD=scalar|avx2|avx512).
 //
-// All variants operate on the interleaved {re, im} plane layout exposed
-// by kernels::real_imag_planes() — amplitude j of a run lives at
-// planes[2j] / planes[2j + 1] — and must agree with the scalar
-// reference to 1e-12 at fp64 (tests/test_dispatch.cpp enforces this for
-// every gate class; CONTRIBUTING requires the same of any new kernel).
+// All tiers operate on the interleaved {re, im} plane layout exposed by
+// kernels::real_imag_planes() (amplitude j of a run lives at
+// planes[2j] / planes[2j + 1]) and must agree with the scalar tier to
+// 1e-12 at fp64 (tests/test_dispatch.cpp enforces this for every gate
+// class and block width; CONTRIBUTING requires the same of any new
+// kernel).
 #pragma once
 
 #include <string_view>
@@ -61,24 +64,57 @@ SimdIsa force_isa(SimdIsa isa);
 /// QC_SIMD at the next active_isa() call.
 void refresh_isa();
 
-/// The three run-contiguous microkernels, per amplitude scalar T.
-/// Pointers index interleaved {re, im} planes (see real_imag_planes);
-/// `count` is a number of complex amplitudes, so 2*count scalars.
+/// Widest block the dispatched dense and diagonal kernels take. Wider
+/// blocks run the scalar tier's loops (kernels.cpp) at every tier.
+inline constexpr qubit_t kMaxDispatchedWidth = 5;
+
+/// How a dispatched block kernel walks the state (kernels.cpp builds it,
+/// see block_walk there). The state is cut into segments of 2^seg_bits
+/// amplitudes: segment s starts at amplitude start(s) << seg_bits, where
+/// start(s) re-inserts a 0 bit into s at each of the n_high ascending
+/// positions `high`. A block then spans the 2^n_high runs base + offs[j],
+/// each one segment long, and the kernel walks them in vectors of
+/// 2^lane_bits amplitudes. Targets below lane_bits combine inside a
+/// vector; the n_high targets above it pick the run.
+struct BlockWalk {
+  qubit_t lane_bits = 0;
+  qubit_t seg_bits = 0;
+  qubit_t n_high = 0;
+  qubit_t high[kMaxDispatchedWidth] = {};
+  index_t offs[dim(kMaxDispatchedWidth)] = {};
+};
+
+/// One tier's microkernels for amplitude scalar T. Pointers index
+/// interleaved {re, im} planes (see real_imag_planes); counts are
+/// complex amplitudes.
 template <typename T>
 struct Microkernels {
-  /// Dense 2x2 over the paired runs p0 (target=0) / p1 (target=1):
-  /// coef = {ar, ai, br, bi, cr, ci, dr, di} row-major for
-  /// u = [[a, b], [c, d]].
-  void (*dense2)(T* p0, T* p1, index_t count, const T* coef);
-  /// Dense 4x4 over the four local-basis runs {00, 01, 10, 11};
-  /// ur / ui are the 16 row-major coefficient planes.
-  void (*dense4)(T* p0, T* p1, T* p2, T* p3, index_t count, const T* ur, const T* ui);
+  /// log2 of the amplitudes one vector register holds (0 at the scalar
+  /// tier).
+  qubit_t lane_bits;
+  /// Dense k-qubit block, k = 1..5 at index k - 1, applied over the
+  /// segments [s0, s1) of `walk`. `coef` holds u in one of two layouts,
+  /// with m = k - walk.n_high targets inside a vector:
+  ///  - m = 0 (across runs): the row-major real parts, then the
+  ///    imaginary parts, 2^k x 2^k each;
+  ///  - m = lane_bits (targets 0..m-1 inside a vector): for each output
+  ///    run j and column c, the vectors (re, im) and (-im, re) of
+  ///    u[row][c] over the lanes, row = lane | j << m.
+  /// Null at the scalar tier, whose dense blocks are kernels.cpp's
+  /// apply_multi_t.
+  void (*dense[kMaxDispatchedWidth])(T* planes, const BlockWalk& walk, const T* coef, index_t s0,
+                                     index_t s1);
+  /// Diagonal block over the segments [s0, s1) of `walk`: run j of each
+  /// segment is multiplied lane by lane by factor vector j, stored as
+  /// the vectors (re, re) and (-im, im) of each lane's entry. Null at
+  /// the scalar tier.
+  void (*diagonal)(T* planes, const BlockWalk& walk, const T* factors, index_t s0, index_t s1);
   /// Multiplies the run by the scalar (dr + i*di).
   void (*scale)(T* p, index_t count, T dr, T di);
 };
 
 /// The table implementing `isa` for scalar T (valid for any available
-/// ISA; an ISA compiled out falls back to the scalar entries).
+/// ISA; an ISA compiled out is never active).
 template <typename T>
 const Microkernels<T>& microkernels_for(SimdIsa isa) noexcept;
 
@@ -89,63 +125,19 @@ inline const Microkernels<T>& active_microkernels() noexcept {
   return microkernels_for<T>(active_isa());
 }
 
-// Scalar reference implementations — public so equivalence tests and
-// new ISA variants have a canonical baseline to diff against.
-template <typename T>
-void dense2_scalar(T* p0, T* p1, index_t count, const T* coef);
-template <typename T>
-void dense4_scalar(T* p0, T* p1, T* p2, T* p3, index_t count, const T* ur, const T* ui);
+/// The scalar tier's run scale, the reference of the vector tiers' one.
 template <typename T>
 void scale_scalar(T* p, index_t count, T dr, T di);
 
-// AVX2 / AVX-512 variants, defined in kernels_avx2.cpp /
-// kernels_avx512.cpp (translation units built with -mavx2 -mfma /
-// -mavx512f when the compiler supports the flags; otherwise they
-// forward to the scalar reference and the ISA reports unavailable).
-// (Declared as explicit per-type specializations — the variants are
-// hand-written intrinsics per scalar width, not generic code.)
+// The vector tiers' tables: one body (kernel_body.hpp) compiled in
+// kernels_avx2.cpp and kernels_avx512.cpp with -mavx2 -mfma / -mavx512f
+// when the compiler supports the flags. Without them the file compiles
+// portable, *_compiled_in() reports false, and the ISA is never active.
 template <typename T>
-void dense2_avx2(T* p0, T* p1, index_t count, const T* coef);
+const Microkernels<T>& avx2_microkernels() noexcept;
 template <typename T>
-void dense4_avx2(T* p0, T* p1, T* p2, T* p3, index_t count, const T* ur, const T* ui);
-template <typename T>
-void scale_avx2(T* p, index_t count, T dr, T di);
-template <>
-void dense2_avx2<float>(float*, float*, index_t count, const float*);
-template <>
-void dense2_avx2<double>(double*, double*, index_t count, const double*);
-template <>
-void dense4_avx2<float>(float*, float*, float*, float*, index_t count, const float*,
-                        const float*);
-template <>
-void dense4_avx2<double>(double*, double*, double*, double*, index_t count, const double*,
-                         const double*);
-template <>
-void scale_avx2<float>(float*, index_t count, float dr, float di);
-template <>
-void scale_avx2<double>(double*, index_t count, double dr, double di);
+const Microkernels<T>& avx512_microkernels() noexcept;
 bool avx2_compiled_in() noexcept;
-
-template <typename T>
-void dense2_avx512(T* p0, T* p1, index_t count, const T* coef);
-template <typename T>
-void dense4_avx512(T* p0, T* p1, T* p2, T* p3, index_t count, const T* ur, const T* ui);
-template <typename T>
-void scale_avx512(T* p, index_t count, T dr, T di);
-template <>
-void dense2_avx512<float>(float*, float*, index_t count, const float*);
-template <>
-void dense2_avx512<double>(double*, double*, index_t count, const double*);
-template <>
-void dense4_avx512<float>(float*, float*, float*, float*, index_t count, const float*,
-                          const float*);
-template <>
-void dense4_avx512<double>(double*, double*, double*, double*, index_t count, const double*,
-                           const double*);
-template <>
-void scale_avx512<float>(float*, index_t count, float dr, float di);
-template <>
-void scale_avx512<double>(double*, index_t count, double dr, double di);
 bool avx512_compiled_in() noexcept;
 
 }  // namespace qc::sim::kernels

@@ -1,18 +1,25 @@
 // Dispatch-equivalence tests for the runtime-selected SIMD kernels:
-// every available ISA must agree with the scalar reference to 1e-12 at
-// fp64 (fp32 to a few ulps of float) for every dispatched gate class —
-// dense 2x2 (folded + masked), dense 4x4 fused blocks, and the
-// run-scaled diagonal — across register sizes that cover both the
-// short-run remainder paths and long vector runs. Also covers the
-// QC_SIMD override and the force_isa round-trip.
+// every available ISA must agree with the scalar tier to 1e-12 at fp64
+// (1e-5 at fp32) for every dispatched gate class — dense 2x2 (folded +
+// masked), the run-scaled diagonal, and the dense and diagonal k-qubit
+// blocks for k = 1..5 at every target layout class (inside a register,
+// at its edge, across runs, the top qubit) — across register sizes that
+// cover both the short-run remainder paths and long vector runs. Every
+// tier's serial and parallel modes must agree bit for bit: they run one
+// body. Also covers the QC_SIMD override and the force_isa round-trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <cstring>
 #include <numbers>
+#include <string>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "linalg/matrix.hpp"
 #include "sim/kernels.hpp"
 #include "sim/kernels_dispatch.hpp"
 #include "sim/state_vector.hpp"
@@ -117,6 +124,90 @@ void sweep_gate_classes() {
 TEST(Dispatch, EveryIsaMatchesScalarReferenceF64) { sweep_gate_classes<double>(); }
 
 TEST(Dispatch, EveryIsaMatchesScalarReferenceF32) { sweep_gate_classes<float>(); }
+
+/// Target layouts of a k-qubit block on n qubits: the lowest target at
+/// 0..4 with the rest adjacent (inside a register, at its edge or above
+/// it, depending on tier and precision), spread layouts starting at 0
+/// and at 1, a block of low targets plus the top qubit, and the top k
+/// qubits. Layouts that do not fit in n qubits are dropped.
+std::vector<std::vector<qubit_t>> block_layouts(qubit_t k, qubit_t n) {
+  std::vector<std::vector<qubit_t>> out;
+  const auto add = [&](std::vector<qubit_t> t) {
+    t.resize(k);
+    if (t.back() < n && std::is_sorted(t.begin(), t.end()) &&
+        std::adjacent_find(t.begin(), t.end()) == t.end() &&
+        std::find(out.begin(), out.end(), t) == out.end())
+      out.push_back(t);
+  };
+  for (qubit_t low = 0; low <= 4; ++low) {
+    std::vector<qubit_t> t;
+    for (qubit_t q = 0; q < k; ++q) t.push_back(low + q);
+    add(t);
+  }
+  add({0, 2, 5, 9, 14});
+  add({1, 4, 9, 11, 15});
+  std::vector<qubit_t> straddle;
+  for (qubit_t q = 0; q + 1 < k; ++q) straddle.push_back(q);
+  straddle.push_back(n - 1);
+  add(straddle);
+  std::vector<qubit_t> top;
+  for (qubit_t q = n - k; q < n; ++q) top.push_back(q);
+  add(top);
+  return out;
+}
+
+/// Dense and diagonal k-qubit blocks at every layout, n in {k, 7, 10,
+/// 16}: each tier in each mode against the scalar tier, and each tier's
+/// serial mode bit for bit against its parallel mode.
+template <typename T>
+void check_blocks(qubit_t k) {
+  using C = basic_complex_t<T>;
+  IsaGuard guard;
+  Rng rng(100 + k);
+  const linalg::Matrix um = linalg::Matrix::random_unitary(dim(k), rng);
+  std::vector<C> u(um.rows() * um.cols()), d(dim(k));
+  for (std::size_t i = 0; i < u.size(); ++i) u[i] = static_cast<C>(um.data()[i]);
+  for (std::size_t i = 0; i < d.size(); ++i)
+    d[i] = static_cast<C>(std::polar(1.0, 0.4 + 0.9 * static_cast<double>(i)));
+  for (const qubit_t n : {k, qubit_t{7}, qubit_t{10}, qubit_t{16}}) {
+    if (n < k) continue;
+    for (const auto& targets : block_layouts(k, n)) {
+      for (const bool diagonal : {false, true}) {
+        const auto run = [&](SimdIsa isa, bool parallel) {
+          force_isa(isa);
+          BasicStateVector<T> sv = random_state<T>(n, 11 + n);
+          if (diagonal)
+            apply_multi_diagonal<T>(sv.amplitudes(), n, targets, d, parallel);
+          else
+            apply_multi<T>(sv.amplitudes(), n, targets, u, parallel);
+          return sv;
+        };
+        const BasicStateVector<T> ref = run(SimdIsa::kScalar, false);
+        for (const SimdIsa isa : available()) {
+          const BasicStateVector<T> serial = run(isa, false);
+          const BasicStateVector<T> parallel = run(isa, true);
+          std::string where = std::string{diagonal ? "diagonal" : "dense"} +
+                              " isa=" + isa_name(isa) + " n=" + std::to_string(n) +
+                              " fp" + std::to_string(8 * sizeof(T)) + " targets=";
+          for (const qubit_t t : targets) where += std::to_string(t) + ",";
+          EXPECT_LE(max_diff(ref, serial), kIsaTol<T>) << where;
+          EXPECT_EQ(std::memcmp(serial.amplitudes().data(), parallel.amplitudes().data(),
+                                serial.amplitudes().size_bytes()),
+                    0)
+              << "serial and parallel modes differ: " << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(Dispatch, BlocksMatchScalarTierF64) {
+  for (qubit_t k = 1; k <= kMaxDispatchedWidth; ++k) check_blocks<double>(k);
+}
+
+TEST(Dispatch, BlocksMatchScalarTierF32) {
+  for (qubit_t k = 1; k <= kMaxDispatchedWidth; ++k) check_blocks<float>(k);
+}
 
 TEST(Dispatch, ActiveIsaIsAvailable) {
   EXPECT_TRUE(isa_available(active_isa()));
