@@ -9,14 +9,14 @@
 // the "fused" backend's executor). Each cell reports best-of-reps
 // seconds and the effective memory bandwidth.
 //
-// The chunk probe times what a cache-blocked sweep runs: each k-qubit
-// kernel (dense and diagonal, k = 1..5) on one cache-resident
-// 2^16-amplitude chunk, one thread, serial mode, in ns per amplitude
-// (median of 20 * reps calls after a warm-up call). Its targets are
-// low, low + 1, ..., low + k - 1 for each lowest target `low` in
-// kChunkLows (the top one clamped so the block fits), which covers
-// blocks inside a register, at its edge and across runs, for every tier
-// and precision.
+// The chunk probe, run after every tier's cells, times what a
+// cache-blocked sweep runs: each k-qubit kernel (dense and diagonal,
+// k = 1..5) on one cache-resident 2^16-amplitude chunk, one thread,
+// serial mode, in ns per amplitude (median of 20 * reps calls after a
+// warm-up call). Its targets are low, low + 1, ..., low + k - 1 for
+// each lowest target `low` in kChunkLows (the top one clamped so the
+// block fits), which covers blocks inside a register, at its edge and
+// across runs, for every tier and precision.
 //
 // Headline scalars (top-level JSON numerics, picked up by
 // tools/append_trajectory.py into BENCH_TRAJECTORY.md). The first two
@@ -139,7 +139,6 @@ struct ChunkCell {
 
 inline constexpr qubit_t kChunkQubits = 16;
 inline constexpr qubit_t kChunkLows[] = {0, 1, 2, 3, 4, 12};
-inline constexpr qubit_t kChunkMaxWidth = 5;  // kernels' kMaxDispatchedWidth
 
 /// Median wall time of `calls` calls of `f`, after one warm-up call.
 template <typename F>
@@ -165,7 +164,7 @@ void run_chunk_cells(int calls, const char* isa, std::vector<ChunkCell>& out) {
   const double amps = static_cast<double>(dim(kChunkQubits));
   const int bits = static_cast<int>(8 * sizeof(T));
   Rng rng(17);
-  for (qubit_t k = 1; k <= kChunkMaxWidth; ++k) {
+  for (qubit_t k = 1; k <= sim::kernels::kMaxDispatchedWidth; ++k) {
     const linalg::Matrix um = linalg::Matrix::random_unitary(dim(k), rng);
     std::vector<C> u(um.rows() * um.cols()), d(dim(k));
     for (std::size_t i = 0; i < u.size(); ++i) u[i] = static_cast<C>(um.data()[i]);
@@ -224,11 +223,19 @@ int main(int argc, char** argv) {
   std::vector<Cell> cells;
   std::vector<ChunkCell> chunk;
   const int chunk_calls = std::max(1, 20 * reps);
+  // The full-state cells of every tier first, back to back, then the
+  // single-threaded chunk probe, so that no cell follows a stretch of
+  // idle worker threads.
   for (const SimdIsa isa : available_isas()) {
     const SimdIsa prev = sim::kernels::force_isa(isa);
     const char* name = sim::kernels::isa_name(isa);
     run_cells<double>(n, reps, plan, name, cells);
     run_cells<float>(n, reps, plan, name, cells);
+    sim::kernels::force_isa(prev);
+  }
+  for (const SimdIsa isa : available_isas()) {
+    const SimdIsa prev = sim::kernels::force_isa(isa);
+    const char* name = sim::kernels::isa_name(isa);
     run_chunk_cells<double>(chunk_calls, name, chunk);
     run_chunk_cells<float>(chunk_calls, name, chunk);
     sim::kernels::force_isa(prev);

@@ -94,9 +94,12 @@ struct KernelBody {
   static constexpr index_t kChains = 8;
 
   /// Dense block across runs: every target is at or above LB. Rows are
-  /// summed kChains at a time, each in its own accumulator.
+  /// summed kChains at a time, each in its own accumulator. `planes` is
+  /// restrict-qualified: the stores through it cannot change `coef`, so
+  /// the coefficients that fit in registers stay there across the runs.
   template <typename T, unsigned K, qubit_t LB>
-  static void dense_runs(T* planes, const BlockWalk& w, const T* coef, index_t s0, index_t s1) {
+  static void dense_runs(T* __restrict planes, const BlockWalk& w, const T* coef, index_t s0,
+                         index_t s1) {
     using V = Vec<T, LB>;
     constexpr index_t B = index_t{1} << K;
     constexpr index_t G = B < kChains ? B : kChains;

@@ -24,8 +24,8 @@ namespace {
 /// half the vector), long enough to amortize dispatch.
 inline constexpr qubit_t kSegmentBits = 12;
 
-/// Splats a 2x2 block into the row-major {re, im} coefficient layout the
-/// dense2 microkernel consumes.
+/// Splats a 2x2 block into the row-major {re, im} coefficient layout
+/// apply_u2 consumes.
 template <typename T>
 std::array<T, 8> u2_coef(const U2T<T>& u) noexcept {
   return {u.m00.real(), u.m00.imag(), u.m01.real(), u.m01.imag(),
@@ -152,6 +152,15 @@ inline void apply_u2(T* x, T* y, const std::array<T, 8>& coef) {
   y[1] = coef[4] * xi + coef[5] * xr + coef[6] * yi + coef[7] * yr;
 }
 
+/// apply_u2 over `len` amplitude pairs at planes x, y: the scalar tier's
+/// uncontrolled 2x2 run. Out of line, so that a serial and a parallel
+/// walk run the same code on each run: each inlined copy of the loop is
+/// vectorized, and its multiply-adds contracted, on its own.
+template <typename T>
+[[gnu::noinline]] void apply_u2_run(T* x, T* y, index_t len, const std::array<T, 8> coef) {
+  for (index_t i = 0; i < 2 * len; i += 2) apply_u2(x + i, y + i, coef);
+}
+
 }  // namespace
 
 template <typename T>
@@ -185,8 +194,7 @@ void apply_folded(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, in
       for_each_run(mode, n, pos,
                    [p = real_imag_planes(a.data()), coef = u2_coef(u), tbit](index_t base,
                                                                              index_t len) {
-                     for (index_t i = base; i < base + len; ++i)
-                       apply_u2(p + 2 * i, p + 2 * (i + tbit), coef);
+                     apply_u2_run(p + 2 * base, p + 2 * (base + tbit), len, coef);
                    });
     });
     return;
@@ -487,9 +495,10 @@ void apply_multi(std::span<basic_complex_t<T>> a, qubit_t n, std::span<const qub
   const Microkernels<T>& mk = active_microkernels<T>();
   if (k <= kMaxDispatchedWidth && mk.dense[k - 1] != nullptr)
     return apply_multi_dispatched<T>(mk, a, n, targets, u, parallel);
+  if (k == 1)  // the scalar tier's uncontrolled 2x2 run loop
+    return apply_folded<T>(a, n, targets[0], 0, U2T<T>{u[0], u[1], u[2], u[3]}, parallel);
   with_mode(parallel, [&](auto mode) {
     switch (k) {
-      case 1: return apply_multi_t<T, 1>(mode, a, n, targets, u);
       case 2: return apply_multi_t<T, 2>(mode, a, n, targets, u);
       case 3: return apply_multi_t<T, 3>(mode, a, n, targets, u);
       case 4: return apply_multi_t<T, 4>(mode, a, n, targets, u);

@@ -101,7 +101,7 @@ struct Microkernels {
   ///    run j and column c, the vectors (re, im) and (-im, re) of
   ///    u[row][c] over the lanes, row = lane | j << m.
   /// Null at the scalar tier, whose dense blocks are kernels.cpp's
-  /// apply_multi_t.
+  /// apply_multi_t (k >= 2) and apply_folded's run loop (k = 1).
   void (*dense[kMaxDispatchedWidth])(T* planes, const BlockWalk& walk, const T* coef, index_t s0,
                                      index_t s1);
   /// Diagonal block over the segments [s0, s1) of `walk`: run j of each

@@ -1,10 +1,11 @@
 // Dispatch-equivalence tests for the runtime-selected SIMD kernels:
 // every available ISA must agree with the scalar tier to 1e-12 at fp64
 // (1e-5 at fp32) for every dispatched gate class — dense 2x2 (folded +
-// masked), the run-scaled diagonal, and the dense and diagonal k-qubit
-// blocks for k = 1..5 at every target layout class (inside a register,
-// at its edge, across runs, the top qubit) — across register sizes that
-// cover both the short-run remainder paths and long vector runs. Every
+// masked), the 1-qubit diagonal (the run scale when uncontrolled, with
+// and without d0 == 1), and the dense and diagonal k-qubit blocks for
+// k = 1..5 at every target layout class (inside a register, at its
+// edge, across runs, the top qubit) — across register sizes that cover
+// both the short-run remainder paths and long vector runs. Every
 // tier's serial and parallel modes must agree bit for bit: they run one
 // body. Also covers the QC_SIMD override and the force_isa round-trip.
 #include <gtest/gtest.h>
@@ -97,12 +98,19 @@ void sweep_gate_classes() {
       expect_isa_agreement<T>(n, [&](BasicStateVector<T>& sv) {
         apply_folded<T>(sv.amplitudes(), n, t, cmask, u2_cast<T>(h), true);
       });
-      // Run-scaled diagonal, controlled.
-      expect_isa_agreement<T>(n, [&](BasicStateVector<T>& sv) {
-        apply_diagonal<T>(sv.amplitudes(), n, t,
-                          static_cast<basic_complex_t<T>>(std::polar(1.0, 0.4)),
-                          static_cast<basic_complex_t<T>>(std::polar(1.0, -0.7)), cmask, true);
-      });
+      // Diagonal: uncontrolled (the run scale, on both halves and, for a
+      // phase-type d0 == 1, on the target=1 half only) and controlled.
+      for (const double phase0 : {0.4, 0.0}) {
+        const auto d0 = static_cast<basic_complex_t<T>>(std::polar(1.0, phase0));
+        const auto d1 = static_cast<basic_complex_t<T>>(std::polar(1.0, -0.7));
+        for (const bool parallel : {false, true})
+          expect_isa_agreement<T>(n, [&](BasicStateVector<T>& sv) {
+            apply_diagonal<T>(sv.amplitudes(), n, t, d0, d1, 0, parallel);
+          });
+        expect_isa_agreement<T>(n, [&](BasicStateVector<T>& sv) {
+          apply_diagonal<T>(sv.amplitudes(), n, t, d0, d1, cmask, true);
+        });
+      }
     }
     // Dense 4x4 fused block over adjacent and strided target pairs.
     for (const auto& targets :
@@ -171,11 +179,15 @@ void check_blocks(qubit_t k) {
     d[i] = static_cast<C>(std::polar(1.0, 0.4 + 0.9 * static_cast<double>(i)));
   for (const qubit_t n : {k, qubit_t{7}, qubit_t{10}, qubit_t{16}}) {
     if (n < k) continue;
+    // One input for every run: normalizing sums the norm in an OpenMP
+    // reduction, whose combining order (and so the last bit) may vary
+    // from call to call.
+    const BasicStateVector<T> input = random_state<T>(n, 11 + n);
     for (const auto& targets : block_layouts(k, n)) {
       for (const bool diagonal : {false, true}) {
         const auto run = [&](SimdIsa isa, bool parallel) {
           force_isa(isa);
-          BasicStateVector<T> sv = random_state<T>(n, 11 + n);
+          BasicStateVector<T> sv = input;
           if (diagonal)
             apply_multi_diagonal<T>(sv.amplitudes(), n, targets, d, parallel);
           else
