@@ -3,8 +3,18 @@
 // State vectors are the dominant allocation of the library (up to many
 // GiB); we allocate them 64-byte aligned so AVX loads never split cache
 // lines and so OpenMP threads partition on cache-line boundaries.
+//
+// Blocks of kHugePageBytes (2 MiB) or more (every state, emulator
+// scratch, rank chunk and FFT work buffer of a run that fills DRAM) go
+// on transparent huge pages: they start on a 2 MiB boundary, span whole
+// 2 MiB pages, and are advised MADV_HUGEPAGE. The first touch of such a
+// block then faults 2 MiB at a time instead of 4 KiB, and a strided pass
+// touches 512x fewer pages. The advice is a hint the kernel honors under
+// THP mode `madvise` or `always` and ignores under `never`; nothing here
+// changes the host's THP settings.
 #pragma once
 
+#include <cstddef>
 #include <cstdlib>
 #include <limits>
 #include <new>
@@ -26,7 +36,18 @@ static_assert(kAlignment % kMaxSimdBytes == 0,
               "kAlignment must cover one full AVX-512 register so "
               "runtime-dispatched kernels can use full-width loads");
 
-/// Minimal standard allocator returning 64-byte-aligned memory.
+/// One x86-64 transparent huge page, and the size from which an
+/// AlignedAllocator block goes on such pages (see the file comment).
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/// `bytes` of storage for AlignedAllocator, released with std::free:
+/// 64-byte aligned below kHugePageBytes, and from there 2 MiB aligned,
+/// rounded up to whole 2 MiB pages and advised MADV_HUGEPAGE. Throws
+/// std::bad_alloc when the memory is not there.
+[[nodiscard]] void* allocate_aligned(std::size_t bytes);
+
+/// Minimal standard allocator returning 64-byte-aligned memory (2 MiB
+/// aligned, on huge pages, from kHugePageBytes up).
 template <typename T>
 struct AlignedAllocator {
   using value_type = T;
@@ -36,10 +57,10 @@ struct AlignedAllocator {
   AlignedAllocator(const AlignedAllocator<U>&) noexcept {}
 
   [[nodiscard]] T* allocate(std::size_t n) {
-    if (n > std::numeric_limits<std::size_t>::max() / sizeof(T)) throw std::bad_alloc{};
-    void* p = std::aligned_alloc(kAlignment, round_up(n * sizeof(T)));
-    if (p == nullptr) throw std::bad_alloc{};
-    return static_cast<T*>(p);
+    // Leaves room for allocate_aligned's rounding up to whole pages.
+    if (n > (std::numeric_limits<std::size_t>::max() - kHugePageBytes) / sizeof(T))
+      throw std::bad_alloc{};
+    return static_cast<T*>(allocate_aligned(n * sizeof(T)));
   }
 
   void deallocate(T* p, std::size_t) noexcept { std::free(p); }
@@ -47,11 +68,6 @@ struct AlignedAllocator {
   template <typename U>
   bool operator==(const AlignedAllocator<U>&) const noexcept {
     return true;
-  }
-
- private:
-  static std::size_t round_up(std::size_t bytes) noexcept {
-    return (bytes + kAlignment - 1) / kAlignment * kAlignment;
   }
 };
 

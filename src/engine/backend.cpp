@@ -15,6 +15,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/fault.hpp"
+#include "common/aligned.hpp"
 #include "common/check.hpp"
 #include "emu/dist_emu.hpp"
 #include "emu/index_maps.hpp"
@@ -726,8 +727,8 @@ class DistBackendT final : public Backend {
   std::vector<SegmentLog> replay_log_;
   double replay_pred_s_ = 0;  ///< Predicted replay cost of replay_log_ (model s).
   std::size_t segments_since_ckpt_ = 0;
-  std::vector<std::vector<value_type>> ckpt_chunks_;  ///< Per-rank chunk copies.
-  std::vector<qubit_t> ckpt_perm_;                   ///< perm_ at checkpoint time.
+  std::vector<aligned_vector<value_type>> ckpt_chunks_;  ///< Per-rank chunk copies.
+  std::vector<qubit_t> ckpt_perm_;                      ///< perm_ at checkpoint time.
   bool ckpt_valid_ = false;
 };
 

@@ -52,13 +52,10 @@ void BasicDistStateVector<T>::randomize(std::uint64_t seed) {
 
 template <typename T>
 double BasicDistStateVector<T>::norm_sq() const {
-  double sum = 0;
-#pragma omp parallel for reduction(+ : sum) if (worth_parallelizing(local_.size()))
-  for (index_t i = 0; i < local_.size(); ++i) {
+  return comm_->allreduce_sum(ordered_sum(local_.size(), [this](index_t i) {
     const double re = local_[i].real(), im = local_[i].imag();
-    sum += re * re + im * im;
-  }
-  return comm_->allreduce_sum(sum);
+    return re * re + im * im;
+  }));
 }
 
 template <typename T>

@@ -217,13 +217,21 @@ void apply_diagonal(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
   // paper's CR gate).
   const bool skip0 = d0 == basic_complex_t<T>{T{1}};
   if (cmask == 0) {
+    const Microkernels<T>& mk = active_microkernels<T>();
+    if (mk.diagonal != nullptr && target < mk.lane_bits) {
+      // Runs shorter than one register: the dispatched diagonal block
+      // holds both factors in each vector.
+      const qubit_t targets[] = {target};
+      const basic_complex_t<T> d[] = {d0, d1};
+      return apply_multi_diagonal<T>(a, n, targets, d, parallel);
+    }
     // Uncontrolled: run-scale the target=0 / target=1 halves of each run
     // through the dispatched microkernel.
     const qubit_t pos[] = {target};
     with_mode(parallel, [&](auto mode) {
       for_each_run(mode, n, pos,
                    [p = real_imag_planes(a.data()), tbit, d0, d1, skip0,
-                    scale_run = active_microkernels<T>().scale](index_t base, index_t len) {
+                    scale_run = mk.scale](index_t base, index_t len) {
                      if (!skip0) scale_run(p + 2 * base, len, d0.real(), d0.imag());
                      scale_run(p + 2 * (base + tbit), len, d1.real(), d1.imag());
                    });
@@ -307,32 +315,33 @@ std::array<index_t, B> block_offsets(std::span<const qubit_t> targets) {
   return offs;
 }
 
-/// Width-templated block apply: the compile-time block size lets the
-/// compiler fully unroll / FMA-vectorize the mat-vec, and the unitary is
-/// split once into real/imag planes so the hot loop is plain scalar
-/// arithmetic (std::complex products inhibit vectorization). This is
-/// the scalar tier of the dense blocks, and the reference of the
-/// dispatched ones.
-template <typename T, unsigned K, bool Par>
-void apply_multi_t(Mode<Par> mode, std::span<basic_complex_t<T>> a, qubit_t n,
-                   std::span<const qubit_t> targets, std::span<const basic_complex_t<T>> u) {
+/// Blocks j0 .. j1 - 1 of apply_multi_t. Block j is the 2^K amplitudes
+/// at planes p + 2 * (base | offs[b]), where base is j with a 0 bit
+/// inserted at each target; it is multiplied by u, split into the
+/// row-major planes ur and ui. Out of line, with restrict-qualified
+/// planes, so that a serial and a parallel walk run the same code and
+/// keep the coefficients in registers: inlined into the parallel walk,
+/// which reaches them through its thread's copy of the closure, GCC
+/// reloaded them after every amplitude store. The rows run across
+/// vector lanes, each summing its columns in order; GCC left k = 2
+/// scalar without the simd directive.
+template <typename T, unsigned K>
+[[gnu::noinline]] void apply_blocks(T* __restrict p, const qubit_t* __restrict targets,
+                                    index_t j0, index_t j1, const index_t* __restrict offs,
+                                    const T* __restrict ur, const T* __restrict ui) {
   constexpr index_t B = index_t{1} << K;
-  const std::array<index_t, B> offs = block_offsets<B>(targets);
-  alignas(64) std::array<T, B * B> ur, ui;
-  for (index_t i = 0; i < B * B; ++i) {
-    ur[i] = u[i].real();
-    ui[i] = u[i].imag();
-  }
-  T* const p = real_imag_planes(a.data());
-  for_each_index(mode, n, targets, [p, &offs, &ur, &ui](index_t base) {
+  for (index_t j = j0; j < j1; ++j) {
+    index_t base = j;
+    for (unsigned l = 0; l < K; ++l) base = bits::insert_bit(base, targets[l]);
     alignas(64) std::array<T, B> xr, xi, yr, yi;
     for (index_t b = 0; b < B; ++b) {
       xr[b] = p[2 * (base | offs[b])];
       xi[b] = p[2 * (base | offs[b]) + 1];
     }
+#pragma omp simd
     for (index_t r = 0; r < B; ++r) {
-      const T* urow = ur.data() + r * B;
-      const T* uirow = ui.data() + r * B;
+      const T* urow = ur + r * B;
+      const T* uirow = ui + r * B;
       T accr{}, acci{};
       for (index_t c = 0; c < B; ++c) {
         accr += urow[c] * xr[c] - uirow[c] * xi[c];
@@ -345,7 +354,34 @@ void apply_multi_t(Mode<Par> mode, std::span<basic_complex_t<T>> a, qubit_t n,
       p[2 * (base | offs[b])] = yr[b];
       p[2 * (base | offs[b]) + 1] = yi[b];
     }
-  });
+  }
+}
+
+/// Width-templated block apply: the compile-time block size lets the
+/// compiler fully unroll / FMA-vectorize the mat-vec, and the unitary is
+/// split once into real/imag planes so the hot loop is plain scalar
+/// arithmetic (std::complex products inhibit vectorization). This is
+/// the scalar tier of the dense blocks, and the reference of the
+/// dispatched ones. Both modes cut the blocks into the same ranges of
+/// 2^kSegmentBits amplitudes.
+template <typename T, unsigned K, bool Par>
+void apply_multi_t(Mode<Par> mode, std::span<basic_complex_t<T>> a, qubit_t n,
+                   std::span<const qubit_t> targets, std::span<const basic_complex_t<T>> u) {
+  constexpr index_t B = index_t{1} << K;
+  static_assert(K < kSegmentBits);
+  const std::array<index_t, B> offs = block_offsets<B>(targets);
+  alignas(64) std::array<T, B * B> ur, ui;
+  for (index_t i = 0; i < B * B; ++i) {
+    ur[i] = u[i].real();
+    ui[i] = u[i].imag();
+  }
+  const index_t blocks = dim(n - K);
+  const index_t per = dim(kSegmentBits - K);
+  loop(mode, (blocks + per - 1) / per, dim(n),
+       [p = real_imag_planes(a.data()), t = targets.data(), o = offs.data(), r = ur.data(),
+        i = ui.data(), blocks, per](index_t c) {
+         apply_blocks<T, K>(p, t, c * per, std::min(blocks, (c + 1) * per), o, r, i);
+       });
 }
 
 /// Generic fallback for the widest blocks.

@@ -149,6 +149,9 @@ void apply_folded(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, in
 /// Diagonal gate diag(d0, d1) on `target`, controls folded. If d0 == 1
 /// (Z, S, T, R(theta)/CR) only the target=1, controls=1 quarter/half is
 /// touched; otherwise a single in-place sweep of the controls=1 part.
+/// Uncontrolled, a target inside one vector register (when the tier has
+/// a diagonal kernel) runs as the k = 1 apply_multi_diagonal block,
+/// which multiplies both halves.
 template <typename T>
 void apply_diagonal(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
                     basic_complex_t<T> d0, basic_complex_t<T> d1, index_t cmask, bool parallel);

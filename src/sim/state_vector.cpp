@@ -60,13 +60,10 @@ void BasicStateVector<T>::randomize_deterministic(std::uint64_t seed) {
 
 template <typename T>
 double BasicStateVector<T>::norm_sq() const {
-  double sum = 0;
-#pragma omp parallel for reduction(+ : sum) if (worth_parallelizing(size()))
-  for (index_t i = 0; i < size(); ++i) {
+  return ordered_sum(size(), [this](index_t i) {
     const double re = data_[i].real(), im = data_[i].imag();
-    sum += re * re + im * im;
-  }
-  return sum;
+    return re * re + im * im;
+  });
 }
 
 template <typename T>

@@ -1,8 +1,11 @@
 // Unit tests for the common substrate: bit manipulation, RNG, aligned
-// allocation, CLI parsing, and table formatting.
+// allocation (and its huge pages), CLI parsing, and table formatting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
 #include <set>
+#include <string>
 
 #include "common/aligned.hpp"
 #include "common/bits.hpp"
@@ -145,9 +148,54 @@ TEST(Rng, ForkedStreamsDiffer) {
   EXPECT_EQ(same, 0);
 }
 
+std::uintptr_t address(const void* p) { return reinterpret_cast<std::uintptr_t>(p); }
+
 TEST(Aligned, VectorDataIsAligned) {
   aligned_vector<complex_t> v(1000);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % kAlignment, 0u);
+  EXPECT_EQ(address(v.data()) % kAlignment, 0u);
+  // From 2 MiB up a block starts on a huge page, through both allocators.
+  for (const std::size_t bytes : {kHugePageBytes, 2 * kHugePageBytes}) {
+    const aligned_vector<complex_t> zeroed(bytes / sizeof(complex_t));
+    const uninit_aligned_vector<complex_t> uninit(bytes / sizeof(complex_t));
+    EXPECT_EQ(address(zeroed.data()) % kHugePageBytes, 0u) << bytes << " bytes";
+    EXPECT_EQ(address(uninit.data()) % kHugePageBytes, 0u) << bytes << " bytes";
+  }
+  const aligned_vector<complex_t> mib(kHugePageBytes / 2 / sizeof(complex_t));
+  EXPECT_EQ(address(mib.data()) % kAlignment, 0u);
+}
+
+/// The THPeligible field of the /proc/self/smaps mapping that holds
+/// address `p`, or -1 when no mapping holds it or the field is absent.
+int thp_eligible(const void* p) {
+  std::ifstream smaps("/proc/self/smaps");
+  bool holds = false;
+  std::string line;
+  while (std::getline(smaps, line)) {
+    // A mapping's header starts "lo-hi perms ..."; no field name has a '-'.
+    const std::size_t dash = line.find('-');
+    if (dash < line.find(' ')) {
+      const std::uintptr_t lo = std::stoull(line.substr(0, dash), nullptr, 16);
+      const std::uintptr_t hi = std::stoull(line.substr(dash + 1), nullptr, 16);
+      holds = lo <= address(p) && address(p) < hi;
+    } else if (holds && line.rfind("THPeligible:", 0) == 0) {
+      return std::stoi(line.substr(std::string("THPeligible:").size()));
+    }
+  }
+  return -1;
+}
+
+TEST(Aligned, HugeBlockIsThpEligible) {
+  std::ifstream enabled("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  std::getline(enabled, mode);
+  if (mode.empty() || mode.find("[never]") != std::string::npos)
+    GTEST_SKIP() << "transparent huge pages off on this host (mode: "
+                 << (mode.empty() ? "absent" : mode) << ")";
+  // Whether the kernel found free huge pages for it (AnonHugePages)
+  // depends on the host; eligibility is what the allocator controls.
+  uninit_aligned_vector<complex_t> v(2 * kHugePageBytes / sizeof(complex_t));
+  for (complex_t& x : v) x = complex_t{1.0};
+  EXPECT_EQ(thp_eligible(v.data()), 1) << "THP mode: " << mode;
 }
 
 TEST(Cli, ParsesOptionsAndPositionals) {

@@ -179,9 +179,6 @@ void check_blocks(qubit_t k) {
     d[i] = static_cast<C>(std::polar(1.0, 0.4 + 0.9 * static_cast<double>(i)));
   for (const qubit_t n : {k, qubit_t{7}, qubit_t{10}, qubit_t{16}}) {
     if (n < k) continue;
-    // One input for every run: normalizing sums the norm in an OpenMP
-    // reduction, whose combining order (and so the last bit) may vary
-    // from call to call.
     const BasicStateVector<T> input = random_state<T>(n, 11 + n);
     for (const auto& targets : block_layouts(k, n)) {
       for (const bool diagonal : {false, true}) {

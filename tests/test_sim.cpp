@@ -5,7 +5,10 @@
 // distributions) against direct computation.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <string>
 
@@ -70,6 +73,26 @@ TEST(StateVector, RandomizeIsNormalizedAndDeterministic) {
   EXPECT_NEAR(a.norm_sq(), 1.0, 1e-12);
   EXPECT_EQ(a.max_abs_diff(b), 0.0);
   EXPECT_GT(a.max_abs_diff(c), 1e-3);
+}
+
+TEST(StateVector, DrawsRepeatBitForBitAtFourThreads) {
+  // randomize_deterministic normalizes by a norm summed on four threads.
+  // Added in the threads' arrival order, this state's norm took two
+  // values, and most draws differed from the first in the last bit.
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(4);
+  const qubit_t n = 14;
+  StateVector first(n);
+  first.randomize_deterministic(37);
+  int differing = 0;
+  for (int draw = 0; draw < 100; ++draw) {
+    StateVector sv(n);
+    sv.randomize_deterministic(37);
+    differing += std::memcmp(sv.amplitudes().data(), first.amplitudes().data(),
+                             sv.size() * sizeof(complex_t)) != 0;
+  }
+  omp_set_num_threads(threads);
+  EXPECT_EQ(differing, 0) << "draws differing from the first, of 100";
 }
 
 TEST(StateVector, OverlapProperties) {
